@@ -99,7 +99,8 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -286,14 +287,18 @@ impl CoalitionNode {
     /// batched pricing path ([`ProviderEngine::on_cfp_batch`]): exactly
     /// equivalent to delivering each message in order, but announcements
     /// repeated across the batch's CFPs are resolved and compiled once.
-    /// Bursts that are not all CFPs (or a node without a provider) fall
-    /// back to sequential delivery, so callers may hand over any
-    /// same-destination burst.
+    /// A burst of one is [`NodeEngine::on_message`] itself; bursts that
+    /// are not all CFPs (or a node without a provider) fall back to
+    /// sequential delivery, so callers may hand over any same-destination
+    /// burst.
     pub fn on_message_batch(&mut self, now: SimTime, batch: &[(Pid, &Msg)]) -> Vec<Action> {
+        if let [(from, msg)] = *batch {
+            return self.on_message(now, from, msg);
+        }
         let all_cfps = batch
             .iter()
             .all(|(_, m)| matches!(m, Msg::CallForProposals { .. }));
-        if !all_cfps || self.provider.is_none() || batch.len() <= 1 {
+        if !all_cfps || self.provider.is_none() {
             let mut out = Vec::new();
             for &(from, msg) in batch {
                 out.extend(self.on_message(now, from, msg));
@@ -1043,11 +1048,20 @@ enum DirectKind {
         /// allocation.
         msg: Arc<Msg>,
     },
+    /// Stands in the queue for every CFP delivery filed under
+    /// `(event.at, to)` in [`DirectRuntime::cfp_batches`], at the position
+    /// of the first one filed.
+    CfpBatch {
+        to: Pid,
+    },
     Timer {
         node: Pid,
         token: u64,
     },
 }
+
+/// The `(sender, payload)` deliveries of one coalesced CFP batch.
+type CfpMembers = Vec<(Pid, Arc<Msg>)>;
 
 struct DirectEvent {
     at: SimTime,
@@ -1108,6 +1122,11 @@ pub struct DirectRuntime {
     /// Coalesce same-instant CFP deliveries per target node (see
     /// [`DirectRuntime::set_cfp_batching`]).
     cfp_batching: bool,
+    /// CFP deliveries coalesced at enqueue time, in send order, keyed by
+    /// `(arrival instant, target)`; each entry has exactly one
+    /// [`DirectKind::CfpBatch`] marker in the heap. Looked up by key only,
+    /// never iterated, so the hash order cannot leak into a run.
+    cfp_batches: HashMap<(SimTime, Pid), CfpMembers>,
 }
 
 impl DirectRuntime {
@@ -1140,11 +1159,24 @@ impl DirectRuntime {
     /// provider hears all their CFPs back-to-back, and batching prepares
     /// the repeated announcements once instead of once per negotiation.
     ///
+    /// Coalescing happens when a delivery is enqueued: the first CFP for
+    /// an `(arrival instant, node)` pair takes a place in the event queue
+    /// and later ones are filed behind it, so a batch fires at the queue
+    /// position of its earliest member and holds every CFP to that node
+    /// and instant sent before it fires; CFPs sent after that start a new
+    /// batch. Fault draws and the partition cut check still happen per
+    /// delivery, and [`Runtime::run`] counts every coalesced delivery.
+    ///
     /// Off by default. Batching preserves each node's own delivery order
     /// (the engine outcome per node is pinned identical by the
     /// `provider_batch` property test) but it *does* regroup
     /// same-timestamp deliveries across nodes, so the event-for-event
     /// `runtime_equivalence` pin only applies with batching off.
+    ///
+    /// The switch governs deliveries enqueued from now on. Mid-run,
+    /// batches already filed are still delivered as batches after
+    /// switching off, and CFP deliveries queued before switching on are
+    /// delivered one by one; neither joins the other.
     pub fn set_cfp_batching(&mut self, on: bool) {
         self.cfp_batching = on;
     }
@@ -1153,6 +1185,24 @@ impl DirectRuntime {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(DirectEvent { at, seq, kind });
+    }
+
+    /// Queues one delivery (already past the fault draws and the cut
+    /// check) for `when`. With batching on, a CFP joins the batch filed
+    /// for its `(when, to)`, or opens one and queues its marker.
+    fn push_delivery(&mut self, when: SimTime, from: Pid, to: Pid, msg: &Arc<Msg>) {
+        let msg = Arc::clone(msg);
+        if self.cfp_batching && matches!(&*msg, Msg::CallForProposals { .. }) {
+            match self.cfp_batches.entry((when, to)) {
+                Entry::Occupied(mut batch) => batch.get_mut().push((from, msg)),
+                Entry::Vacant(slot) => {
+                    slot.insert(vec![(from, msg)]);
+                    self.push(when, DirectKind::CfpBatch { to });
+                }
+            }
+        } else {
+            self.push(when, DirectKind::Deliver { from, to, msg });
+        }
     }
 
     /// When (and how often) one logical delivery lands, after consulting
@@ -1197,14 +1247,7 @@ impl DirectRuntime {
                                 self.partition_cuts += 1;
                                 continue;
                             }
-                            self.push(
-                                when,
-                                DirectKind::Deliver {
-                                    from: at,
-                                    to,
-                                    msg: Arc::clone(&msg),
-                                },
-                            );
+                            self.push_delivery(when, at, to, &msg);
                         }
                     }
                     self.bcast_scratch = targets;
@@ -1217,14 +1260,7 @@ impl DirectRuntime {
                                 self.partition_cuts += 1;
                                 continue;
                             }
-                            self.push(
-                                when,
-                                DirectKind::Deliver {
-                                    from: at,
-                                    to,
-                                    msg: Arc::clone(&msg),
-                                },
-                            );
+                            self.push_delivery(when, at, to, &msg);
                         }
                     }
                 }
@@ -1322,69 +1358,38 @@ impl Runtime for DirectRuntime {
             }
             let ev = self.heap.pop().expect("peeked");
             self.now = ev.at;
-            match ev.kind {
+            // `n` counts deliveries and timers, not queue entries: a batch
+            // marker stands for every CFP filed behind it.
+            let (at, actions) = match ev.kind {
                 DirectKind::Deliver { from, to, msg } => {
-                    if self.cfp_batching && matches!(&*msg, Msg::CallForProposals { .. }) {
-                        // Coalesce every same-instant CFP delivery bound
-                        // for the same node. Queued same-time events all
-                        // predate anything the batch will push (their seqs
-                        // are lower), so draining them here and re-queueing
-                        // the non-matching ones preserves their order.
-                        let mut batch: Vec<(Pid, Arc<Msg>)> = vec![(from, msg)];
-                        let mut rest: Vec<DirectEvent> = Vec::new();
-                        while self.heap.peek().is_some_and(|e| e.at == ev.at) {
-                            let e = self.heap.pop().expect("peeked");
-                            match e.kind {
-                                DirectKind::Deliver {
-                                    from,
-                                    to: target,
-                                    msg,
-                                } if target == to
-                                    && matches!(&*msg, Msg::CallForProposals { .. }) =>
-                                {
-                                    batch.push((from, msg));
-                                }
-                                kind => rest.push(DirectEvent {
-                                    at: e.at,
-                                    seq: e.seq,
-                                    kind,
-                                }),
-                            }
+                    n += 1;
+                    let node = self.nodes.get_mut(&to);
+                    (to, node.map(|node| node.on_message(ev.at, from, &msg)))
+                }
+                DirectKind::CfpBatch { to } => {
+                    let batch = self.cfp_batches.remove(&(ev.at, to)).unwrap_or_default();
+                    n += batch.len() as u64;
+                    let node = self.nodes.get_mut(&to);
+                    let actions = node.map(|node| match batch.as_slice() {
+                        [(from, msg)] => node.on_message(ev.at, *from, msg),
+                        members => {
+                            let refs: Vec<(Pid, &Msg)> =
+                                members.iter().map(|(f, m)| (*f, &**m)).collect();
+                            node.on_message_batch(ev.at, &refs)
                         }
-                        for e in rest {
-                            self.heap.push(e);
-                        }
-                        n += batch.len() as u64 - 1;
-                        let refs: Vec<(Pid, &Msg)> =
-                            batch.iter().map(|(f, m)| (*f, &**m)).collect();
-                        let actions = self
-                            .nodes
-                            .get_mut(&to)
-                            .map(|node| node.on_message_batch(ev.at, &refs))
-                            .unwrap_or_default();
-                        self.apply(to, actions);
-                    } else {
-                        let actions = self
-                            .nodes
-                            .get_mut(&to)
-                            .map(|node| node.on_message(ev.at, from, &msg))
-                            .unwrap_or_default();
-                        self.apply(to, actions);
-                    }
+                    });
+                    (to, actions)
                 }
                 DirectKind::Timer { node, token } => {
                     let Some((nego, kind)) = decode_timer(token) else {
                         continue;
                     };
-                    let actions = self
-                        .nodes
-                        .get_mut(&node)
-                        .map(|n| n.on_timer(ev.at, nego, kind))
-                        .unwrap_or_default();
-                    self.apply(node, actions);
+                    n += 1;
+                    let engine = self.nodes.get_mut(&node);
+                    (node, engine.map(|e| e.on_timer(ev.at, nego, kind)))
                 }
-            }
-            n += 1;
+            };
+            self.apply(at, actions.unwrap_or_default());
         }
         n
     }
@@ -1920,6 +1925,75 @@ mod tests {
             (rt.events().to_vec(), rt.messages_sent())
         };
         assert_eq!(run(), run());
+    }
+
+    /// A CFP announcing nothing: providers answer it with silence, so a
+    /// run's event count is exactly the number of CFP deliveries.
+    fn silent_cfp(organizer: Pid) -> Action {
+        Action::broadcast(Msg::CallForProposals {
+            nego: NegoId { organizer, seq: 0 },
+            tasks: Vec::new(),
+            round: 0,
+        })
+    }
+
+    /// `(batch markers, plain CFP deliveries)` waiting in the queue.
+    fn queued_cfps(rt: &DirectRuntime) -> (usize, usize) {
+        let markers = rt
+            .heap
+            .iter()
+            .filter(|e| matches!(e.kind, DirectKind::CfpBatch { .. }))
+            .count();
+        let plain = rt
+            .heap
+            .iter()
+            .filter(|e| matches!(e.kind, DirectKind::Deliver { .. }))
+            .count();
+        (markers, plain)
+    }
+
+    #[test]
+    fn batches_filed_before_switching_batching_off_are_still_delivered() {
+        let mut rt = direct_runtime(&[100.0, 100.0, 100.0]);
+        rt.set_cfp_batching(true);
+        rt.apply(0, vec![silent_cfp(0)]);
+        rt.apply(1, vec![silent_cfp(1)]);
+        // One batch per target; node 2 hears both organizers.
+        assert_eq!(queued_cfps(&rt), (3, 0));
+        let from_of = |rt: &DirectRuntime, to: Pid| -> Vec<Pid> {
+            rt.cfp_batches[&(SimTime::ZERO, to)]
+                .iter()
+                .map(|(from, _)| *from)
+                .collect()
+        };
+        assert_eq!(from_of(&rt, 2), [0, 1]);
+
+        rt.set_cfp_batching(false);
+        rt.apply(2, vec![silent_cfp(2)]);
+        // The late CFPs queue as plain deliveries and join no filed batch.
+        assert_eq!(queued_cfps(&rt), (3, 2));
+        assert_eq!(from_of(&rt, 0), [1]);
+        assert_eq!(from_of(&rt, 1), [0]);
+
+        assert_eq!(rt.run(SimTime::ZERO), 6, "four filed + two plain");
+        assert!(rt.cfp_batches.is_empty() && rt.heap.is_empty());
+    }
+
+    #[test]
+    fn cfps_queued_before_switching_batching_on_are_delivered_singly() {
+        let mut rt = direct_runtime(&[100.0, 100.0, 100.0]);
+        rt.apply(0, vec![silent_cfp(0)]);
+        assert_eq!(queued_cfps(&rt), (0, 2));
+
+        rt.set_cfp_batching(true);
+        rt.apply(1, vec![silent_cfp(1)]);
+        // Node 2 already has node 0's CFP queued for this instant; the
+        // batch opened for it now holds node 1's alone.
+        assert_eq!(queued_cfps(&rt), (2, 2));
+        assert_eq!(rt.cfp_batches[&(SimTime::ZERO, 2)].len(), 1);
+
+        assert_eq!(rt.run(SimTime::ZERO), 4);
+        assert!(rt.cfp_batches.is_empty() && rt.heap.is_empty());
     }
 
     #[test]
