@@ -29,5 +29,7 @@ pub use instance::{
 };
 pub use policies::{
     aggregate_cpu, exhaustive_optimal, greedy_least_loaded, protocol_emulation,
-    protocol_emulation_with, random_alloc, single_node, ProposalStrategy,
+    protocol_emulation_with, random_alloc, single_node,
 };
+/// The provider's bundle-pricing mode, as [`protocol_emulation_with`] takes it.
+pub use qosc_core::ProposalStrategy;

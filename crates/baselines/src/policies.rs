@@ -18,7 +18,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use qosc_core::strategy::{AwardContext, CandidateContext, CfpContext, RetryContext, TaskOffer};
-use qosc_core::{local_reward, Candidate, TieBreak};
+use qosc_core::{local_reward, Candidate, ProposalStrategy, TieBreak};
 use qosc_resources::ResourceVector;
 use qosc_spec::TaskId;
 
@@ -145,24 +145,6 @@ pub fn greedy_least_loaded(instance: &Instance) -> Allocation {
         }
     }
     alloc
-}
-
-/// How a provider prices a multi-task Call-for-Proposals.
-///
-/// §5 is written over "the set of tasks", i.e. one *joint* formulation
-/// degrading the whole set until it is schedulable together
-/// ([`ProposalStrategy::Joint`]). A defensible alternative reading prices
-/// tasks one at a time, each against the capacity left after the offers
-/// already made in the same bundle ([`ProposalStrategy::Sequential`]).
-/// Joint is pessimistic — every offer assumes the node wins *everything*
-/// announced — while sequential offers head-of-list tasks near-preferred
-/// quality. Experiment F4 quantifies the difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProposalStrategy {
-    /// Paper-literal §5: one joint degradation over the announced set.
-    Joint,
-    /// Price tasks one at a time against the remaining bundle capacity.
-    Sequential,
 }
 
 /// The paper's protocol with the default joint (§5-literal) strategy.

@@ -409,6 +409,7 @@ impl Ord for Step {
 /// Borrowed view of one task as the degradation engine consumes it; built
 /// from either a [`TaskInput`] (compiling tables on the fly) or a
 /// [`PreparedTask`] (tables served from cache).
+#[derive(Clone, Copy)]
 struct EngineTask<'a> {
     spec: &'a QosSpec,
     request: &'a ResolvedRequest,
@@ -429,6 +430,155 @@ impl<'a> EngineTask<'a> {
     }
 }
 
+/// The state one §5 degradation run steps through: per-task levels,
+/// quality vectors, demands and dependency flags, plus the running total
+/// and the count of dependency-violating tasks. The candidate heap lives
+/// outside (a reused scratch for [`degrade`], owned by a [`Trajectory`])
+/// and the tasks are handed in per call (`task(i)` views the `i`-th), so
+/// the cold loop and the warm recording are the same arithmetic in the
+/// same order.
+struct Stepper {
+    levels: Vec<Vec<usize>>,
+    qvs: Vec<QualityVector>,
+    demands: Vec<ResourceVector>,
+    deps_ok_v: Vec<bool>,
+    deps_bad: usize,
+    total: ResourceVector,
+}
+
+impl Stepper {
+    /// Step 1 — preferred values everywhere — and the heap seeding: one
+    /// live entry per degradable attribute; popping an entry pushes its
+    /// successor, so the heap never exceeds tasks × attrs.
+    fn new<'a>(
+        n: usize,
+        task: impl Fn(usize) -> EngineTask<'a>,
+        heap: &mut BinaryHeap<Step>,
+    ) -> Self {
+        heap.clear();
+        let mut levels = Vec::with_capacity(n);
+        let mut qvs = Vec::with_capacity(n);
+        let mut demands = Vec::with_capacity(n);
+        let mut deps_ok_v = Vec::with_capacity(n);
+        let mut deps_bad = 0usize;
+        let mut total = ResourceVector::ZERO;
+        for ti in 0..n {
+            let t = task(ti);
+            let lv = vec![0usize; t.request.attr_count()];
+            let qv = t
+                .request
+                .quality_vector(t.spec, &lv)
+                .expect("levels are kept within ladder bounds");
+            let d = t.demand.demand(t.spec, &qv);
+            let ok = qv.satisfies_dependencies(t.spec);
+            total += d;
+            levels.push(lv);
+            qvs.push(qv);
+            demands.push(d);
+            deps_ok_v.push(ok);
+            deps_bad += usize::from(!ok);
+            for (flat, row) in t.table.rows.iter().enumerate() {
+                if row.len() > 1 {
+                    heap.push(Step {
+                        decrease: row[1] - row[0],
+                        task: ti as u32,
+                        flat: flat as u32,
+                        level: 0,
+                    });
+                }
+            }
+        }
+        Self {
+            levels,
+            qvs,
+            demands,
+            deps_ok_v,
+            deps_bad,
+            total,
+        }
+    }
+
+    fn acceptable(&self, admission: &AdmissionControl) -> bool {
+        acceptable(admission, &self.total, self.deps_bad, self.levels.len())
+    }
+
+    /// Step 2: takes the cheapest degradation, returning the `(task,
+    /// attribute)` it degraded, or `None` when the heap is dry. Entries
+    /// whose recorded level no longer matches are stale (their live
+    /// successor is elsewhere in the heap) and are dropped on pop.
+    fn advance<'a>(
+        &mut self,
+        heap: &mut BinaryHeap<Step>,
+        task: impl Fn(usize) -> EngineTask<'a>,
+    ) -> Option<(usize, usize)> {
+        let (ti, flat) = loop {
+            let step = heap.pop()?;
+            let (ti, flat) = (step.task as usize, step.flat as usize);
+            if self.levels[ti][flat] == step.level as usize {
+                break (ti, flat);
+            }
+        };
+        let t = task(ti);
+        let lvl = self.levels[ti][flat] + 1;
+        self.levels[ti][flat] = lvl;
+        let row = &t.table.rows[flat];
+        if lvl + 1 < row.len() {
+            heap.push(Step {
+                decrease: row[lvl + 1] - row[lvl],
+                task: ti as u32,
+                flat: flat as u32,
+                level: lvl as u32,
+            });
+        }
+        let pref = t
+            .request
+            .iter_attrs()
+            .nth(flat)
+            .expect("flat index enumerates requested attributes")
+            .1;
+        // Incremental update: only the degraded attribute changed. The
+        // write can only miss if a prepared task was compiled against a
+        // spec other than the one its request resolved on — fail at the
+        // fault, not downstream.
+        let wrote = self.qvs[ti].set_flat_unchecked(t.flat_spec[flat], pref.levels[lvl].clone());
+        debug_assert!(wrote, "flat index out of range for the quality vector");
+        self.total -= self.demands[ti];
+        let d = t.demand.demand(t.spec, &self.qvs[ti]);
+        let ok = self.qvs[ti].satisfies_dependencies(t.spec);
+        self.total += d;
+        self.demands[ti] = d;
+        if ok != self.deps_ok_v[ti] {
+            self.deps_ok_v[ti] = ok;
+            if ok {
+                self.deps_bad -= 1;
+            } else {
+                self.deps_bad += 1;
+            }
+        }
+        Some((ti, flat))
+    }
+}
+
+/// The §5 acceptance test over `n` tasks demanding `total`, `deps_bad` of
+/// them dependency-inconsistent: schedulable AND dependency-consistent.
+fn acceptable(
+    admission: &AdmissionControl,
+    total: &ResourceVector,
+    deps_bad: usize,
+    n: usize,
+) -> bool {
+    deps_bad == 0 && admission.schedulable_total(total, n)
+}
+
+/// Sum of the tasks' rewards at `levels`.
+fn total_reward<'a>(task: impl Fn(usize) -> EngineTask<'a>, levels: &[Vec<usize>]) -> f64 {
+    levels
+        .iter()
+        .enumerate()
+        .map(|(ti, lv)| task(ti).table.reward(lv))
+        .sum()
+}
+
 /// Heap-driven §5 degradation over `tasks`. Exact-equivalent to
 /// [`formulate_reference`]'s per-step argmin scan (pinned by the
 /// `formulation_props` property tests) but each step costs O(log A)
@@ -439,124 +589,27 @@ fn degrade(
     admission: &AdmissionControl,
     heap: &mut BinaryHeap<Step>,
 ) -> Result<Formulated, FormulationError> {
-    heap.clear();
-    let n = tasks.len();
-
-    // Step 1: preferred values everywhere.
-    let mut levels: Vec<Vec<usize>> = tasks
-        .iter()
-        .map(|t| vec![0usize; t.request.attr_count()])
-        .collect();
-    let prefs: Vec<Vec<&qosc_spec::ResolvedAttrPref>> = tasks
-        .iter()
-        .map(|t| t.request.iter_attrs().map(|(_, a)| a).collect())
-        .collect();
-    let mut qvs: Vec<QualityVector> = tasks
-        .iter()
-        .enumerate()
-        .map(|(ti, t)| {
-            t.request
-                .quality_vector(t.spec, &levels[ti])
-                .expect("levels are kept within ladder bounds")
-        })
-        .collect();
-    let mut demands: Vec<ResourceVector> = Vec::with_capacity(n);
-    let mut deps_ok_v: Vec<bool> = Vec::with_capacity(n);
-    let mut deps_bad = 0usize;
-    let mut total = ResourceVector::ZERO;
-    for (t, qv) in tasks.iter().zip(qvs.iter()) {
-        let d = t.demand.demand(t.spec, qv);
-        let ok = qv.satisfies_dependencies(t.spec);
-        total += d;
-        demands.push(d);
-        deps_ok_v.push(ok);
-        deps_bad += usize::from(!ok);
-    }
-
-    // One live heap entry per degradable attribute; popping an entry
-    // pushes its successor, so the heap never exceeds tasks × attrs.
-    for (ti, t) in tasks.iter().enumerate() {
-        for (flat, row) in t.table.rows.iter().enumerate() {
-            if row.len() > 1 {
-                heap.push(Step {
-                    decrease: row[1] - row[0],
-                    task: ti as u32,
-                    flat: flat as u32,
-                    level: 0,
-                });
-            }
-        }
-    }
-
+    let task = |ti: usize| tasks[ti];
+    let mut state = Stepper::new(tasks.len(), task, heap);
     let mut degradations = 0u32;
-    loop {
-        // Acceptance test: schedulable AND dependency-consistent.
-        if deps_bad == 0 && admission.schedulable_total(&total, n) {
-            let reward = tasks
-                .iter()
-                .zip(levels.iter())
-                .map(|(t, lv)| t.table.reward(lv))
-                .sum();
-            return Ok(Formulated {
-                levels,
-                demands,
-                reward,
-                degradations,
-            });
-        }
-
-        // Step 2: cheapest degradation. Entries whose recorded level no
-        // longer matches are stale (their live successor is elsewhere in
-        // the heap) and are dropped on pop.
-        let (ti, flat) = loop {
-            let Some(step) = heap.pop() else {
-                return Err(FormulationError::Infeasible);
-            };
-            let (ti, flat) = (step.task as usize, step.flat as usize);
-            if levels[ti][flat] == step.level as usize {
-                break (ti, flat);
-            }
-        };
-
-        let t = &tasks[ti];
-        let lvl = levels[ti][flat] + 1;
-        levels[ti][flat] = lvl;
+    while !state.acceptable(admission) {
+        state
+            .advance(heap, task)
+            .ok_or(FormulationError::Infeasible)?;
         degradations += 1;
-        let row = &t.table.rows[flat];
-        if lvl + 1 < row.len() {
-            heap.push(Step {
-                decrease: row[lvl + 1] - row[lvl],
-                task: ti as u32,
-                flat: flat as u32,
-                level: lvl as u32,
-            });
-        }
-        // Incremental update: only the degraded attribute changed. The
-        // write can only miss if a prepared task was compiled against a
-        // spec other than the one its request resolved on — fail at the
-        // fault, not downstream.
-        let wrote =
-            qvs[ti].set_flat_unchecked(t.flat_spec[flat], prefs[ti][flat].levels[lvl].clone());
-        debug_assert!(wrote, "flat index out of range for the quality vector");
-        total -= demands[ti];
-        let d = t.demand.demand(t.spec, &qvs[ti]);
-        let ok = qvs[ti].satisfies_dependencies(t.spec);
-        total += d;
-        demands[ti] = d;
-        if ok != deps_ok_v[ti] {
-            deps_ok_v[ti] = ok;
-            if ok {
-                deps_bad -= 1;
-            } else {
-                deps_bad += 1;
-            }
-        }
     }
+    Ok(Formulated {
+        reward: total_reward(task, &state.levels),
+        levels: state.levels,
+        demands: state.demands,
+        degradations,
+    })
 }
 
 /// Prefix-feasibility shedding over prepared tasks: returns the longest
 /// feasible prefix's length and its formulation, or `None` when not even
-/// a single-task prefix fits.
+/// a single-task prefix fits. `formulate_prefix(c)` formulates `tasks[..c]`
+/// — a cold [`degrade`] run or a warm [`Trajectory`] replay.
 ///
 /// Equivalent to the naive loop "formulate the whole set, drop the last
 /// task on `Infeasible`, repeat" — a prefix is infeasible exactly when
@@ -568,21 +621,20 @@ fn degrade(
 /// full degradation are the one case where early acceptance could still
 /// occur mid-trajectory; those prefixes are decided by a real degradation
 /// run, keeping the outcome identical in all cases.
-fn shed(
-    tasks: &[&PreparedTask],
+fn shed<T: std::ops::Deref<Target = PreparedTask>>(
+    tasks: &[T],
     admission: &AdmissionControl,
-    heap: &mut BinaryHeap<Step>,
+    mut formulate_prefix: impl FnMut(usize) -> Result<Formulated, FormulationError>,
 ) -> Option<(usize, Formulated)> {
     let n = tasks.len();
     if n == 0 {
         return None;
     }
-    let engine: Vec<EngineTask<'_>> = tasks.iter().map(|p| EngineTask::of_prepared(p)).collect();
     // Prefixes [..c] with c ≤ k are dependency-consistent at full
     // degradation; longer ones are not and get the exact (slow) check.
     let k = tasks.iter().position(|t| !t.full_deps_ok).unwrap_or(n);
     for c in ((k + 1)..=n).rev() {
-        if let Ok(f) = degrade(&engine[..c], admission, heap) {
+        if let Ok(f) = formulate_prefix(c) {
             return Some((c, f));
         }
     }
@@ -609,7 +661,7 @@ fn shed(
     // outside drift, and is never probed — that is the pre-check's win.
     let boundary = c0.map_or(1, |c| c + 1);
     if boundary <= k {
-        if let Ok(f) = degrade(&engine[..boundary], admission, heap) {
+        if let Ok(f) = formulate_prefix(boundary) {
             return Some((boundary, f));
         }
     }
@@ -617,7 +669,7 @@ fn shed(
     // (drift the other way), shed further on the run's verdict alone.
     let mut c = c0?;
     loop {
-        if let Ok(f) = degrade(&engine[..c], admission, heap) {
+        if let Ok(f) = formulate_prefix(c) {
             return Some((c, f));
         }
         if c == 1 {
@@ -625,6 +677,16 @@ fn shed(
         }
         c -= 1;
     }
+}
+
+/// Cold shedding: every probed prefix is a [`degrade`] run over `heap`.
+fn shed_cold(
+    tasks: &[&PreparedTask],
+    admission: &AdmissionControl,
+    heap: &mut BinaryHeap<Step>,
+) -> Option<(usize, Formulated)> {
+    let engine: Vec<EngineTask<'_>> = tasks.iter().map(|p| EngineTask::of_prepared(p)).collect();
+    shed(tasks, admission, |c| degrade(&engine[..c], admission, heap))
 }
 
 /// One recorded step of a [`Trajectory`]: which attribute was degraded,
@@ -648,8 +710,8 @@ struct TrajStep {
 /// stops — at the first prefix that is dependency-consistent and
 /// schedulable. A trajectory records that sequence once and answers later
 /// formulations of the same bundle by scanning recorded `(total,
-/// deps_bad)` states, extending the recording lazily (from saved live
-/// engine state) only when a tighter capacity needs steps nobody has
+/// deps_bad)` states, extending the recording lazily (from the saved
+/// [`Stepper`]) only when a tighter capacity needs steps nobody has
 /// taken yet. Replay involves no demand-model calls and no heap
 /// operations, and — because the recorded totals are the very
 /// accumulations the cold loop computes — returns results bit-identical
@@ -664,69 +726,26 @@ struct Trajectory {
     deps_bad0: usize,
     /// Recorded steps, in degradation order.
     steps: Vec<TrajStep>,
-    /// Live frontier state for extending the recording.
-    levels: Vec<Vec<usize>>,
-    qvs: Vec<QualityVector>,
-    demands: Vec<ResourceVector>,
-    deps_ok_v: Vec<bool>,
+    /// Live frontier for extending the recording.
+    frontier: Stepper,
     heap: BinaryHeap<Step>,
-    /// The heap ran dry: the recording is complete.
-    exhausted: bool,
 }
 
 impl Trajectory {
-    /// Computes the initial state — an exact mirror of [`degrade`]'s
-    /// initialisation, including the heap seeding.
     fn new(tasks: Vec<Arc<PreparedTask>>) -> Self {
-        let levels: Vec<Vec<usize>> = tasks
-            .iter()
-            .map(|t| vec![0usize; t.request.attr_count()])
-            .collect();
-        let qvs: Vec<QualityVector> = tasks
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| {
-                t.request
-                    .quality_vector(&t.spec, &levels[ti])
-                    .expect("levels are kept within ladder bounds")
-            })
-            .collect();
-        let mut demands = Vec::with_capacity(tasks.len());
-        let mut deps_ok_v = Vec::with_capacity(tasks.len());
-        let mut deps_bad = 0usize;
-        let mut total = ResourceVector::ZERO;
-        for (t, qv) in tasks.iter().zip(qvs.iter()) {
-            let d = t.demand.demand(&t.spec, qv);
-            let ok = qv.satisfies_dependencies(&t.spec);
-            total += d;
-            demands.push(d);
-            deps_ok_v.push(ok);
-            deps_bad += usize::from(!ok);
-        }
         let mut heap = BinaryHeap::new();
-        for (ti, t) in tasks.iter().enumerate() {
-            for (flat, row) in t.table.rows.iter().enumerate() {
-                if row.len() > 1 {
-                    heap.push(Step {
-                        decrease: row[1] - row[0],
-                        task: ti as u32,
-                        flat: flat as u32,
-                        level: 0,
-                    });
-                }
-            }
-        }
+        let frontier = Stepper::new(
+            tasks.len(),
+            |ti| EngineTask::of_prepared(&tasks[ti]),
+            &mut heap,
+        );
         Self {
-            demands0: demands.clone(),
-            total0: total,
-            deps_bad0: deps_bad,
+            demands0: frontier.demands.clone(),
+            total0: frontier.total,
+            deps_bad0: frontier.deps_bad,
             steps: Vec::new(),
-            levels,
-            qvs,
-            demands,
-            deps_ok_v,
+            frontier,
             heap,
-            exhausted: false,
             tasks,
         }
     }
@@ -747,65 +766,25 @@ impl Trajectory {
         }
     }
 
-    /// Extends the recording by one step — an exact mirror of the
-    /// [`degrade`] loop body, including the lazy stale-entry drop.
-    /// Returns `false` when the heap is dry (recording complete).
+    /// Extends the recording by one step of the frontier. Returns `false`
+    /// when the heap is dry (recording complete).
     fn advance(&mut self) -> bool {
-        if self.exhausted {
+        let Self {
+            tasks,
+            frontier,
+            heap,
+            ..
+        } = self;
+        let Some((ti, flat)) = frontier.advance(heap, |ti| EngineTask::of_prepared(&tasks[ti]))
+        else {
             return false;
-        }
-        let (ti, flat) = loop {
-            let Some(step) = self.heap.pop() else {
-                self.exhausted = true;
-                return false;
-            };
-            let (ti, flat) = (step.task as usize, step.flat as usize);
-            if self.levels[ti][flat] == step.level as usize {
-                break (ti, flat);
-            }
         };
-        let t = &self.tasks[ti];
-        let lvl = self.levels[ti][flat] + 1;
-        self.levels[ti][flat] = lvl;
-        let row = &t.table.rows[flat];
-        if lvl + 1 < row.len() {
-            self.heap.push(Step {
-                decrease: row[lvl + 1] - row[lvl],
-                task: ti as u32,
-                flat: flat as u32,
-                level: lvl as u32,
-            });
-        }
-        let pref = t
-            .request
-            .iter_attrs()
-            .nth(flat)
-            .expect("flat index enumerates requested attributes")
-            .1;
-        let wrote = self.qvs[ti].set_flat_unchecked(t.flat_spec[flat], pref.levels[lvl].clone());
-        debug_assert!(wrote, "flat index out of range for the quality vector");
-        // Start from the last recorded accumulation so the arithmetic is
-        // the same -=/+= sequence the cold loop performs.
-        let (mut total, mut deps_bad) = self.state_at(self.steps.len());
-        total -= self.demands[ti];
-        let d = t.demand.demand(&t.spec, &self.qvs[ti]);
-        let ok = self.qvs[ti].satisfies_dependencies(&t.spec);
-        total += d;
-        self.demands[ti] = d;
-        if ok != self.deps_ok_v[ti] {
-            self.deps_ok_v[ti] = ok;
-            if ok {
-                deps_bad -= 1;
-            } else {
-                deps_bad += 1;
-            }
-        }
         self.steps.push(TrajStep {
             task: ti as u32,
             flat: flat as u32,
-            demand: d,
-            total,
-            deps_bad,
+            demand: self.frontier.demands[ti],
+            total: self.frontier.total,
+            deps_bad: self.frontier.deps_bad,
         });
         true
     }
@@ -823,16 +802,10 @@ impl Trajectory {
             levels[s.task as usize][s.flat as usize] += 1;
             demands[s.task as usize] = s.demand;
         }
-        let reward = self
-            .tasks
-            .iter()
-            .zip(levels.iter())
-            .map(|(t, lv)| t.table.reward(lv))
-            .sum();
         Formulated {
+            reward: total_reward(|ti| EngineTask::of_prepared(&self.tasks[ti]), &levels),
             levels,
             demands,
-            reward,
             degradations: k as u32,
         }
     }
@@ -845,7 +818,7 @@ impl Trajectory {
         let mut k = 0usize;
         loop {
             let (total, deps_bad) = self.state_at(k);
-            if deps_bad == 0 && admission.schedulable_total(&total, n) {
+            if acceptable(admission, &total, deps_bad, n) {
                 return Ok(self.result_at(k));
             }
             if k == self.steps.len() && !self.advance() {
@@ -906,7 +879,7 @@ pub fn formulate_shedding(
     tasks: &[&PreparedTask],
     admission: &AdmissionControl,
 ) -> Option<(usize, Formulated)> {
-    shed(tasks, admission, &mut BinaryHeap::new())
+    shed_cold(tasks, admission, &mut BinaryHeap::new())
 }
 
 /// The retained pre-engine reference: per-step argmin *scan* over every
@@ -1138,7 +1111,7 @@ impl Formulator {
         tasks: &[&PreparedTask],
         admission: &AdmissionControl,
     ) -> Option<(usize, Formulated)> {
-        shed(tasks, admission, &mut self.heap)
+        shed_cold(tasks, admission, &mut self.heap)
     }
 
     /// Serves the warm trajectory for `(key, tasks)`, building or
@@ -1189,42 +1162,9 @@ impl Formulator {
         tasks: &[Arc<PreparedTask>],
         admission: &AdmissionControl,
     ) -> Option<(usize, Formulated)> {
-        let n = tasks.len();
-        if n == 0 {
-            return None;
-        }
-        let k = tasks.iter().position(|t| !t.full_deps_ok).unwrap_or(n);
-        for c in ((k + 1)..=n).rev() {
-            if let Ok(f) = self.formulate_warm(key, &tasks[..c], admission) {
-                return Some((c, f));
-            }
-        }
-        let mut sums = Vec::with_capacity(k + 1);
-        let mut running = ResourceVector::ZERO;
-        sums.push(running);
-        for t in &tasks[..k] {
-            running += t.full_demand;
-            sums.push(running);
-        }
-        let c0 = (1..=k)
-            .rev()
-            .find(|&c| admission.schedulable_total(&sums[c], c));
-        let boundary = c0.map_or(1, |c| c + 1);
-        if boundary <= k {
-            if let Ok(f) = self.formulate_warm(key, &tasks[..boundary], admission) {
-                return Some((boundary, f));
-            }
-        }
-        let mut c = c0?;
-        loop {
-            if let Ok(f) = self.formulate_warm(key, &tasks[..c], admission) {
-                return Some((c, f));
-            }
-            if c == 1 {
-                return None;
-            }
-            c -= 1;
-        }
+        shed(tasks, admission, |c| {
+            self.formulate_warm(key, &tasks[..c], admission)
+        })
     }
 
     /// Drops every warm trajectory recorded under `key` (all bundle

@@ -16,8 +16,9 @@
 //! ([`Msg::Release`]) extend the formation protocol to the full coalition
 //! life cycle of §4.
 //!
-//! Engines are sans-IO: they consume [`Msg`]s and emit [`Action`]s; the DES
-//! glue and the live actor glue translate actions into their transports.
+//! Engines are sans-IO: they consume [`Msg`]s and emit [`Action`]s; the
+//! [`runtime`](crate::runtime) backends translate actions into their
+//! transports.
 
 use std::sync::Arc;
 
@@ -27,8 +28,8 @@ use qosc_netsim::SimDuration;
 use qosc_resources::ResourceVector;
 use qosc_spec::{QosSpec, ServiceRequest, TaskId, Value};
 
-/// Node identifier shared by both transports (maps 1:1 onto
-/// `qosc_netsim::NodeId` and onto `qosc_actors::Directory` keys).
+/// Node identifier shared by every backend (maps 1:1 onto
+/// `qosc_netsim::NodeId`).
 pub type Pid = u32;
 
 /// Globally unique negotiation identifier: the organizer node plus its

@@ -27,7 +27,15 @@ use crate::protocol::{
 };
 use crate::strategy::{AwardContext, CfpContext, ProviderStrategy, TaskOffer};
 
-/// How the provider prices a multi-task CFP (see experiment F4).
+/// How the provider prices a multi-task CFP.
+///
+/// §5 is written over "the set of tasks", i.e. one *joint* formulation
+/// degrading the whole set until it is schedulable together. A defensible
+/// alternative reading prices tasks one at a time, each against the
+/// capacity left after the offers already made in the same bundle. Joint
+/// is pessimistic — every offer assumes the node wins *everything*
+/// announced — while sequential offers head-of-list tasks near-preferred
+/// quality. Experiment F4 quantifies the difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProposalStrategy {
     /// Paper-literal §5: one joint degradation over the announced set —

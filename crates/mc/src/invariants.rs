@@ -130,8 +130,8 @@ pub fn check_all(view: &SystemView<'_>, invariants: &[Invariant]) -> Result<(), 
 }
 
 /// Checks `invariants` against live nodes of a runtime backend (DES,
-/// Direct): pass the node ids the scenario registered. Nodes the backend
-/// cannot expose (the Actor runtime) are skipped. `quiescent` should be
+/// Direct): pass the node ids the scenario registered; ids the backend
+/// does not host are skipped. `quiescent` should be
 /// `true` only when the caller knows no protocol event remains in flight
 /// (e.g. after `run_until_settled` plus a drained horizon).
 pub fn verify_runtime<R: qosc_core::Runtime + ?Sized>(

@@ -36,6 +36,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 
 /// Declarative description of the faults a run may inject.
@@ -288,6 +289,37 @@ impl FaultSampler {
             return Some(SimDuration::micros(self.rng.gen_range(1..=span)));
         }
         None
+    }
+
+    /// Expands one nominal delivery at `base_at` into its post-fault
+    /// copies: `[None, None]` when dropped, one time normally, two on
+    /// duplication, each possibly jittered by reordering; every fault
+    /// taken is counted in `stats`. The one expansion every sampled
+    /// backend calls, so they inject the same vocabulary on the same
+    /// draws.
+    pub fn delivery_times(
+        &mut self,
+        base_at: SimTime,
+        stats: &mut NetStats,
+    ) -> [Option<SimTime>; 2] {
+        let mut times = match self.on_delivery() {
+            DeliveryFault::Drop => {
+                stats.faults_dropped += 1;
+                [None, None]
+            }
+            DeliveryFault::None => [Some(base_at), None],
+            DeliveryFault::Duplicate => {
+                stats.faults_duplicated += 1;
+                [Some(base_at), Some(base_at)]
+            }
+        };
+        for slot in times.iter_mut().flatten() {
+            if let Some(jitter) = self.reorder() {
+                stats.faults_reordered += 1;
+                *slot += jitter;
+            }
+        }
+        times
     }
 }
 

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::fault::{DeliveryFault, FaultPlan, FaultSampler, PartitionPlan, PartitionTimeline};
+use crate::fault::{FaultPlan, FaultSampler, PartitionPlan, PartitionTimeline};
 use crate::geometry::{Area, Point};
 use crate::grid::NeighbourIndex;
 use crate::mobility::{Mobility, MobilityState};
@@ -767,6 +767,18 @@ pub(crate) struct Draws<'a> {
     pub(crate) stats: &'a mut NetStats,
 }
 
+impl Draws<'_> {
+    /// Post-fault delivery times of one nominal delivery. No sampler
+    /// installed means exactly one on-time copy and zero randomness
+    /// consumed.
+    fn fault_times(&mut self, base_at: SimTime) -> [Option<SimTime>; 2] {
+        match self.fault.as_deref_mut() {
+            Some(f) => f.delivery_times(base_at, self.stats),
+            None => [Some(base_at), None],
+        }
+    }
+}
+
 impl Medium<'_> {
     /// Decides one unicast send at `now`: bumps the sent/unreachable/
     /// lost counters, draws loss and faults from `draws`, and returns
@@ -800,11 +812,7 @@ impl Medium<'_> {
             draws.stats.unicasts_lost += 1;
             return [None, None];
         }
-        let times = fault_times(
-            draws.fault.as_deref_mut(),
-            now + self.radio.latency(bytes),
-            draws.stats,
-        );
+        let times = draws.fault_times(now + self.radio.latency(bytes));
         self.cut_partitioned(times, src, dst, draws.stats)
     }
 
@@ -856,7 +864,7 @@ impl Medium<'_> {
             draws.stats.broadcasts_lost += 1;
             return [None, None];
         }
-        let times = fault_times(draws.fault.as_deref_mut(), base_at, draws.stats);
+        let times = draws.fault_times(base_at);
         self.cut_partitioned(times, src, dst, draws.stats)
     }
 
@@ -884,38 +892,6 @@ impl Medium<'_> {
         }
         times
     }
-}
-
-/// Expands one nominal delivery into its post-fault copies: `[None,
-/// None]` when dropped, one time normally, two on duplication, each
-/// possibly jittered by reordering. No sampler installed means exactly
-/// one on-time copy and zero randomness consumed.
-pub(crate) fn fault_times(
-    fault: Option<&mut FaultSampler>,
-    base_at: SimTime,
-    stats: &mut NetStats,
-) -> [Option<SimTime>; 2] {
-    let Some(f) = fault else {
-        return [Some(base_at), None];
-    };
-    let mut times = match f.on_delivery() {
-        DeliveryFault::Drop => {
-            stats.faults_dropped += 1;
-            [None, None]
-        }
-        DeliveryFault::None => [Some(base_at), None],
-        DeliveryFault::Duplicate => {
-            stats.faults_duplicated += 1;
-            [Some(base_at), Some(base_at)]
-        }
-    };
-    for slot in times.iter_mut().flatten() {
-        if let Some(jitter) = f.reorder() {
-            stats.faults_reordered += 1;
-            *slot += jitter;
-        }
-    }
-    times
 }
 
 #[cfg(test)]

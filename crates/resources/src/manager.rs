@@ -17,8 +17,8 @@
 //!    negotiation died (organizer crashed, message lost).
 //!
 //! [`NodeLedger`] aggregates one manager per [`ResourceKind`] behind a
-//! vector interface, and is shared between the provider and its local
-//! admission control via `parking_lot::Mutex` in the live runtime.
+//! vector interface; the provider engine owns it, so the sans-IO engines
+//! need no lock around it.
 
 use std::collections::HashMap;
 

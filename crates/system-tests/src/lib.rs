@@ -14,8 +14,8 @@
 use std::sync::Arc;
 
 use qosc_core::{
-    single_organizer_scenario, ActorRuntime, CoalitionNode, DesRuntime, Msg, OrganizerConfig,
-    OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
+    single_organizer_scenario, CoalitionNode, DesRuntime, Msg, OrganizerConfig, OrganizerEngine,
+    ProviderConfig, ProviderEngine,
 };
 use qosc_netsim::{Area, Mobility, Point, SimConfig, SimDuration, Simulator};
 use qosc_resources::{av_demand_model, ResourceVector};
@@ -164,27 +164,4 @@ pub fn quickstart_nodes() -> Vec<CoalitionNode> {
             }
         })
         .collect()
-}
-
-/// Spawns one AV-capable live node per entry of `cpus` (256 MB memory,
-/// 4 GB storage, 40% battery, 4 Mbit/s each) on the threaded actor
-/// backend; every node both provides and organizes. Kick things off with
-/// `rt.submit(0, service, at)` and wait with `rt.run_until_settled(..)`.
-pub fn live_cluster(cpus: &[f64]) -> ActorRuntime {
-    let spec = catalog::av_spec();
-    let mut rt = ActorRuntime::new();
-    for (id, cpu) in cpus.iter().enumerate() {
-        let id = id as u32;
-        let mut provider = ProviderEngine::new(
-            id,
-            ResourceVector::new(*cpu, 256.0, 4000.0, 40.0, 4000.0),
-            ProviderConfig::default(),
-        );
-        provider.register_demand_model(spec.name(), Arc::new(av_demand_model(&spec)));
-        let node = CoalitionNode::new(id)
-            .with_provider(provider)
-            .with_organizer(OrganizerEngine::new(id, OrganizerConfig::default()));
-        rt.add_node(node).expect("cluster ids are sequential");
-    }
-    rt
 }

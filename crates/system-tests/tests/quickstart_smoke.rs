@@ -3,7 +3,7 @@
 //! the same constructors and actually form a coalition — on every
 //! backend of the unified runtime API.
 
-use qosc_core::{ActorRuntime, DirectRuntime, NegoEvent, Runtime};
+use qosc_core::{DirectRuntime, NegoEvent, Runtime};
 use qosc_netsim::SimTime;
 use qosc_system_tests::{quickstart_nodes, quickstart_scenario, quickstart_service};
 
@@ -51,7 +51,6 @@ fn quickstart_runs_on_every_backend() {
     let backends: Vec<Box<dyn Runtime>> = vec![
         Box::new(DirectRuntime::new()),
         Box::new(quickstart_scenario()), // DES, nodes pre-registered
-        Box::new(ActorRuntime::new()),
     ];
     for mut rt in backends {
         let des = rt.backend_name() == "des";
@@ -70,6 +69,5 @@ fn quickstart_runs_on_every_backend() {
             "no coalition on {}",
             rt.backend_name()
         );
-        rt.shutdown();
     }
 }

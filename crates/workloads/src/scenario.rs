@@ -11,8 +11,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use qosc_core::{
-    ActorRuntime, CoalitionNode, DesRuntime, DesShardedRuntime, DirectRuntime, LoggedEvent, Msg,
-    OrganizerConfig, OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
+    CoalitionNode, DesRuntime, DesShardedRuntime, DirectRuntime, LoggedEvent, Msg, OrganizerConfig,
+    OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
 };
 use qosc_netsim::{
     Area, Mobility, NetStats, PartitionPlan, RadioModel, ShardedSimulator, SimConfig, SimDuration,
@@ -47,9 +47,6 @@ pub enum Backend {
     /// (`DirectRuntime::set_cfp_batching`) — the open-loop load-engine
     /// path, where many negotiations kick off in the same instant.
     DirectBatched,
-    /// The live threaded actor transport: wall-clock timers, full
-    /// connectivity through the process-wide directory.
-    Actor,
 }
 
 /// Scenario parameters.
@@ -71,10 +68,8 @@ pub struct ScenarioConfig {
     /// Provider tunables (shared; per-node link bandwidth is derived from
     /// the hardware profile and overrides the template's value).
     pub provider: ProviderConfig,
-    /// Link-level partition schedule, installed on every backend that
-    /// enforces cuts ([`Backend::Des`], [`Backend::DesSharded`],
-    /// [`Backend::Direct`]/[`Backend::DirectBatched`]; the actor
-    /// transport has no fault layer). Empty by default.
+    /// Link-level partition schedule, installed on whichever backend
+    /// the scenario is built on. Empty by default.
     pub partitions: PartitionPlan,
     /// RNG seed (drives placement, population and the simulator).
     pub seed: u64,
@@ -154,7 +149,7 @@ impl ScenarioConfig {
     /// Instantiates the scenario description on any [`Runtime`] backend.
     /// The population draw is identical across backends (profiles are
     /// sampled before any backend-specific randomness); geometry and
-    /// mobility only exist on [`Backend::Des`] — the other backends are
+    /// mobility only exist on the DES backends — the Direct ones are
     /// fully connected.
     pub fn build_backend(&self, backend: Backend) -> Box<dyn Runtime> {
         let mut rt: Box<dyn Runtime> = match backend {
@@ -166,19 +161,13 @@ impl ScenarioConfig {
                 direct.set_cfp_batching(true);
                 Box::new(direct)
             }
-            Backend::Actor => Box::new(ActorRuntime::new()),
         };
         for node in self.population_nodes() {
             rt.add_node(node).expect("sequential ids are unique");
         }
         if !self.partitions.is_none() {
-            // The actor transport is the one backend without a fault
-            // layer; everywhere else the plan must take.
             let applied = rt.set_partition_plan(&self.partitions);
-            debug_assert!(
-                applied || matches!(backend, Backend::Actor),
-                "backend {backend:?} rejected the partition plan"
-            );
+            debug_assert!(applied, "backend {backend:?} rejected the partition plan");
         }
         rt
     }
