@@ -7,16 +7,26 @@
 //! ([`formulate_reference`]: penalty tables rebuilt per call, per-step
 //! argmin scan, quality vector rebuilt per step). Their ratio is the
 //! engine speedup tracked by CI's BENCH_JSON artifact.
+//!
+//! The cold-start pair prices one CFP of a 4-task Surveillance service at
+//! a freshly built provider: its first (compile cache and warm table
+//! empty — what most nodes of a sparse world pay, since each hears only a
+//! handful of CFPs) against its tenth. `main` gates their ratio.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use qosc_core::{formulate, formulate_reference, Formulator, LinearPenalty, TaskInput};
+use qosc_core::{
+    formulate, formulate_reference, Formulator, LinearPenalty, Msg, NegoId, ProviderConfig,
+    ProviderEngine, TaskAnnouncement, TaskInput,
+};
+use qosc_netsim::SimTime;
 use qosc_resources::{
     av_demand_model, AdmissionControl, DemandModel, ResourceKind, ResourceVector, SchedulingPolicy,
 };
-use qosc_spec::catalog;
+use qosc_spec::{catalog, TaskId};
 
 fn admission(cpu: f64) -> AdmissionControl {
     AdmissionControl::new(
@@ -129,8 +139,85 @@ fn bench_formulation(c: &mut Criterion) {
             );
         }
     }
+    for (label, nth) in [("cold_start_first_cfp", 1), ("cold_start_tenth_cfp", 10)] {
+        g.bench_function(BenchmarkId::new(label, COLD_START_TASKS), |b| {
+            let mut provider = provider_after(nth - 1);
+            let msg = cfp(nth);
+            b.iter(|| provider.on_message(SimTime(1_000), 0, black_box(&msg)))
+        });
+    }
     g.finish();
 }
 
+const COLD_START_TASKS: u32 = 4;
+
+/// The first CFP a provider prices may cost at most this many times its
+/// tenth.
+const COLD_START_CEILING: f64 = 3.0;
+
+/// The `seq`-th negotiation's CFP for a 4-task Surveillance service.
+fn cfp(seq: u32) -> Msg {
+    Msg::CallForProposals {
+        nego: NegoId { organizer: 0, seq },
+        tasks: (0..COLD_START_TASKS)
+            .map(|t| TaskAnnouncement {
+                task: TaskId(t),
+                spec: catalog::av_spec(),
+                request: catalog::surveillance_request(),
+                input_bytes: 100_000,
+                output_bytes: 10_000,
+            })
+            .collect(),
+        round: 0,
+    }
+}
+
+/// A freshly built provider, roomy enough to hold ten bundles at
+/// preferred quality, that has priced `priced` CFPs so far.
+fn provider_after(priced: u32) -> ProviderEngine {
+    let mut provider = ProviderEngine::new(
+        1,
+        ResourceVector::new(10_000.0, 1e6, 1e7, 6e4, 1e7),
+        ProviderConfig::default(),
+    );
+    let spec = catalog::av_spec();
+    provider.register_demand_model(spec.name(), Arc::new(av_demand_model(&spec)));
+    for seq in 1..=priced {
+        black_box(provider.on_message(SimTime(1_000), 0, &cfp(seq)));
+    }
+    provider
+}
+
+/// Median wall time of a fresh provider's first and tenth CFP, sampled
+/// in alternation so host drift lands on both alike.
+fn cold_start_medians() -> (Duration, Duration) {
+    let time = |nth: u32| {
+        let mut provider = provider_after(nth - 1);
+        let msg = cfp(nth);
+        let t0 = Instant::now();
+        black_box(provider.on_message(SimTime(1_000), 0, &msg));
+        t0.elapsed()
+    };
+    let median = |mut samples: Vec<Duration>| {
+        samples.sort_unstable();
+        samples[samples.len() / 2]
+    };
+    let (first, tenth): (Vec<_>, Vec<_>) = (0..501).map(|_| (time(1), time(10))).unzip();
+    (median(first), median(tenth))
+}
+
 criterion_group!(benches, bench_formulation);
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    let (first, tenth) = cold_start_medians();
+    let ratio = first.as_secs_f64() / tenth.as_secs_f64();
+    println!(
+        "formulation/cold_start_guard/{COLD_START_TASKS}: first {first:?} / tenth {tenth:?} = \
+         {ratio:.2}x (ceiling {COLD_START_CEILING}x)"
+    );
+    if ratio > COLD_START_CEILING {
+        eprintln!("a provider's first CFP costs more than the ceiling allows over its tenth");
+        std::process::exit(1);
+    }
+}

@@ -60,18 +60,21 @@
 //!   compiles its [`PenaltyTable`] once per `(spec, request, demand
 //!   model)` and serves `Arc`s from then on, so repeated CFP rounds for
 //!   the same negotiation (and repeated specs across negotiations) stop
-//!   re-resolving and re-allocating. Entries are verified against the
-//!   announced spec/request and the registered demand model on every hit
-//!   and invalidated by [`Formulator::invalidate_spec`] when a provider
-//!   re-registers a demand model.
+//!   re-resolving and re-allocating. Entries are keyed by the announced
+//!   handles' content hashes and verified by handle equality (a pointer
+//!   compare for the one instance a world shares) plus the registered
+//!   demand model's identity on every hit, and invalidated by
+//!   [`Formulator::invalidate_spec`] when a provider re-registers a
+//!   demand model.
 //! * **Warm-started degradation** ([`Formulator::formulate_warm`],
 //!   [`Formulator::formulate_shedding_warm`]) — the §5 step *sequence*
 //!   is independent of the admission capacity: the heap orders candidate
 //!   steps purely by penalty-table decreases, and capacity only decides
-//!   where along the sequence the loop stops. A keyed trajectory records
-//!   the sequence (with the exact floating-point demand accumulations
-//!   the cold loop would hold) the first time a bundle is priced, so
-//!   every later round of the same negotiation replays recorded states
+//!   where along the sequence the loop stops. A trajectory keyed by the
+//!   bundle's identity records the sequence (with the exact
+//!   floating-point demand accumulations the cold loop would hold) the
+//!   first time a bundle is priced, so every later pricing of the same
+//!   bundle — by any round of any negotiation — replays recorded states
 //!   in O(1) per step — no demand-model evaluation, no heap operations —
 //!   and extends the recording lazily only when a tighter capacity needs
 //!   deeper degradation. Results are bit-identical to the cold path.
@@ -974,7 +977,7 @@ pub fn formulate_reference(
 }
 
 /// Cached compilation of one announced `(spec, request)` pair plus the
-/// inputs it was verified against.
+/// request it was compiled from (the spec is the prepared task's own).
 #[derive(Clone)]
 struct CacheEntry {
     source: ServiceRequest,
@@ -982,26 +985,32 @@ struct CacheEntry {
 }
 
 /// The reusable formulation engine: one reward model, a compile cache
-/// keyed by `(spec name, request name)` (entries verified structurally on
-/// every hit, so a colliding name can never serve stale tables), and the
-/// scratch heap the degradation loop reuses across calls. The heap is the
-/// only reusable buffer by design: the per-task levels and demands are
-/// moved out to the caller inside [`Formulated`], so pooling them would
-/// require an API that takes them back.
+/// keyed by the `(spec, request)` content hashes (entries verified by
+/// handle equality on every hit, so a colliding hash can never serve
+/// stale tables), and the scratch heap the degradation loop reuses across
+/// calls. The heap is the only reusable buffer by design: the per-task
+/// levels and demands are moved out to the caller inside [`Formulated`],
+/// so pooling them would require an API that takes them back.
 pub struct Formulator {
     reward: Arc<dyn RewardModel>,
-    cache: HashMap<(String, String), CacheEntry>,
+    cache: HashMap<(u64, u64), CacheEntry>,
     heap: BinaryHeap<Step>,
-    /// Warm-start trajectories keyed by `(caller key, bundle length)`;
-    /// see [`Formulator::formulate_warm`]. The bundle length is part of
-    /// the key so shedding's nested prefixes warm independently.
-    warm: HashMap<(u64, usize), Trajectory>,
+    /// Warm-start trajectories keyed by [`bundle_key`]; see
+    /// [`Formulator::formulate_warm`]. Shedding's nested prefixes are
+    /// bundles of their own and warm independently.
+    warm: HashMap<u64, Trajectory>,
 }
 
-/// Bound on retained warm trajectories. Warm state is behaviour-neutral
-/// (a rebuild costs one cold run), so hitting the cap simply clears the
-/// table instead of tracking recency.
-const WARM_CAP: usize = 1024;
+/// Warm-table key of a bundle: its tasks' addresses, folded in order. A
+/// trajectory is a function of the prepared tasks alone and holds their
+/// `Arc`s, so while it lives no other task can take those addresses; a
+/// collision between different bundles only costs a rebuild, because
+/// [`Trajectory::matches`] verifies identity before any replay.
+fn bundle_key(tasks: &[Arc<PreparedTask>]) -> u64 {
+    tasks.iter().fold(tasks.len() as u64, |h, t| {
+        (h ^ Arc::as_ptr(t) as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 impl Clone for Formulator {
     /// Clones the engine for state-forking consumers (the model checker).
@@ -1018,6 +1027,11 @@ impl Clone for Formulator {
 }
 
 impl Formulator {
+    /// Bound on retained warm trajectories. Warm state is
+    /// behaviour-neutral (a rebuild costs one cold run), so hitting the
+    /// cap simply clears the table instead of tracking recency.
+    pub const WARM_CAP: usize = 1024;
+
     /// Creates an engine degrading under `reward`.
     pub fn new(reward: Arc<dyn RewardModel>) -> Self {
         Self {
@@ -1050,17 +1064,14 @@ impl Formulator {
         request: &ServiceRequest,
         demand: &Arc<dyn DemandModel>,
     ) -> Option<Arc<PreparedTask>> {
-        let key = (spec.name().to_string(), request.name.clone());
+        let key = (spec.content_hash(), request.content_hash());
         if let Some(e) = self.cache.get(&key) {
-            // Same-name-different-content announcements and re-registered
-            // demand models must recompile; data-pointer identity is the
-            // demand-model check (a re-registered Arc is a new allocation).
+            // A re-registered demand model must recompile; data-pointer
+            // identity is the check (a re-registered Arc is a new
+            // allocation).
             if e.source == *request
                 && *e.prepared.spec() == *spec
-                && std::ptr::eq(
-                    Arc::as_ptr(&e.prepared.demand) as *const u8,
-                    Arc::as_ptr(demand) as *const u8,
-                )
+                && std::ptr::addr_eq(Arc::as_ptr(&e.prepared.demand), Arc::as_ptr(demand))
             {
                 return Some(Arc::clone(&e.prepared));
             }
@@ -1086,7 +1097,8 @@ impl Formulator {
     /// provider re-registers a demand model: the cached fully-degraded
     /// demands were computed under the old model.
     pub fn invalidate_spec(&mut self, spec_name: &str) {
-        self.cache.retain(|(s, _), _| s != spec_name);
+        self.cache
+            .retain(|_, e| e.prepared.spec.name() != spec_name);
         self.warm
             .retain(|_, t| t.tasks.iter().all(|p| p.spec.name() != spec_name));
     }
@@ -1114,16 +1126,12 @@ impl Formulator {
         shed_cold(tasks, admission, &mut self.heap)
     }
 
-    /// Serves the warm trajectory for `(key, tasks)`, building or
-    /// rebuilding it when missing or recorded for a different bundle.
-    fn warm_entry(&mut self, key: u64, tasks: &[Arc<PreparedTask>]) -> &mut Trajectory {
-        let slot = (key, tasks.len());
-        let stale = match self.warm.get(&slot) {
-            Some(t) => !t.matches(tasks),
-            None => true,
-        };
-        if stale {
-            if self.warm.len() >= WARM_CAP {
+    /// Serves the warm trajectory of `tasks`, building it when missing (or
+    /// when its slot holds a colliding bundle).
+    fn warm_entry(&mut self, tasks: &[Arc<PreparedTask>]) -> &mut Trajectory {
+        let slot = bundle_key(tasks);
+        if !self.warm.get(&slot).is_some_and(|t| t.matches(tasks)) {
+            if self.warm.len() >= Self::WARM_CAP {
                 self.warm.clear();
             }
             self.warm.insert(slot, Trajectory::new(tasks.to_vec()));
@@ -1133,44 +1141,34 @@ impl Formulator {
 
     /// Warm-started §5 formulation: identical results to
     /// [`Formulator::formulate`] (pinned by `formulation_props`), but the
-    /// degradation sequence for `(key, tasks)` is recorded on first use
-    /// and replayed on every later call — later rounds of the same
-    /// negotiation pay an array scan instead of demand-model evaluations
-    /// and heap churn. `key` scopes the trajectory (one per negotiation
-    /// in the provider engine); bundle identity is verified by `Arc`
-    /// pointer equality, so a re-prepared bundle transparently rebuilds.
-    /// Callers should [`Formulator::forget_warm`] the key when the
-    /// negotiation ends.
+    /// degradation sequence of `tasks` is recorded on first use and
+    /// replayed on every later call — later rounds, and every other
+    /// negotiation announcing the same bundle, pay an array scan instead
+    /// of demand-model evaluations and heap churn. Bundle identity is
+    /// `Arc` pointer equality, so a re-prepared bundle transparently
+    /// records afresh; [`Formulator::WARM_CAP`] bounds what is retained.
     pub fn formulate_warm(
         &mut self,
-        key: u64,
         tasks: &[Arc<PreparedTask>],
         admission: &AdmissionControl,
     ) -> Result<Formulated, FormulationError> {
-        self.warm_entry(key, tasks).formulate(admission)
+        self.warm_entry(tasks).formulate(admission)
     }
 
     /// Warm-started prefix-feasibility shedding: identical results to
     /// [`Formulator::formulate_shedding`], with every prefix degradation
-    /// answered by a warm trajectory under `key`. The shedding structure
+    /// answered by that prefix's warm trajectory. The shedding structure
     /// (dependency split, fully-degraded prefix sums, boundary probe) is
     /// the same as [`formulate_shedding`]; only the inner degradation
     /// runs are replayed.
     pub fn formulate_shedding_warm(
         &mut self,
-        key: u64,
         tasks: &[Arc<PreparedTask>],
         admission: &AdmissionControl,
     ) -> Option<(usize, Formulated)> {
         shed(tasks, admission, |c| {
-            self.formulate_warm(key, &tasks[..c], admission)
+            self.formulate_warm(&tasks[..c], admission)
         })
-    }
-
-    /// Drops every warm trajectory recorded under `key` (all bundle
-    /// lengths). Called by the provider engine when a negotiation ends.
-    pub fn forget_warm(&mut self, key: u64) {
-        self.warm.retain(|(k, _), _| *k != key);
     }
 
     /// Number of retained warm trajectories (tests, metrics).
@@ -1547,8 +1545,10 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "second prepare must be a cache hit");
         assert_eq!(f.cached(), 1);
         // Same names, different ladder content: must recompile.
-        let mut renamed = catalog::video_conference_request();
-        renamed.name = request.name.clone();
+        let renamed = ServiceRequest::builder(request.name())
+            .dimension("Video Quality")
+            .attribute("frame_rate", vec![qosc_spec::LevelSpec::int_range(30, 10)])
+            .build();
         let c = f.prepare(&spec, &renamed, &model).unwrap();
         assert!(!Arc::ptr_eq(&a, &c), "changed content must recompile");
         // Re-registered demand model: pointer identity differs.

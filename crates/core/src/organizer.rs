@@ -30,9 +30,10 @@
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use qosc_netsim::{SimDuration, SimTime};
-use qosc_spec::{ServiceDef, SpecError, TaskId};
+use qosc_spec::{ServiceDef, SpecError, TaskDef, TaskId};
 
 use crate::compiled::CompiledRequest;
 use crate::evaluation::EvalConfig;
@@ -178,9 +179,10 @@ struct Nego {
     /// content on every snapshot dominates the model checker's profile.
     announcements_digest: u64,
     /// Per-task compiled evaluation tables (weights, normalizers,
-    /// Quality-Index positions), built once when the service starts so
-    /// every incoming proposal prices without re-walking the spec.
-    compiled: BTreeMap<TaskId, CompiledRequest>,
+    /// Quality-Index positions), built once per distinct `(spec, request)`
+    /// when the service starts so every incoming proposal prices without
+    /// re-walking the spec.
+    compiled: BTreeMap<TaskId, Arc<CompiledRequest>>,
     /// Tasks solicited in the current round.
     open: BTreeSet<TaskId>,
     /// Evaluated admissible candidates per open task.
@@ -276,12 +278,22 @@ impl OrganizerEngine {
         };
         let mut announcements = BTreeMap::new();
         let mut compiled = BTreeMap::new();
+        // One resolve + compile per distinct `(spec, request)`: the tasks
+        // a service stamps from one template share the tables.
+        let mut distinct: Vec<(&TaskDef, Arc<CompiledRequest>)> = Vec::new();
         for (tid, task) in service.iter() {
-            let r = task.resolve()?;
-            compiled.insert(
-                tid,
-                CompiledRequest::compile(&task.spec, &r, self.config.eval),
-            );
+            let same = |(t, _): &&(&TaskDef, _)| t.spec == task.spec && t.request == task.request;
+            let shared = match distinct.iter().find(same) {
+                Some((_, c)) => Arc::clone(c),
+                None => {
+                    let c =
+                        CompiledRequest::compile(&task.spec, &task.resolve()?, self.config.eval);
+                    let c = Arc::new(c);
+                    distinct.push((task, Arc::clone(&c)));
+                    c
+                }
+            };
+            compiled.insert(tid, shared);
             announcements.insert(
                 tid,
                 TaskAnnouncement {
@@ -836,7 +848,7 @@ impl crate::snapshot::StateDigest for OrganizerEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qosc_spec::{catalog, TaskDef};
+    use qosc_spec::catalog;
 
     fn service(tasks: usize) -> ServiceDef {
         ServiceDef::new(

@@ -19,7 +19,7 @@ use qosc_netsim::{SimDuration, SimTime};
 use qosc_resources::{
     AdmissionControl, DemandModel, NodeLedger, ResourceVector, SchedulingPolicy, VectorHold,
 };
-use qosc_spec::{QosSpec, ServiceRequest, TaskId};
+use qosc_spec::TaskId;
 
 use crate::formulation::{local_reward, Formulator, LinearPenalty, PreparedTask, RewardModel};
 use crate::protocol::{
@@ -133,52 +133,6 @@ impl std::fmt::Debug for ProviderConfig {
             .field("strategy", &self.strategy)
             .field("chain", &self.chain)
             .finish()
-    }
-}
-
-/// Warm-trajectory key for a negotiation: organizer pid in the high
-/// word, per-organizer sequence in the low word — unique per negotiation.
-/// (A collision would only cost a trajectory rebuild, never a wrong
-/// result: warm entries verify bundle identity before replaying.)
-fn warm_key(nego: NegoId) -> u64 {
-    (u64::from(nego.organizer) << 32) | u64::from(nego.seq)
-}
-
-/// Batch-scoped prepare memo. CFPs in one batch repeatedly announce the
-/// same `(spec, request)` pairs — every task of a service, every service
-/// stamped from one template — and [`Formulator::prepare`] pays two
-/// `String` key allocations plus a structural verification per call. The
-/// memo answers repeats from a small vector keyed by name and verified by
-/// content equality against the batch's first occurrence, so repeated
-/// announcements cost one comparison and zero allocations. Resolution
-/// failures are memoised too (`None`), matching `prepare`'s per-call
-/// failure result.
-#[derive(Default)]
-struct PrepMemo<'a> {
-    entries: Vec<(&'a QosSpec, &'a ServiceRequest, Option<Arc<PreparedTask>>)>,
-}
-
-impl<'a> PrepMemo<'a> {
-    fn resolve(
-        &mut self,
-        formulator: &mut Formulator,
-        spec: &'a QosSpec,
-        request: &'a ServiceRequest,
-        model: &Arc<dyn DemandModel>,
-    ) -> Option<Arc<PreparedTask>> {
-        for (s, r, prepared) in &self.entries {
-            if s.name() == spec.name() && r.name == request.name {
-                if **s == *spec && **r == *request {
-                    return prepared.clone();
-                }
-                // Colliding name, different content: fall through to the
-                // formulator, whose cache verifies structurally.
-                break;
-            }
-        }
-        let p = formulator.prepare(spec, request, model);
-        self.entries.push((spec, request, p.clone()));
-        p
     }
 }
 
@@ -340,43 +294,24 @@ impl ProviderEngine {
         // We conservatively keep entries; the ledger is the truth.
     }
 
+    /// Prices a batch of concurrent deliveries in one pass — exactly
+    /// equivalent to calling [`ProviderEngine::on_message`] per entry in
+    /// order (pinned by the `provider_batch` property test). Non-CFP
+    /// messages are legal in the batch and take the normal path.
+    pub fn on_cfp_batch(&mut self, now: SimTime, batch: &[(Pid, &Msg)]) -> Vec<Action> {
+        let mut out = Vec::new();
+        for &(from, msg) in batch {
+            out.extend(self.on_message(now, from, msg));
+        }
+        out
+    }
+
     fn on_cfp(
         &mut self,
         now: SimTime,
         nego: NegoId,
         tasks: &[TaskAnnouncement],
         round: u32,
-    ) -> Vec<Action> {
-        self.price_cfp(now, nego, tasks, round, &mut PrepMemo::default())
-    }
-
-    /// Prices a batch of concurrent deliveries in one pass, sharing one
-    /// prepare memo across every CFP in the batch — exactly equivalent to
-    /// calling [`ProviderEngine::on_message`] per entry in order (pinned
-    /// by the `provider_batch` property test), but announcements repeated
-    /// across the batch are resolved and verified once. Non-CFP messages
-    /// are legal in the batch and take the normal path.
-    pub fn on_cfp_batch<'a>(&mut self, now: SimTime, batch: &[(Pid, &'a Msg)]) -> Vec<Action> {
-        let mut memo = PrepMemo::default();
-        let mut out = Vec::new();
-        for &(from, msg) in batch {
-            match msg {
-                Msg::CallForProposals { nego, tasks, round } => {
-                    out.extend(self.price_cfp(now, *nego, tasks, *round, &mut memo));
-                }
-                _ => out.extend(self.on_message(now, from, msg)),
-            }
-        }
-        out
-    }
-
-    fn price_cfp<'a>(
-        &mut self,
-        now: SimTime,
-        nego: NegoId,
-        tasks: &'a [TaskAnnouncement],
-        round: u32,
-        memo: &mut PrepMemo<'a>,
     ) -> Vec<Action> {
         if !self.config.participate || tasks.is_empty() {
             return Vec::new();
@@ -429,24 +364,22 @@ impl ProviderEngine {
             return Vec::new();
         }
         // Resolve + compile every announced request through the engine's
-        // cache (repeated rounds and repeated specs hit it); unknown specs
-        // or invalid requests exclude the task.
-        struct Prepared<'a> {
-            ann: &'a TaskAnnouncement,
-            task: Arc<PreparedTask>,
-        }
-        let mut prepared: Vec<Prepared<'_>> = Vec::new();
+        // cache (repeated rounds, repeated specs and every task stamped
+        // from one template hit it); unknown specs or invalid requests
+        // exclude the task.
+        let mut anns: Vec<&TaskAnnouncement> = Vec::with_capacity(tasks.len());
+        let mut bundle: Vec<Arc<PreparedTask>> = Vec::with_capacity(tasks.len());
         for ann in tasks {
-            let Some(model) = self.demand_models.get(ann.spec.name()).cloned() else {
+            let Some(model) = self.demand_models.get(ann.spec.name()) else {
                 continue;
             };
-            let Some(task) = memo.resolve(&mut self.formulator, &ann.spec, &ann.request, &model)
-            else {
+            let Some(task) = self.formulator.prepare(&ann.spec, &ann.request, model) else {
                 continue;
             };
-            prepared.push(Prepared { ann, task });
+            anns.push(ann);
+            bundle.push(task);
         }
-        if prepared.is_empty() {
+        if bundle.is_empty() {
             return Vec::new();
         }
 
@@ -462,16 +395,13 @@ impl ProviderEngine {
                 // The engine finds that subset from the prefix-summed
                 // fully-degraded demands, so shedding costs one admission
                 // test per dropped task instead of a full degradation.
-                // Warm-started per negotiation: later rounds (and repeated
-                // capacities under contention) replay the recorded
-                // degradation trajectory instead of re-running it; the
-                // trajectory is dropped again in `on_release`.
+                // Warm-started per bundle: later rounds, other negotiations
+                // announcing the same tasks and repeated capacities under
+                // contention replay the recorded degradation trajectory
+                // instead of re-running it.
                 let admission = AdmissionControl::new(self.config.policy, self.ledger.available());
-                let bundle: Vec<Arc<PreparedTask>> =
-                    prepared.iter().map(|p| Arc::clone(&p.task)).collect();
                 let Some((_, outcome)) =
-                    self.formulator
-                        .formulate_shedding_warm(warm_key(nego), &bundle, &admission)
+                    self.formulator.formulate_shedding_warm(&bundle, &admission)
                 else {
                     return Vec::new();
                 };
@@ -486,9 +416,9 @@ impl ProviderEngine {
                 // offers already in this bundle; unpriceable tasks are
                 // simply skipped.
                 let mut left = self.ledger.available();
-                for (i, p) in prepared.iter().enumerate() {
+                for (i, task) in bundle.iter().enumerate() {
                     let admission = AdmissionControl::new(self.config.policy, left);
-                    if let Ok(out) = self.formulator.formulate(&[p.task.as_ref()], &admission) {
+                    if let Ok(out) = self.formulator.formulate(&[task.as_ref()], &admission) {
                         left -= out.demands[0];
                         priced.push((i, out.levels[0].clone(), out.demands[0], out.reward));
                     }
@@ -505,12 +435,11 @@ impl ProviderEngine {
         // offer exactly as formulated.
         let mut offers: Vec<(usize, TaskOffer)> = Vec::with_capacity(priced.len());
         for (i, levels, demand, reward) in priced {
-            let p = &prepared[i];
-            let request = p.task.request();
+            let request = bundle[i].request();
             let ladder: Vec<usize> = request.iter_attrs().map(|(_, a)| a.levels.len()).collect();
             let task_reward = local_reward(request, &levels, self.config.reward.as_ref());
             let mut offer = TaskOffer {
-                task: p.ann.task,
+                task: anns[i].task,
                 levels,
                 ladder,
                 demand,
@@ -548,17 +477,13 @@ impl ProviderEngine {
         // component cannot push an offer off the announced value range).
         let mut proposals = Vec::with_capacity(offers.len());
         for (i, offer) in offers {
-            let p = &prepared[i];
-            let levels: Vec<usize> = p
-                .task
-                .request()
+            let request = bundle[i].request();
+            let levels: Vec<usize> = request
                 .iter_attrs()
                 .zip(offer.levels.iter())
                 .map(|((_, a), &l)| l.min(a.levels.len() - 1))
                 .collect();
-            let offered: Vec<qosc_spec::Value> = p
-                .task
-                .request()
+            let offered: Vec<qosc_spec::Value> = request
                 .iter_attrs()
                 .zip(levels.iter())
                 .map(|((_, a), &l)| a.levels[l].clone())
@@ -774,9 +699,6 @@ impl ProviderEngine {
         self.commit_round.retain(|(n, _), _| *n != nego);
         self.lease_deadline.retain(|(n, _), _| *n != nego);
         self.lease_armed.remove(&nego);
-        // The negotiation is over: its warm degradation trajectories will
-        // never be replayed again.
-        self.formulator.forget_warm(warm_key(nego));
         Vec::new()
     }
 }

@@ -171,8 +171,8 @@ impl CoalitionNode {
 
     /// Routes a burst of same-instant deliveries through the provider's
     /// batched pricing path ([`ProviderEngine::on_cfp_batch`]): exactly
-    /// equivalent to delivering each message in order, but announcements
-    /// repeated across the batch's CFPs are resolved and compiled once.
+    /// equivalent to delivering each message in order, with the replies
+    /// absorbed in one pass.
     /// A burst of one is [`NodeEngine::on_message`] itself; bursts that
     /// are not all CFPs (or a node without a provider) fall back to
     /// sequential delivery, so callers may hand over any same-destination

@@ -184,6 +184,27 @@ mod tests {
         assert_eq!(digest_of(&l), clean);
     }
 
+    /// The `Debug` rendering of an announced spec or request is what its
+    /// content hash, and through it every state digest, is computed over.
+    /// Both constants were captured while the two types were owned trees.
+    #[test]
+    fn announced_renderings_are_pinned() {
+        use qosc_spec::catalog;
+        let of = |rendering: String| {
+            let mut h = StableHasher::new();
+            h.write_str(&rendering);
+            h.finish()
+        };
+        assert_eq!(
+            of(format!("{:?}", catalog::av_spec())),
+            0x457a_7986_1ad6_6865
+        );
+        assert_eq!(
+            of(format!("{:?}", catalog::surveillance_request())),
+            0x82f3_3f3c_a9da_75a0
+        );
+    }
+
     #[test]
     fn msg_digest_differs_by_content() {
         use crate::protocol::NegoId;

@@ -27,10 +27,12 @@ use qosc_spec::{
 const VAL_MAX: i64 = 40;
 
 /// One random world: a spec (with occasional dependencies), a demand
-/// model over it and a bundle of resolved requests.
+/// model over it and a bundle of requests, as announced (`sources`) and
+/// resolved against the spec (`requests`).
 struct World {
     spec: QosSpec,
     model: Arc<dyn DemandModel>,
+    sources: Vec<ServiceRequest>,
     requests: Vec<ResolvedRequest>,
 }
 
@@ -119,7 +121,7 @@ fn random_world(seed: u64, tasks: usize, monotone: bool) -> World {
     let base = ResourceVector::new(rng.gen_range(0..=20) as f64 / 10.0, 1.0, 1.0, 0.1, 1.0);
     let model: Arc<dyn DemandModel> = Arc::new(LinearDemandModel::new(base, terms));
 
-    let requests = (0..tasks)
+    let sources: Vec<ServiceRequest> = (0..tasks)
         .map(|t| {
             let mut dims = names.clone();
             dims.shuffle(rng);
@@ -148,13 +150,19 @@ fn random_world(seed: u64, tasks: usize, monotone: bool) -> World {
                 }
             }
             req.build()
-                .resolve(&spec)
+        })
+        .collect();
+    let requests = sources
+        .iter()
+        .map(|r| {
+            r.resolve(&spec)
                 .expect("ladder values are drawn from the domains")
         })
         .collect();
     World {
         spec,
         model,
+        sources,
         requests,
     }
 }
@@ -191,6 +199,14 @@ fn prepared_of(world: &World) -> Vec<PreparedTask> {
             )
         })
         .collect()
+}
+
+fn shared(tasks: Vec<PreparedTask>) -> Vec<Arc<PreparedTask>> {
+    tasks.into_iter().map(Arc::new).collect()
+}
+
+fn refs_of(tasks: &[Arc<PreparedTask>]) -> Vec<&PreparedTask> {
+    tasks.iter().map(Arc::as_ref).collect()
 }
 
 proptest! {
@@ -250,50 +266,132 @@ proptest! {
 
     /// Warm-started formulation is bit-identical to the cold prepared
     /// path. One retained trajectory serves a random *sequence* of
-    /// capacities against the same key, which exercises all three warm
+    /// capacities against the same bundle, which exercises all three warm
     /// regimes: prefix replay (capacity grew), in-place extension
     /// (capacity shrank) and re-replay after extension — each must equal
-    /// a from-scratch cold formulation, reward bits included.
+    /// a from-scratch cold formulation, reward bits included. Invalidating
+    /// the bundle's spec drops the trajectory.
     #[test]
     fn warm_start_matches_cold_path(
         seed in 0u64..(1 << 48), tasks in 1usize..=4,
         cpus in proptest::collection::vec(0.0f64..60.0, 1..6),
     ) {
         let world = random_world(seed, tasks, false);
-        let prepared: Vec<Arc<PreparedTask>> =
-            prepared_of(&world).into_iter().map(Arc::new).collect();
-        let refs: Vec<&PreparedTask> = prepared.iter().map(Arc::as_ref).collect();
+        let prepared = shared(prepared_of(&world));
+        let refs = refs_of(&prepared);
         let mut formulator = Formulator::new(Arc::new(LinearPenalty::default()));
         for cpu in cpus {
             let adm = admission(cpu);
             let cold = formulate_prepared(&refs, &adm);
-            let warm = formulator.formulate_warm(7, &prepared, &adm);
+            let warm = formulator.formulate_warm(&prepared, &adm);
             prop_assert_eq!(&warm, &cold);
         }
         prop_assert_eq!(formulator.warm_entries(), 1);
-        formulator.forget_warm(7);
+        formulator.invalidate_spec("no such spec");
+        prop_assert_eq!(formulator.warm_entries(), 1);
+        formulator.invalidate_spec(world.spec.name());
         prop_assert_eq!(formulator.warm_entries(), 0);
     }
 
     /// Warm-started prefix shedding returns exactly what the stateless
     /// [`formulate_shedding`] does — same surviving prefix, same
-    /// formulation — across a capacity sequence on one retained key
-    /// (monotone bundles, the shedding contract).
+    /// formulation — when several bundles, prefixes of them and
+    /// capacities interleave through one engine (monotone bundles, the
+    /// shedding contract): warm state is keyed by what is priced, never
+    /// by who asks or in which order. Dropping one spec's trajectories
+    /// mid-sequence changes no later answer.
     #[test]
     fn warm_shedding_matches_cold_shedding(
-        seed in 0u64..(1 << 48), tasks in 1usize..=5,
-        cpus in proptest::collection::vec(0.0f64..40.0, 1..6),
+        seed in 0u64..(1 << 48),
+        sizes in proptest::collection::vec(1usize..=5, 1..=3),
+        calls in proptest::collection::vec((0usize..3, 1usize..=5, 0.0f64..40.0), 1..12),
+        invalidate_at in 0usize..12,
     ) {
-        let world = random_world(seed, tasks, true);
-        let prepared: Vec<Arc<PreparedTask>> =
-            prepared_of(&world).into_iter().map(Arc::new).collect();
-        let refs: Vec<&PreparedTask> = prepared.iter().map(Arc::as_ref).collect();
+        let worlds: Vec<World> = sizes
+            .iter()
+            .enumerate()
+            .map(|(w, &tasks)| random_world(seed.wrapping_add(w as u64), tasks, true))
+            .collect();
+        let bundles: Vec<Vec<Arc<PreparedTask>>> =
+            worlds.iter().map(|w| shared(prepared_of(w))).collect();
         let mut formulator = Formulator::new(Arc::new(LinearPenalty::default()));
-        for cpu in cpus {
+        for (i, (w, len, cpu)) in calls.into_iter().enumerate() {
+            let bundle = &bundles[w % bundles.len()];
+            let prefix = &bundle[..len.min(bundle.len())];
+            if i == invalidate_at {
+                formulator.invalidate_spec(worlds[0].spec.name());
+            }
             let adm = admission(cpu);
-            let cold = formulate_shedding(&refs, &adm);
-            let warm = formulator.formulate_shedding_warm(9, &prepared, &adm);
+            let cold = formulate_shedding(&refs_of(prefix), &adm);
+            let warm = formulator.formulate_shedding_warm(prefix, &adm);
             prop_assert_eq!(warm, cold);
         }
+        for w in &worlds {
+            formulator.invalidate_spec(w.spec.name());
+        }
+        prop_assert_eq!(formulator.warm_entries(), 0);
     }
+
+    /// The compile cache is keyed by what a handle *says*, not where it
+    /// lives: a second allocation of equal content is `==`, hashes equal
+    /// and is served the first one's compilation, while equal names over
+    /// different content miss and compile afresh.
+    #[test]
+    fn equal_content_shares_a_compilation(seed in 0u64..(1 << 48), tasks in 1usize..=3) {
+        let (a, b) = (random_world(seed, tasks, true), random_world(seed, tasks, true));
+        prop_assert!(!std::ptr::eq(a.spec.name(), b.spec.name()), "two allocations");
+        prop_assert_eq!(&a.spec, &b.spec);
+        prop_assert_eq!(a.spec.content_hash(), b.spec.content_hash());
+        let mut formulator = Formulator::new(Arc::new(LinearPenalty::default()));
+        for (ra, rb) in a.sources.iter().zip(&b.sources) {
+            prop_assert_eq!(ra, rb);
+            prop_assert_eq!(ra.content_hash(), rb.content_hash());
+            let first = formulator.prepare(&a.spec, ra, &a.model).expect("resolves");
+            let again = formulator.prepare(&b.spec, rb, &a.model).expect("resolves");
+            prop_assert!(Arc::ptr_eq(&first, &again), "equal content must hit");
+            // Same request name, one more (least-preferred) level.
+            let attr = &ra.dimensions()[0].attributes[0];
+            let mut levels = attr.levels.clone();
+            levels.push(LevelSpec::value(Value::Int(VAL_MAX + 1)));
+            let other = ServiceRequest::builder(ra.name())
+                .dimension(ra.dimensions()[0].dimension.clone())
+                .attribute(attr.attribute.clone(), levels)
+                .build();
+            prop_assert_ne!(&other, ra);
+            let miss = formulator.prepare(&a.spec, &other, &a.model);
+            prop_assert!(miss.is_none_or(|m| !Arc::ptr_eq(&m, &first)), "changed content must miss");
+        }
+        prop_assert_eq!(formulator.cached(), {
+            let mut distinct: Vec<u64> = a.sources.iter().map(|r| r.content_hash()).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            distinct.len()
+        });
+    }
+}
+
+/// Warm state is bounded by [`Formulator::WARM_CAP`] alone: nothing
+/// forgets a bundle when its negotiation ends, so the cap must hold over
+/// any number of distinct bundles — and pricing stays exact across the
+/// clears it triggers.
+#[test]
+fn warm_table_stays_within_its_cap() {
+    let world = random_world(11, 1, true);
+    let tasks: Vec<Arc<PreparedTask>> =
+        (0..100).flat_map(|_| shared(prepared_of(&world))).collect();
+    let adm = admission(1_000.0);
+    let cold = formulate_prepared(&[tasks[0].as_ref()], &adm);
+    let mut formulator = Formulator::new(Arc::new(LinearPenalty::default()));
+    for a in &tasks {
+        for b in &tasks {
+            let pair = [Arc::clone(a), Arc::clone(b)];
+            let warm = formulator.formulate_warm(&pair[..1], &adm);
+            assert_eq!(warm, cold);
+            formulator
+                .formulate_warm(&pair, &adm)
+                .expect("two tasks fit");
+            assert!(formulator.warm_entries() <= Formulator::WARM_CAP);
+        }
+    }
+    assert!(formulator.warm_entries() > 0);
 }

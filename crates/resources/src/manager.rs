@@ -20,8 +20,6 @@
 //! vector interface; the provider engine owns it, so the sans-IO engines
 //! need no lock around it.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::error::ResourceError;
@@ -55,7 +53,9 @@ struct Hold {
 pub struct ResourceManager {
     kind: ResourceKind,
     capacity: f64,
-    holds: HashMap<u64, Hold>,
+    /// Outstanding holds in id order (ids are handed out monotonically,
+    /// so pushing keeps it): every sum over them adds in one fixed order.
+    holds: Vec<(u64, Hold)>,
     next_id: u64,
 }
 
@@ -65,7 +65,7 @@ impl ResourceManager {
         Self {
             kind,
             capacity,
-            holds: HashMap::new(),
+            holds: Vec::new(),
             next_id: 0,
         }
     }
@@ -87,15 +87,15 @@ impl ResourceManager {
 
     /// Sum of all outstanding holds.
     pub fn held(&self) -> f64 {
-        self.holds.values().map(|h| h.amount).sum()
+        self.holds.iter().map(|(_, h)| h.amount).sum()
     }
 
     /// Sum of committed grants only.
     pub fn committed(&self) -> f64 {
         self.holds
-            .values()
-            .filter(|h| h.state == HoldState::Committed)
-            .map(|h| h.amount)
+            .iter()
+            .filter(|(_, h)| h.state == HoldState::Committed)
+            .map(|(_, h)| h.amount)
             .sum()
     }
 
@@ -122,34 +122,34 @@ impl ResourceManager {
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.holds.insert(
+        self.holds.push((
             id,
             Hold {
                 amount,
                 state: HoldState::Tentative,
                 expires_at,
             },
-        );
+        ));
         Ok(HoldId(id))
+    }
+
+    fn position(&self, id: HoldId) -> Result<usize, ResourceError> {
+        self.holds
+            .binary_search_by_key(&id.0, |(i, _)| *i)
+            .map_err(|_| ResourceError::UnknownHold)
     }
 
     /// Phase 2: upgrade a tentative hold into a durable grant.
     pub fn commit(&mut self, id: HoldId) -> Result<(), ResourceError> {
-        match self.holds.get_mut(&id.0) {
-            Some(h) => {
-                h.state = HoldState::Committed;
-                Ok(())
-            }
-            None => Err(ResourceError::UnknownHold),
-        }
+        let at = self.position(id)?;
+        self.holds[at].1.state = HoldState::Committed;
+        Ok(())
     }
 
     /// Releases a hold (either phase), returning its amount to the pool.
     pub fn release(&mut self, id: HoldId) -> Result<f64, ResourceError> {
-        self.holds
-            .remove(&id.0)
-            .map(|h| h.amount)
-            .ok_or(ResourceError::UnknownHold)
+        let at = self.position(id)?;
+        Ok(self.holds.remove(at).1.amount)
     }
 
     /// Drops every tentative hold with `expires_at <= now`; returns how
@@ -157,27 +157,24 @@ impl ResourceManager {
     pub fn expire(&mut self, now: u64) -> usize {
         let before = self.holds.len();
         self.holds
-            .retain(|_, h| h.state == HoldState::Committed || h.expires_at > now);
+            .retain(|(_, h)| h.state == HoldState::Committed || h.expires_at > now);
         before - self.holds.len()
     }
 
     /// State of a hold, if it exists.
     pub fn hold_state(&self, id: HoldId) -> Option<HoldState> {
-        self.holds.get(&id.0).map(|h| h.state)
+        self.position(id).ok().map(|at| self.holds[at].1.state)
     }
 
     /// Canonical view of every outstanding hold as
-    /// `(id, amount, state, expires_at)`, sorted by id. The order is
-    /// deterministic regardless of `HashMap` iteration order, which is what
-    /// state-hashing consumers (the model checker) need.
+    /// `(id, amount, state, expires_at)`, in id order — the order the
+    /// holds are stored in, which is what state-hashing consumers (the
+    /// model checker) need.
     pub fn holds_snapshot(&self) -> Vec<(u64, f64, HoldState, u64)> {
-        let mut v: Vec<_> = self
-            .holds
+        self.holds
             .iter()
             .map(|(id, h)| (*id, h.amount, h.state, h.expires_at))
-            .collect();
-        v.sort_unstable_by_key(|e| e.0);
-        v
+            .collect()
     }
 }
 
@@ -329,6 +326,26 @@ mod tests {
         assert_eq!(m.committed(), 60.0);
         assert_eq!(m.release(h).unwrap(), 60.0);
         assert_eq!(m.available(), 100.0);
+    }
+
+    /// Sums over holds add in id order, whatever was released in between:
+    /// `(0.1 + 0.2) + 0.3` and `0.1 + (0.2 + 0.3)` differ in the last bit,
+    /// so an order that varied from map to map would show in the ledger.
+    #[test]
+    fn sums_over_holds_add_in_id_order() {
+        for _ in 0..32 {
+            let mut m = ResourceManager::new(ResourceKind::Cpu, 100.0);
+            let gone = m.prepare(50.0, 10).unwrap();
+            let ids = [0.1, 0.2, 0.3].map(|a| m.prepare(a, 10).unwrap());
+            m.release(gone).unwrap();
+            assert_eq!(m.held().to_bits(), ((0.1 + 0.2) + 0.3f64).to_bits());
+            for id in ids {
+                m.commit(id).unwrap();
+            }
+            assert_eq!(m.committed().to_bits(), m.held().to_bits());
+            let snapshot: Vec<u64> = m.holds_snapshot().iter().map(|h| h.0).collect();
+            assert_eq!(snapshot, ids.map(|id| id.0));
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub mod catalog;
 mod dependency;
 mod domain;
 mod error;
+mod handle;
 mod request;
 mod spec;
 mod task;

@@ -31,9 +31,12 @@
 //! preferences into explicit ordered quality levels `Q_k1 ≻ Q_k2 ≻ …` —
 //! the ladder the §5 degradation heuristic walks down.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::SpecError;
+use crate::handle::Handle;
 use crate::spec::{AttrPath, QosSpec, QualityVector};
 use crate::value::{Value, F64};
 
@@ -129,11 +132,33 @@ pub struct DimPref {
 /// A user's service request: dimensions in decreasing importance order,
 /// attributes within each dimension likewise, and explicit acceptable
 /// values per attribute (paper §3.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServiceRequest {
-    /// Label for logs and experiment output.
-    pub name: String,
+///
+/// Like [`QosSpec`], an immutable shared handle: `clone()` is O(1), `==`
+/// is pointer-first with content hash and then content as the fallback,
+/// and the `Debug` rendering (`ServiceRequest { name, dimensions }`, the
+/// input of the content hash) feeds every state digest.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
+pub struct ServiceRequest(Handle<RequestData>);
+
+#[derive(PartialEq, Serialize, Deserialize)]
+struct RequestData {
+    name: String,
     dimensions: Vec<DimPref>,
+}
+
+impl fmt::Debug for RequestData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ServiceRequest")
+            .field("name", &self.name)
+            .field("dimensions", &self.dimensions)
+            .finish()
+    }
+}
+
+impl fmt::Debug for ServiceRequest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
 }
 
 impl ServiceRequest {
@@ -145,20 +170,30 @@ impl ServiceRequest {
         }
     }
 
+    /// Label for logs and experiment output.
+    pub fn name(&self) -> &str {
+        &self.0.name
+    }
+
     /// Dimension preferences in decreasing importance order.
     pub fn dimensions(&self) -> &[DimPref] {
-        &self.dimensions
+        &self.0.dimensions
+    }
+
+    /// Hash of the request's content, computed once at
+    /// [`ServiceRequestBuilder::build`]: equal for equal content in any
+    /// allocation, process or run.
+    pub fn content_hash(&self) -> u64 {
+        self.0.content_hash()
     }
 
     /// Binds the request to a spec, validating names, types and domain
     /// membership, and expanding all level blocks.
     pub fn resolve(&self, spec: &QosSpec) -> Result<ResolvedRequest, SpecError> {
-        let mut dims = Vec::with_capacity(self.dimensions.len());
-        for (i, dp) in self.dimensions.iter().enumerate() {
-            if self.dimensions[..i]
-                .iter()
-                .any(|x| x.dimension == dp.dimension)
-            {
+        let dimensions = self.dimensions();
+        let mut dims = Vec::with_capacity(dimensions.len());
+        for (i, dp) in dimensions.iter().enumerate() {
+            if dimensions[..i].iter().any(|x| x.dimension == dp.dimension) {
                 return Err(SpecError::DuplicateRequestEntry(dp.dimension.clone()));
             }
             let (di, dim) = spec
@@ -227,7 +262,7 @@ impl ServiceRequest {
             return Err(SpecError::EmptySpec);
         }
         Ok(ResolvedRequest {
-            name: self.name.clone(),
+            name: self.name().to_string(),
             dimensions: dims,
         })
     }
@@ -271,10 +306,10 @@ impl ServiceRequestBuilder {
     /// Finishes the (unvalidated) request; validation happens at
     /// [`ServiceRequest::resolve`].
     pub fn build(self) -> ServiceRequest {
-        ServiceRequest {
+        ServiceRequest(Handle::new(RequestData {
             name: self.name,
             dimensions: self.dims,
-        }
+        }))
     }
 }
 

@@ -9,11 +9,14 @@
 //! [`QosSpec`] ties the sets together and provides validated lookup by
 //! name or by [`AttrPath`].
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 use crate::dependency::Dependency;
 use crate::domain::Domain;
 use crate::error::SpecError;
+use crate::handle::Handle;
 use crate::value::Value;
 
 /// Stable coordinates of one attribute inside a [`QosSpec`]:
@@ -108,11 +111,39 @@ impl Dimension {
 ///     .unwrap();
 /// assert_eq!(spec.attr_count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QosSpec {
+///
+/// A `QosSpec` is an immutable shared handle: `clone()` is O(1) (a
+/// refcount bump on the one allocation [`QosSpecBuilder::build`] made),
+/// and `==` holds when both handles point at the same allocation or,
+/// failing that, when their content hashes and then their content agree —
+/// so equal specs built twice are equal, and unequal ones are told apart
+/// without a structural walk. The `Debug` rendering is that of the plain
+/// field tree (`QosSpec { name, dimensions, dependencies }`); the content
+/// hash is computed over it, so it feeds every state digest.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
+pub struct QosSpec(Handle<SpecData>);
+
+#[derive(PartialEq, Serialize, Deserialize)]
+struct SpecData {
     name: String,
     dimensions: Vec<Dimension>,
     dependencies: Vec<Dependency>,
+}
+
+impl fmt::Debug for SpecData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QosSpec")
+            .field("name", &self.name)
+            .field("dimensions", &self.dimensions)
+            .field("dependencies", &self.dependencies)
+            .finish()
+    }
+}
+
+impl fmt::Debug for QosSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
 }
 
 impl QosSpec {
@@ -127,32 +158,39 @@ impl QosSpec {
 
     /// Application-class name of this spec.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// Dimensions in declaration order.
     pub fn dimensions(&self) -> &[Dimension] {
-        &self.dimensions
+        &self.0.dimensions
     }
 
     /// Declared inter-attribute dependencies (`Deps`).
     pub fn dependencies(&self) -> &[Dependency] {
-        &self.dependencies
+        &self.0.dependencies
+    }
+
+    /// Hash of the spec's content, computed once at
+    /// [`QosSpecBuilder::build`]: equal for equal content in any
+    /// allocation, process or run.
+    pub fn content_hash(&self) -> u64 {
+        self.0.content_hash()
     }
 
     /// Number of dimensions.
     pub fn dim_count(&self) -> usize {
-        self.dimensions.len()
+        self.dimensions().len()
     }
 
     /// Total number of attributes across all dimensions.
     pub fn attr_count(&self) -> usize {
-        self.dimensions.iter().map(|d| d.attributes.len()).sum()
+        self.dimensions().iter().map(|d| d.attributes.len()).sum()
     }
 
     /// Looks a dimension up by name.
     pub fn dimension(&self, name: &str) -> Option<(usize, &Dimension)> {
-        self.dimensions
+        self.dimensions()
             .iter()
             .enumerate()
             .find(|(_, d)| d.name == name)
@@ -167,7 +205,7 @@ impl QosSpec {
 
     /// The attribute at `path`, if in bounds.
     pub fn attribute_at(&self, path: AttrPath) -> Option<&Attribute> {
-        self.dimensions
+        self.dimensions()
             .get(path.dim())
             .and_then(|d| d.attributes.get(path.attr()))
     }
@@ -175,7 +213,7 @@ impl QosSpec {
     /// Iterates all attribute paths in dimension-major declaration order —
     /// the canonical flattening used by quality vectors.
     pub fn paths(&self) -> impl Iterator<Item = AttrPath> + '_ {
-        self.dimensions
+        self.dimensions()
             .iter()
             .enumerate()
             .flat_map(|(di, d)| (0..d.attributes.len()).map(move |ai| AttrPath::new(di, ai)))
@@ -184,7 +222,7 @@ impl QosSpec {
     /// Flat index of `path` in [`QosSpec::paths`] order.
     pub fn flat_index(&self, path: AttrPath) -> Option<usize> {
         self.attribute_at(path)?;
-        let before: usize = self.dimensions[..path.dim()]
+        let before: usize = self.dimensions()[..path.dim()]
             .iter()
             .map(|d| d.attributes.len())
             .sum();
@@ -237,18 +275,15 @@ impl QosSpecBuilder {
                 a.domain.validate()?;
             }
         }
-        let spec = QosSpec {
+        let spec = QosSpec(Handle::new(SpecData {
             name: self.name,
             dimensions: self.dimensions,
-            dependencies: Vec::new(),
-        };
-        for dep in &self.dependencies {
+            dependencies: self.dependencies,
+        }));
+        for dep in spec.dependencies() {
             dep.validate(&spec)?;
         }
-        Ok(QosSpec {
-            dependencies: self.dependencies,
-            ..spec
-        })
+        Ok(spec)
     }
 }
 

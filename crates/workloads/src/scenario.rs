@@ -7,6 +7,8 @@
 //! application templates' demand models registered. Experiments then queue
 //! services and run the simulator.
 
+use std::sync::Arc;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -18,7 +20,7 @@ use qosc_netsim::{
     Area, Mobility, NetStats, PartitionPlan, RadioModel, ShardedSimulator, SimConfig, SimDuration,
     SimTime, Simulator,
 };
-use qosc_resources::{NodeProfile, ResourceKind};
+use qosc_resources::{DemandModel, NodeProfile, ResourceKind};
 use qosc_spec::ServiceDef;
 
 use crate::apps::AppTemplate;
@@ -109,13 +111,29 @@ impl ScenarioConfig {
     }
 }
 
+/// Every application template's demand model under its spec's name.
+type DemandModels = Vec<(String, Arc<dyn DemandModel>)>;
+
+fn demand_models() -> DemandModels {
+    AppTemplate::ALL
+        .iter()
+        .map(|t| (t.spec().name().to_string(), t.demand_model()))
+        .collect()
+}
+
 impl ScenarioConfig {
     /// Builds one node's engines from its sampled hardware profile:
     /// a provider (capacity from the profile, payload bandwidth tied to
     /// the radio class, every application template's demand model
     /// registered) plus an organizer, since any node may originate
-    /// service requests.
-    fn coalition_node(&self, id: u32, profile: &NodeProfile) -> CoalitionNode {
+    /// service requests. `models` is [`demand_models`], built once per
+    /// world so all of its nodes share one allocation per template.
+    fn coalition_node(
+        &self,
+        id: u32,
+        profile: &NodeProfile,
+        models: &DemandModels,
+    ) -> CoalitionNode {
         let link_kbps = profile.capacity.get(ResourceKind::NetBandwidth);
         let mut provider = ProviderEngine::new(
             id,
@@ -125,8 +143,8 @@ impl ScenarioConfig {
                 ..self.provider.clone()
             },
         );
-        for t in AppTemplate::ALL {
-            provider.register_demand_model(t.spec().name().to_string(), t.demand_model());
+        for (spec_name, model) in models {
+            provider.register_demand_model(spec_name.clone(), Arc::clone(model));
         }
         CoalitionNode::new(id)
             .with_provider(provider)
@@ -139,10 +157,11 @@ impl ScenarioConfig {
     fn population_nodes(&self) -> Vec<CoalitionNode> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x5eed_cafe);
         let profiles = self.population.sample_many(self.nodes, &mut rng);
+        let models = demand_models();
         profiles
             .iter()
             .enumerate()
-            .map(|(i, profile)| self.coalition_node(i as u32, profile))
+            .map(|(i, profile)| self.coalition_node(i as u32, profile, &models))
             .collect()
     }
 
@@ -196,9 +215,10 @@ impl ScenarioConfig {
             sim.add_node(self.area.sample(&mut rng), mobility);
         }
         let mut runtime = DesShardedRuntime::new(sim);
+        let models = demand_models();
         for (i, profile) in profiles.iter().enumerate() {
             runtime
-                .add_node(self.coalition_node(i as u32, profile))
+                .add_node(self.coalition_node(i as u32, profile, &models))
                 .expect("sequential ids are unique");
         }
         if !self.partitions.is_none() {
@@ -239,9 +259,10 @@ impl Scenario {
             sim.add_node(config.area.sample(&mut rng), mobility);
         }
         let mut runtime = DesRuntime::new(sim);
+        let models = demand_models();
         for (i, profile) in profiles.iter().enumerate() {
             runtime
-                .add_node(config.coalition_node(i as u32, profile))
+                .add_node(config.coalition_node(i as u32, profile, &models))
                 .expect("sequential ids are unique");
         }
         if !config.partitions.is_none() {
