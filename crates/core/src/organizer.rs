@@ -42,6 +42,7 @@ use crate::metrics::{NegoEvent, NegotiationMetrics, TaskOutcome};
 use crate::protocol::{
     encode_timer, Action, Msg, NegoId, Pid, TaskAnnouncement, TaskProposal, TimerKind,
 };
+use crate::snapshot::{StableHasher, StateDigest};
 use crate::strategy::{CandidateContext, OrganizerStrategy, RetryContext};
 
 /// Organizer tunables.
@@ -308,9 +309,11 @@ impl OrganizerEngine {
         self.next_seq += 1;
         let open: BTreeSet<TaskId> = announcements.keys().copied().collect();
         let announcements_digest = {
-            let mut h = crate::snapshot::StableHasher::new();
-            // BTreeMap: deterministic order, so Debug form is canonical.
-            h.write_str(&format!("{announcements:?}"));
+            let mut h = StableHasher::new();
+            // BTreeMap: deterministic order (and the key is in the value).
+            for a in announcements.values() {
+                a.digest(&mut h);
+            }
             h.finish()
         };
         let mut nego_state = Nego {
@@ -787,8 +790,8 @@ impl OrganizerEngine {
     }
 }
 
-impl crate::snapshot::StateDigest for OrganizerEngine {
-    fn digest(&self, h: &mut crate::snapshot::StableHasher) {
+impl StateDigest for OrganizerEngine {
+    fn digest(&self, h: &mut StableHasher) {
         h.write_u64(self.id as u64);
         h.write_u64(self.next_seq as u64);
         let mut ids: Vec<&NegoId> = self.negotiations.keys().collect();

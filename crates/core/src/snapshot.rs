@@ -18,11 +18,11 @@
 //!
 //! Engines implement [`StateDigest`] next to their private fields; this
 //! module provides the hasher, the trait, and impls for the shared leaf
-//! types (`Msg`, resource ledgers).
+//! types (`Msg`, `TaskAnnouncement`, resource ledgers).
 
 use qosc_resources::{HoldState, NodeLedger, ResourceKind};
 
-use crate::protocol::Msg;
+use crate::protocol::{Msg, TaskAnnouncement};
 
 /// Deterministic 64-bit FNV-1a hasher with explicit typed writes.
 ///
@@ -110,12 +110,35 @@ pub fn digest_of<T: StateDigest + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
+impl StateDigest for TaskAnnouncement {
+    fn digest(&self, h: &mut StableHasher) {
+        // The spec and request enter by the content hash their handle
+        // computed once at `build()` — nothing is rendered or walked here.
+        h.write_u32(self.task.0);
+        h.write_u64(self.spec.content_hash());
+        h.write_u64(self.request.content_hash());
+        h.write_u64(self.input_bytes);
+        h.write_u64(self.output_bytes);
+    }
+}
+
 impl StateDigest for Msg {
     fn digest(&self, h: &mut StableHasher) {
-        // Msg is a tree of Vecs and scalars (no unordered containers), so
-        // its derived Debug rendering is already canonical — and it covers
-        // nested spec/request structures without per-field plumbing.
-        h.write_str(&format!("{self:?}"));
+        match self {
+            Msg::CallForProposals { nego, tasks, round } => {
+                h.write_u32(nego.organizer);
+                h.write_u32(nego.seq);
+                h.write_u32(*round);
+                h.write_usize(tasks.len());
+                for t in tasks {
+                    t.digest(h);
+                }
+            }
+            // Every other message is a small tree of Vecs and scalars (no
+            // unordered containers), so its derived Debug rendering is
+            // already canonical and covers new fields without plumbing.
+            other => h.write_str(&format!("{other:?}")),
+        }
     }
 }
 
@@ -203,6 +226,37 @@ mod tests {
             of(format!("{:?}", catalog::surveillance_request())),
             0x82f3_3f3c_a9da_75a0
         );
+    }
+
+    /// A CFP is digested through its handles' content hashes: equal
+    /// content in another allocation digests equal, different content
+    /// under the same names does not.
+    #[test]
+    fn cfp_digest_follows_content_not_allocation() {
+        use crate::protocol::NegoId;
+        use qosc_spec::{catalog, LevelSpec, ServiceRequest, TaskId};
+        let request = |floor: i64| {
+            ServiceRequest::builder("r")
+                .dimension("Video Quality")
+                .attribute("frame_rate", vec![LevelSpec::int_range(10, floor)])
+                .build()
+        };
+        let cfp = |request: ServiceRequest| Msg::CallForProposals {
+            nego: NegoId {
+                organizer: 0,
+                seq: 0,
+            },
+            tasks: vec![TaskAnnouncement {
+                task: TaskId(0),
+                spec: catalog::av_spec(),
+                request,
+                input_bytes: 1,
+                output_bytes: 1,
+            }],
+            round: 0,
+        };
+        assert_eq!(digest_of(&cfp(request(5))), digest_of(&cfp(request(5))));
+        assert_ne!(digest_of(&cfp(request(5))), digest_of(&cfp(request(4))));
     }
 
     #[test]

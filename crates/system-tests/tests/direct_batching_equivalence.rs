@@ -7,7 +7,11 @@
 //! implementation, so any change to *how* batches are assembled must
 //! reproduce them exactly: a batch fires at the queue position of its
 //! earliest member, holds every CFP to that node and instant queued
-//! before it fires, and `run()` counts every coalesced delivery.
+//! before it fires, and `run()` counts every coalesced delivery. (The
+//! four digests were re-taken, on unchanged runs, when an organizer's
+//! digest of its announcements moved from their `Debug` rendering to the
+//! spec/request content hashes; log lengths and `run()` counts are the
+//! original ones.)
 //!
 //! **Outcome-for-outcome against `Backend::Direct`.** Coalescing regroups
 //! deliveries inside one virtual instant but may not change what any
@@ -111,7 +115,7 @@ fn pinned_same_instant_wave() {
     assert_eq!(
         pin_of(rt.as_ref(), nodes, n),
         Pin {
-            digest: 0x3eb0_f529_f40b_af5e,
+            digest: 0xb9d4_d012_34bc_c63d,
             log_len: 8,
             run_events: 356,
         }
@@ -136,7 +140,7 @@ fn pinned_duplicate_and_reorder() {
     assert_eq!(
         pin_of(rt.as_ref(), nodes, n),
         Pin {
-            digest: 0x05ce_6c16_cc10_0d21,
+            digest: 0x06e0_f3fe_1626_0609,
             log_len: 6,
             run_events: 402,
         }
@@ -162,7 +166,7 @@ fn pinned_partitioned() {
     assert_eq!(
         pin_of(rt.as_ref(), nodes, n),
         Pin {
-            digest: 0xbd19_4f9f_b0e2_70bd,
+            digest: 0xa504_a433_729f_ee52,
             log_len: 6,
             run_events: 290,
         }
@@ -187,7 +191,7 @@ fn pinned_two_runs_straddling_a_deadline() {
     assert_eq!(
         pin_of(rt.as_ref(), nodes, first + second),
         Pin {
-            digest: 0xa5f1_2c7a_50c9_267c,
+            digest: 0x5d85_2a20_92c7_3dd1,
             log_len: 6,
             run_events: 244,
         }
