@@ -976,16 +976,18 @@ pub fn formulate_reference(
     }
 }
 
-/// Cached compilation of one announced `(spec, request)` pair plus the
-/// request it was compiled from (the spec is the prepared task's own).
+/// Cached compilation of one announced `(spec, request)` pair: the two
+/// content hashes it is filed under, the request it was compiled from
+/// (the spec is the prepared task's own) and the compilation.
 #[derive(Clone)]
 struct CacheEntry {
+    key: (u64, u64),
     source: ServiceRequest,
     prepared: Arc<PreparedTask>,
 }
 
 /// The reusable formulation engine: one reward model, a compile cache
-/// keyed by the `(spec, request)` content hashes (entries verified by
+/// sorted by the `(spec, request)` content hashes (entries verified by
 /// handle equality on every hit, so a colliding hash can never serve
 /// stale tables), and the scratch heap the degradation loop reuses across
 /// calls. The heap is the only reusable buffer by design: the per-task
@@ -993,7 +995,7 @@ struct CacheEntry {
 /// so pooling them would require an API that takes them back.
 pub struct Formulator {
     reward: Arc<dyn RewardModel>,
-    cache: HashMap<(u64, u64), CacheEntry>,
+    cache: Vec<CacheEntry>,
     heap: BinaryHeap<Step>,
     /// Warm-start trajectories keyed by [`bundle_key`]; see
     /// [`Formulator::formulate_warm`]. Shedding's nested prefixes are
@@ -1036,7 +1038,7 @@ impl Formulator {
     pub fn new(reward: Arc<dyn RewardModel>) -> Self {
         Self {
             reward,
-            cache: HashMap::new(),
+            cache: Vec::new(),
             heap: BinaryHeap::new(),
             warm: HashMap::new(),
         }
@@ -1065,7 +1067,9 @@ impl Formulator {
         demand: &Arc<dyn DemandModel>,
     ) -> Option<Arc<PreparedTask>> {
         let key = (spec.content_hash(), request.content_hash());
-        if let Some(e) = self.cache.get(&key) {
+        let slot = self.cache.binary_search_by_key(&key, |e| e.key);
+        if let Ok(at) = slot {
+            let e = &self.cache[at];
             // A re-registered demand model must recompile; data-pointer
             // identity is the check (a re-registered Arc is a new
             // allocation).
@@ -1083,13 +1087,15 @@ impl Formulator {
             self.reward.as_ref(),
             Arc::clone(demand),
         ));
-        self.cache.insert(
+        let entry = CacheEntry {
             key,
-            CacheEntry {
-                source: request.clone(),
-                prepared: Arc::clone(&prepared),
-            },
-        );
+            source: request.clone(),
+            prepared: Arc::clone(&prepared),
+        };
+        match slot {
+            Ok(at) => self.cache[at] = entry,
+            Err(at) => self.cache.insert(at, entry),
+        }
         Some(prepared)
     }
 
@@ -1097,8 +1103,7 @@ impl Formulator {
     /// provider re-registers a demand model: the cached fully-degraded
     /// demands were computed under the old model.
     pub fn invalidate_spec(&mut self, spec_name: &str) {
-        self.cache
-            .retain(|_, e| e.prepared.spec.name() != spec_name);
+        self.cache.retain(|e| e.prepared.spec.name() != spec_name);
         self.warm
             .retain(|_, t| t.tasks.iter().all(|p| p.spec.name() != spec_name));
     }

@@ -283,12 +283,14 @@ impl OrganizerEngine {
         // a service stamps from one template share the tables.
         let mut distinct: Vec<(&TaskDef, Arc<CompiledRequest>)> = Vec::new();
         for (tid, task) in service.iter() {
-            let same = |(t, _): &&(&TaskDef, _)| t.spec == task.spec && t.request == task.request;
-            let shared = match distinct.iter().find(same) {
+            let known = distinct
+                .iter()
+                .find(|(t, _)| t.spec == task.spec && t.request == task.request);
+            let shared = match known {
                 Some((_, c)) => Arc::clone(c),
                 None => {
-                    let c =
-                        CompiledRequest::compile(&task.spec, &task.resolve()?, self.config.eval);
+                    let resolved = task.resolve()?;
+                    let c = CompiledRequest::compile(&task.spec, &resolved, self.config.eval);
                     let c = Arc::new(c);
                     distinct.push((task, Arc::clone(&c)));
                     c

@@ -119,8 +119,8 @@ impl DirectRuntime {
     /// one node into a single batched pricing pass
     /// ([`CoalitionNode::on_message_batch`]) — the open-loop load path:
     /// when many negotiations kick off in the same instant, every
-    /// provider hears all their CFPs back-to-back, and batching prepares
-    /// the repeated announcements once instead of once per negotiation.
+    /// provider hears all their CFPs back-to-back, and batching makes
+    /// them one event instead of one per negotiation.
     ///
     /// Coalescing happens when a delivery is enqueued: the first CFP for
     /// an `(arrival instant, node)` pair takes a place in the event queue

@@ -2,9 +2,10 @@
 //! provider fed a batch through [`ProviderEngine::on_cfp_batch`] must
 //! emit exactly the actions — and land in exactly the state — of an
 //! identically-constructed provider fed the same messages one
-//! [`ProviderEngine::on_message`] at a time. The batch path shares one
-//! prepare memo and warm-starts formulation, so this test is the pin
-//! that keeps both strictly behaviour-neutral.
+//! [`ProviderEngine::on_message`] at a time. Both paths share the
+//! engine's compile cache and warm-start formulation from trajectories
+//! recorded by earlier messages, so this test is the pin that keeps
+//! both strictly behaviour-neutral.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};

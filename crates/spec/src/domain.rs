@@ -180,6 +180,19 @@ impl Domain {
         Ok(())
     }
 
+    /// The head of [`Domain::enumerate`] — the first declared value of a
+    /// discrete domain, the lower bound of a continuous one — without
+    /// building the enumeration.
+    pub fn first(&self) -> Option<Value> {
+        match self {
+            Domain::DiscreteInt(v) => v.first().copied().map(Value::Int),
+            Domain::DiscreteFloat(v) => v.first().copied().map(Value::Float),
+            Domain::DiscreteStr(v) => v.first().cloned().map(Value::Str),
+            Domain::ContinuousInt { min, .. } => Some(Value::Int(*min)),
+            Domain::ContinuousFloat { min, .. } => Some(Value::float(*min)),
+        }
+    }
+
     /// Enumerates a discrete domain's values in quality order, or samples a
     /// continuous one at `steps` evenly spaced points (used by generators
     /// and the exhaustive baseline; the negotiation protocol itself never
@@ -314,5 +327,22 @@ mod tests {
             vs,
             vec![Value::float(0.0), Value::float(0.5), Value::float(1.0)]
         );
+    }
+
+    #[test]
+    fn first_is_the_head_of_any_enumeration() {
+        for d in [
+            Domain::DiscreteInt(vec![24, 8, 1]),
+            Domain::DiscreteInt(vec![]),
+            Domain::discrete_float([0.9, 0.3]),
+            Domain::discrete_str(["h264", "mjpeg"]),
+            Domain::ContinuousInt { min: 3, max: 3 },
+            Domain::ContinuousInt { min: -2, max: 30 },
+            Domain::ContinuousFloat { min: 0.5, max: 2.0 },
+        ] {
+            for steps in [0, 1, 2, 7] {
+                assert_eq!(d.first(), d.enumerate(steps).first().cloned(), "{d:?}");
+            }
+        }
     }
 }

@@ -61,12 +61,6 @@ impl<T: PartialEq> PartialEq for Handle<T> {
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for Handle<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0 .1.fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{catalog, LevelSpec, QosSpec, ServiceRequest};

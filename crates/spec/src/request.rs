@@ -157,7 +157,7 @@ impl fmt::Debug for RequestData {
 
 impl fmt::Debug for ServiceRequest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        (*self.0).fmt(f)
     }
 }
 
@@ -404,7 +404,7 @@ impl ResolvedRequest {
         let mut values: Vec<Value> = Vec::with_capacity(spec.attr_count());
         for path in spec.paths() {
             let attr = spec.attribute_at(path)?;
-            values.push(attr.domain.enumerate(2).first()?.clone());
+            values.push(attr.domain.first()?);
         }
         for ((_, a), &idx) in self.iter_attrs().zip(level_indexes.iter()) {
             let v = a.levels.get(idx)?.clone();

@@ -142,7 +142,7 @@ impl fmt::Debug for SpecData {
 
 impl fmt::Debug for QosSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        (*self.0).fmt(f)
     }
 }
 

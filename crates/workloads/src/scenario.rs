@@ -111,44 +111,38 @@ impl ScenarioConfig {
     }
 }
 
-/// Every application template's demand model under its spec's name.
-type DemandModels = Vec<(String, Arc<dyn DemandModel>)>;
-
-fn demand_models() -> DemandModels {
-    AppTemplate::ALL
-        .iter()
-        .map(|t| (t.spec().name().to_string(), t.demand_model()))
-        .collect()
-}
-
 impl ScenarioConfig {
-    /// Builds one node's engines from its sampled hardware profile:
-    /// a provider (capacity from the profile, payload bandwidth tied to
-    /// the radio class, every application template's demand model
-    /// registered) plus an organizer, since any node may originate
-    /// service requests. `models` is [`demand_models`], built once per
-    /// world so all of its nodes share one allocation per template.
-    fn coalition_node(
-        &self,
-        id: u32,
-        profile: &NodeProfile,
-        models: &DemandModels,
-    ) -> CoalitionNode {
-        let link_kbps = profile.capacity.get(ResourceKind::NetBandwidth);
-        let mut provider = ProviderEngine::new(
-            id,
-            profile.capacity,
-            ProviderConfig {
-                link_kbps,
-                ..self.provider.clone()
-            },
-        );
-        for (spec_name, model) in models {
-            provider.register_demand_model(spec_name.clone(), Arc::clone(model));
-        }
-        CoalitionNode::new(id)
-            .with_provider(provider)
-            .with_organizer(OrganizerEngine::new(id, self.organizer.clone()))
+    /// Builds each node's engines from its sampled hardware profile, in
+    /// id order: a provider (capacity from the profile, payload bandwidth
+    /// tied to the radio class, every application template's demand
+    /// model registered) plus an organizer, since any node may originate
+    /// service requests. The demand models are built once here, so all
+    /// nodes of a world share one allocation per template.
+    fn coalition_nodes<'a>(
+        &'a self,
+        profiles: &'a [NodeProfile],
+    ) -> impl Iterator<Item = CoalitionNode> + 'a {
+        let models: Vec<(String, Arc<dyn DemandModel>)> = AppTemplate::ALL
+            .iter()
+            .map(|t| (t.spec().name().to_string(), t.demand_model()))
+            .collect();
+        profiles.iter().zip(0u32..).map(move |(profile, id)| {
+            let link_kbps = profile.capacity.get(ResourceKind::NetBandwidth);
+            let mut provider = ProviderEngine::new(
+                id,
+                profile.capacity,
+                ProviderConfig {
+                    link_kbps,
+                    ..self.provider.clone()
+                },
+            );
+            for (spec_name, model) in &models {
+                provider.register_demand_model(spec_name.clone(), Arc::clone(model));
+            }
+            CoalitionNode::new(id)
+                .with_provider(provider)
+                .with_organizer(OrganizerEngine::new(id, self.organizer.clone()))
+        })
     }
 
     /// The full population as backend-agnostic nodes, drawn with exactly
@@ -157,12 +151,7 @@ impl ScenarioConfig {
     fn population_nodes(&self) -> Vec<CoalitionNode> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x5eed_cafe);
         let profiles = self.population.sample_many(self.nodes, &mut rng);
-        let models = demand_models();
-        profiles
-            .iter()
-            .enumerate()
-            .map(|(i, profile)| self.coalition_node(i as u32, profile, &models))
-            .collect()
+        self.coalition_nodes(&profiles).collect()
     }
 
     /// Instantiates the scenario description on any [`Runtime`] backend.
@@ -215,11 +204,8 @@ impl ScenarioConfig {
             sim.add_node(self.area.sample(&mut rng), mobility);
         }
         let mut runtime = DesShardedRuntime::new(sim);
-        let models = demand_models();
-        for (i, profile) in profiles.iter().enumerate() {
-            runtime
-                .add_node(self.coalition_node(i as u32, profile, &models))
-                .expect("sequential ids are unique");
+        for node in self.coalition_nodes(&profiles) {
+            runtime.add_node(node).expect("sequential ids are unique");
         }
         if !self.partitions.is_none() {
             runtime.set_partition_plan(&self.partitions);
@@ -259,11 +245,8 @@ impl Scenario {
             sim.add_node(config.area.sample(&mut rng), mobility);
         }
         let mut runtime = DesRuntime::new(sim);
-        let models = demand_models();
-        for (i, profile) in profiles.iter().enumerate() {
-            runtime
-                .add_node(config.coalition_node(i as u32, profile, &models))
-                .expect("sequential ids are unique");
+        for node in config.coalition_nodes(&profiles) {
+            runtime.add_node(node).expect("sequential ids are unique");
         }
         if !config.partitions.is_none() {
             runtime.set_partition_plan(&config.partitions);
