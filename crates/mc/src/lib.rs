@@ -52,10 +52,11 @@
 //! hosting *both* an organizer and a provider, each submitting one
 //! single-task service — two concurrent single-round CFPs contending
 //! for the same two providers. With a one-drop + one-duplicate fault
-//! budget the graph is ~6 M transitions / ~1.2 M distinct states; an
-//! optimised build exhausts it in about half a minute (the `MC_SMOKE`
-//! CI step runs exactly this check in release), so the snippet below is
-//! compiled but not executed as a doctest:
+//! budget the graph is 5 993 012 transitions / 1 223 731 distinct states;
+//! an optimised build exhausts it in about 5 s on a 2-core host (the
+//! `MC_SMOKE` CI step runs exactly this check in release, with the
+//! counts pinned), so the snippet below is compiled but not executed as
+//! a doctest:
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -105,8 +106,33 @@
 //!
 //! Dropping the `set_fault_plan` line shrinks the same scenario to
 //! ~100 k transitions — small enough that the ordinary test suite
-//! exhausts it on every run, in debug, alongside a fully faulted
-//! 1-organizer × 2-provider round.
+//! exhausts it on every run, in debug, alongside its one-drop variant
+//! and fully faulted 1-organizer × 2-provider rounds.
+//!
+//! ## Why millions of states cost hundreds of engine calls
+//!
+//! The dedup set rests on one assumption, stated and discharged in
+//! `qosc_core::snapshot` (`crates/core/src/snapshot.rs`): equal digest ⇒
+//! identical future behaviour. The explorer spends the same assumption
+//! once more, one level down. A walk reaches millions of *system* states
+//! but only a few hundred distinct *node* states, so node states are
+//! **interned** by digest (one shared instance each) and node
+//! transitions **memoized** under `(node digest, local clock,
+//! stimulus)` — the stimulus being start, a message by sender and
+//! payload digest, a timer token, or a crash — storing the successor and
+//! the messages and timers it emitted, tap applied, payloads digested.
+//! The one-drop 2×2 proof applies 302 836 transitions and runs 798
+//! engine callbacks ([`CheckReport::engine_calls`]); debug builds
+//! recompute every hit and assert it agrees. System states are never
+//! cached: each is digested, deduplicated and checked against every
+//! invariant as before.
+//!
+//! An interned node keeps the fields no digest covers — metrics, caches,
+//! raw hold ids — from whichever path reached it first, so whatever a
+//! caller can read bypasses the table: [`ModelCheckedRuntime::replay`]
+//! and the reference path behind `Runtime::{events, node,
+//! messages_sent}` (the first quiescent schedule, re-executed once per
+//! check) run every callback on their own nodes.
 //!
 //! ## Reading a counterexample
 //!

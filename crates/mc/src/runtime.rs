@@ -10,7 +10,8 @@
 //! [`Counterexample`] whose schedule [`ModelCheckedRuntime::replay`]
 //! re-executes deterministically.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use qosc_core::runtime::NodeEngine;
 use qosc_core::snapshot::digest_of;
@@ -21,7 +22,7 @@ use qosc_netsim::{FaultPlan, SimTime};
 use qosc_spec::ServiceDef;
 
 use crate::invariants::{check_all, default_invariants, Invariant, SystemView, Violation};
-use crate::state::{ActionTap, Choice, McState, StepLog};
+use crate::state::{ActionTap, Choice, McState, NodeTable, StepLog, Stepper, Stimulus};
 use crate::trace::{Counterexample, TraceStep};
 
 /// Exploration budgets and the properties to prove.
@@ -77,6 +78,15 @@ pub struct CheckReport {
     /// True if `max_states` or `max_depth` cut the exploration short —
     /// absence of a counterexample is then *not* a proof.
     pub budget_exhausted: bool,
+    /// Distinct node states the walk interned: every successor some
+    /// engine call produced (the root's nodes, stepped through `on_start`
+    /// before the walk, are not counted).
+    pub node_states: u64,
+    /// Engine callbacks the walk actually executed — one per distinct
+    /// `(node state, local clock, stimulus)`; every other transition
+    /// replayed a stored result. `on_start` runs outside the table and
+    /// is not counted.
+    pub engine_calls: u64,
 }
 
 impl CheckReport {
@@ -96,23 +106,60 @@ pub struct Replay {
     pub violation: Option<Violation>,
 }
 
-/// End-of-path snapshot backing the read side of the [`Runtime`] API.
+/// End-of-path snapshot backing the read side of the [`Runtime`] API:
+/// the first quiescent schedule, re-executed plainly.
 struct Reference {
-    nodes: BTreeMap<Pid, std::sync::Arc<CoalitionNode>>,
-    events: Vec<LoggedEvent>,
-    sent: u64,
+    state: McState,
+    log: StepLog,
 }
 
-/// DFS frame: a state, the step that produced it, the cursor over its
-/// enabled choices, and how much of the shared path log this state's
-/// history occupies (truncated back on backtrack).
+/// DFS frame: a state, the step that produced it, and the cursor over
+/// its enabled choices.
 struct Frame {
     state: McState,
     step: Option<TraceStep>,
     choices: Vec<Choice>,
     next: usize,
-    events_mark: usize,
-    sent_mark: u64,
+}
+
+/// The walk's dedup set. Its keys are already 64-bit FNV digests, so
+/// they are used as their own hash, and the set is split 256 ways by
+/// bits 48..56 — clear of the low bits the tables index by and of the
+/// top seven they tag slots with — so growing rehashes 1/256 of the
+/// entries at a time instead of holding an old and a new full-size table
+/// side by side: that doubling, not the entries, is the walk's peak.
+struct SeenSet {
+    shards: Vec<HashSet<u64, BuildHasherDefault<DigestHasher>>>,
+}
+
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the only keys are u64 digests, hashed through write_u64");
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+}
+
+impl SeenSet {
+    fn new() -> Self {
+        Self {
+            shards: (0..256).map(|_| HashSet::default()).collect(),
+        }
+    }
+
+    /// True iff `digest` was not in the set yet.
+    fn insert(&mut self, digest: u64) -> bool {
+        self.shards[(digest >> 48) as usize & 0xff].insert(digest)
+    }
 }
 
 /// A [`Runtime`] whose `run` exhaustively model-checks the scenario
@@ -145,7 +192,7 @@ impl ModelCheckedRuntime {
     /// An empty runtime with explicit budgets/faults/invariants.
     pub fn with_config(config: CheckConfig) -> Self {
         Self {
-            initial: McState::new(),
+            initial: McState::default(),
             config,
             tap: None,
             report: None,
@@ -185,12 +232,15 @@ impl ModelCheckedRuntime {
     /// The root of the interleaving graph: the registered nodes after
     /// their `on_start` hooks, with kickoff/dissolve timers armed.
     fn root_state(&self, log: &mut StepLog) -> McState {
+        assert!(
+            self.config.fault_plan.max_partitions == 0 || self.initial.node_count() <= 64,
+            "a partition budget needs at most 64 nodes (cut masks hold one bit per node), got {}",
+            self.initial.node_count()
+        );
         let mut state = self.initial.clone();
+        let mut stepper = Stepper::Plain(log);
         for pid in state.node_ids() {
-            let actions = state
-                .with_node_mut(pid, |n| n.on_start(SimTime::ZERO))
-                .unwrap_or_default();
-            state.apply_actions(pid, SimTime::ZERO, actions, self.tap.as_ref(), log);
+            state.step_node(pid, Stimulus::Start, None, self.tap.as_ref(), &mut stepper);
         }
         state
     }
@@ -208,24 +258,31 @@ impl ModelCheckedRuntime {
     /// Idempotent until the scenario, faults, invariants or tap change.
     pub fn check(&mut self) -> &CheckReport {
         if self.report.is_none() {
-            let (report, reference) = self.explore();
+            let (report, first_quiescent) = self.explore();
+            // What callers read back is one plain execution: the walk's
+            // own nodes are interned, and carry undigested fields
+            // (metrics, caches) from whichever path reached them first.
+            self.reference = first_quiescent.map(|schedule| {
+                let (state, log) = self
+                    .run_plain(&schedule, |_| {})
+                    .expect("a schedule the walk took is enabled step by step");
+                Reference { state, log }
+            });
             self.report = Some(report);
-            self.reference = reference;
         }
         self.report.as_ref().expect("just computed")
     }
 
-    fn explore(&self) -> (CheckReport, Option<Reference>) {
+    /// The walk. Returns the verdict and the first quiescent schedule
+    /// the DFS completed, if any.
+    fn explore(&self) -> (CheckReport, Option<Vec<TraceStep>>) {
         let plan = self.config.fault_plan;
         let mut report = CheckReport::default();
-        let mut reference: Option<Reference> = None;
-        let mut seen: HashSet<u64> = HashSet::new();
+        let mut first_quiescent: Option<Vec<TraceStep>> = None;
+        let mut seen = SeenSet::new();
+        let mut table = NodeTable::default();
 
-        // Engine events and the transport counter are path-local history,
-        // not state: one shared log grows on apply and is truncated on
-        // backtrack, instead of being cloned into every stored state.
-        let mut log = StepLog::default();
-        let root = self.root_state(&mut log);
+        let root = self.root_state(&mut StepLog::default());
         seen.insert(root.digest());
         report.distinct_states = 1;
         let quiescent = root.quiescent();
@@ -239,25 +296,23 @@ impl ModelCheckedRuntime {
         }
         if quiescent {
             report.quiescent_states = 1;
-            reference = Some(Reference {
-                nodes: root.share_nodes(),
-                events: log.events.clone(),
-                sent: log.sent,
-            });
+            first_quiescent = Some(Vec::new());
         }
         let mut stack = vec![Frame {
             choices: root.enabled(&plan),
             state: root,
             step: None,
             next: 0,
-            events_mark: 0,
-            sent_mark: 0,
         }];
+        // The schedule from the root through `last`, the step just
+        // applied on top of `stack`.
+        let path = |stack: &[Frame], last: &TraceStep| -> Vec<TraceStep> {
+            let taken = stack.iter().filter_map(|f| f.step.clone());
+            taken.chain([last.clone()]).collect()
+        };
 
         'dfs: while let Some(frame) = stack.last_mut() {
             if frame.next >= frame.choices.len() {
-                log.events.truncate(frame.events_mark);
-                log.sent = frame.sent_mark;
                 stack.pop();
                 continue;
             }
@@ -267,44 +322,31 @@ impl ModelCheckedRuntime {
             }
             let choice = frame.choices[frame.next];
             frame.next += 1;
-            let events_mark = log.events.len();
-            let sent_mark = log.sent;
             let mut state = frame.state.clone();
-            let step = state.apply(choice, self.tap.as_ref(), &mut log);
+            let step = state.apply(choice, self.tap.as_ref(), &mut Stepper::Walk(&mut table));
             report.states_explored += 1;
             if !seen.insert(state.digest()) {
-                log.events.truncate(events_mark);
-                log.sent = sent_mark;
                 continue; // converged with an already-explored state
             }
             report.distinct_states += 1;
             let quiescent = state.quiescent();
             if let Err(violation) = Self::check_state(&state, quiescent, &self.config.invariants) {
-                let mut schedule: Vec<TraceStep> =
-                    stack.iter().filter_map(|f| f.step.clone()).collect();
-                schedule.push(step);
                 report.counterexample = Some(Counterexample {
                     violation,
-                    schedule,
+                    schedule: path(&stack, &step),
                     states_explored: report.states_explored,
                 });
                 break 'dfs;
             }
             if quiescent {
                 report.quiescent_states += 1;
-                if reference.is_none() {
-                    reference = Some(Reference {
-                        nodes: state.share_nodes(),
-                        events: log.events.clone(),
-                        sent: log.sent,
-                    });
+                if first_quiescent.is_none() {
+                    first_quiescent = Some(path(&stack, &step));
                 }
             }
             if stack.len() >= self.config.max_depth {
                 // This schedule is cut short; siblings still explore.
                 report.budget_exhausted = true;
-                log.events.truncate(events_mark);
-                log.sent = sent_mark;
                 continue;
             }
             report.max_depth_reached = report.max_depth_reached.max(stack.len());
@@ -313,11 +355,30 @@ impl ModelCheckedRuntime {
                 state,
                 step: Some(step),
                 next: 0,
-                events_mark,
-                sent_mark,
             });
         }
-        (report, reference)
+        report.node_states = table.node_states();
+        report.engine_calls = table.engine_calls();
+        (report, first_quiescent)
+    }
+
+    /// Executes `schedule` from the root with no table — every callback
+    /// runs on this path's own nodes — showing `visit` each state reached.
+    fn run_plain(
+        &self,
+        schedule: &[TraceStep],
+        mut visit: impl FnMut(&McState),
+    ) -> Result<(McState, StepLog), String> {
+        let mut log = StepLog::default();
+        let mut state = self.root_state(&mut log);
+        for (i, step) in schedule.iter().enumerate() {
+            let choice = self
+                .choice_for(&state, step)
+                .ok_or_else(|| format!("step {}: `{step}` is not enabled here", i + 1))?;
+            state.apply(choice, self.tap.as_ref(), &mut Stepper::Plain(&mut log));
+            visit(&state);
+        }
+        Ok((state, log))
     }
 
     /// Deterministically re-executes `schedule` (typically a
@@ -327,18 +388,13 @@ impl ModelCheckedRuntime {
     /// schedule the explorer produced always matches. Errors describe the
     /// first step that does not correspond to an enabled transition.
     pub fn replay(&self, schedule: &[TraceStep]) -> Result<Replay, String> {
-        let mut log = StepLog::default();
-        let mut state = self.root_state(&mut log);
         let mut violation = None;
-        for (i, step) in schedule.iter().enumerate() {
-            let choice = Self::choice_for(&state, step)
-                .ok_or_else(|| format!("step {}: `{step}` is not enabled here", i + 1))?;
-            state.apply(choice, self.tap.as_ref(), &mut log);
+        let (_, log) = self.run_plain(schedule, |state| {
             if violation.is_none() {
                 violation =
-                    Self::check_state(&state, state.quiescent(), &self.config.invariants).err();
+                    Self::check_state(state, state.quiescent(), &self.config.invariants).err();
             }
-        }
+        })?;
         Ok(Replay {
             events: log.events,
             violation,
@@ -346,7 +402,7 @@ impl ModelCheckedRuntime {
     }
 
     /// Maps a trace step back onto an enabled [`Choice`] of `state`.
-    fn choice_for(state: &McState, step: &TraceStep) -> Option<Choice> {
+    fn choice_for(&self, state: &McState, step: &TraceStep) -> Option<Choice> {
         let find = |from: Pid, to: Pid, digest: u64| {
             state
                 .in_flight
@@ -363,17 +419,15 @@ impl ModelCheckedRuntime {
             TraceStep::Duplicate { from, to, msg } => {
                 find(*from, *to, digest_of(&**msg)).map(Choice::Duplicate)
             }
-            TraceStep::Fire { node, .. } => state
-                .timers
-                .get(node)
-                .filter(|q| !q.is_empty())
-                .map(|_| Choice::Fire(*node)),
+            TraceStep::Fire { node, .. } => state.has_timer(*node).then_some(Choice::Fire(*node)),
             TraceStep::Crash { node } => state
                 .node(*node)
                 .filter(|n| n.organizer().is_none() && n.provider().is_some())
                 .map(|_| Choice::Crash(*node)),
             TraceStep::Partition { mask } => {
-                (!state.partitioned()).then_some(Choice::Partition(*mask))
+                let budget = self.config.fault_plan.max_partitions;
+                (!state.partitioned() && state.partitions_used < budget)
+                    .then_some(Choice::Partition(*mask))
             }
             TraceStep::Heal => state.partitioned().then_some(Choice::Heal),
         }
@@ -393,7 +447,7 @@ impl Runtime for ModelCheckedRuntime {
 
     fn add_node(&mut self, node: CoalitionNode) -> Result<(), RuntimeError> {
         let id = node.id();
-        if self.initial.contains_node(id) {
+        if self.initial.node(id).is_some() {
             return Err(RuntimeError::DuplicateNode(id));
         }
         self.initial.insert_node(node);
@@ -415,7 +469,7 @@ impl Runtime for ModelCheckedRuntime {
     }
 
     fn schedule_dissolve(&mut self, nego: NegoId, at: SimTime) -> Result<(), RuntimeError> {
-        if !self.initial.contains_node(nego.organizer) {
+        if self.initial.node(nego.organizer).is_none() {
             return Err(RuntimeError::UnknownNode(nego.organizer));
         }
         self.initial
@@ -440,17 +494,15 @@ impl Runtime for ModelCheckedRuntime {
     }
 
     fn events(&self) -> &[LoggedEvent] {
-        self.reference.as_ref().map_or(&[], |r| r.events.as_slice())
+        self.reference.as_ref().map_or(&[], |r| &r.log.events)
     }
 
     fn messages_sent(&self) -> u64 {
-        self.reference.as_ref().map_or(0, |r| r.sent)
+        self.reference.as_ref().map_or(0, |r| r.log.sent)
     }
 
     fn node(&self, id: Pid) -> Option<&CoalitionNode> {
-        match &self.reference {
-            Some(r) => r.nodes.get(&id).map(|n| &**n),
-            None => self.initial.node(id),
-        }
+        let state = self.reference.as_ref().map_or(&self.initial, |r| &r.state);
+        state.node(id)
     }
 }

@@ -31,19 +31,43 @@
 //!   enabled timer event for that node; timers of *different* nodes
 //!   interleave freely.
 //!
-//! Two representation decisions keep a million-state search affordable:
-//! nodes are held behind [`Arc`] so cloning a state is a handful of
-//! refcount bumps and only the node an event actually touches is
-//! deep-copied (copy-on-write), and each node's digest is cached beside
-//! it so hashing a state re-hashes one mutated engine, not all of them.
+//! Two representation decisions keep a million-state search affordable,
+//! both resting on the one assumption the dedup set already makes
+//! (`qosc_core::snapshot`: equal digest ⇒ identical future behaviour):
+//!
+//! * **Node states are interned, node transitions memoized.** A walk
+//!   reaches millions of system states but only a few hundred distinct
+//!   *node* states, so every engine call goes through
+//!   [`McState::step_node`], which in a walk consults a [`NodeTable`]:
+//!   one shared [`Arc`] per distinct node digest, and one stored
+//!   [`Transition`] — successor, its digest, the messages and timers it
+//!   emitted with the [`ActionTap`] applied and every payload digested —
+//!   per `(node digest, local clock, stimulus)`. A hit is two field
+//!   writes and a replay of the stored effects; only a miss clones a
+//!   node, runs a callback and digests the result. Nothing about the
+//!   *system* state is cached: every successor is still digested,
+//!   deduplicated and put through every invariant.
+//! * **A state is three flat vectors.** Nodes with their cached digest
+//!   and clock sit in one id-ordered `Vec`, timers in one `Vec` ordered
+//!   by `(node, deadline, arming order)`, in-flight messages in arrival
+//!   order, so the clone every transition starts with is three `memcpy`s
+//!   and a handful of refcount bumps.
+//!
+//! An interned node also carries the fields no digest covers (metrics,
+//! formulator caches, raw hold ids) as left by whichever path reached
+//! that state first. They cannot change behaviour, but a caller can read
+//! them, so everything a caller reads — `replay`, the root state and the
+//! reference path behind `Runtime::{events, node, messages_sent}` — is
+//! stepped [`Stepper::Plain`]: same `step_node`, no table, every
+//! callback run on the path's own nodes.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 use qosc_core::runtime::NodeEngine;
-use qosc_core::snapshot::{digest_of, StableHasher, StateDigest};
+use qosc_core::snapshot::{digest_of, StableHasher};
 use qosc_core::{decode_timer, Action, CoalitionNode, LoggedEvent, Msg, Pid};
-use qosc_netsim::{FaultPlan, SimTime};
+use qosc_netsim::{FaultPlan, SimDuration, SimTime};
 
 use crate::trace::TraceStep;
 
@@ -53,9 +77,10 @@ use crate::trace::TraceStep;
 /// catch with a counterexample.
 pub type ActionTap = Arc<dyn Fn(Pid, &mut Vec<Action>)>;
 
-/// One undelivered message. `digest` is precomputed at enqueue: it keys
-/// both state hashing and the canonical-choice dedup (two identical
-/// in-flight copies yield one delivery branch, not two).
+/// One undelivered message. `digest` is computed once, when the engine
+/// call that sent it is first executed: it keys state hashing, the memo
+/// and the canonical-choice dedup (two identical in-flight copies yield
+/// one delivery branch, not two).
 #[derive(Clone)]
 pub(crate) struct InFlight {
     pub from: Pid,
@@ -66,8 +91,9 @@ pub(crate) struct InFlight {
 
 /// One armed timer. `seq` breaks deadline ties in arming order, exactly
 /// like the DES and Direct backends' `(time, sequence)` total order.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) struct PendingTimer {
+    pub node: Pid,
     pub fire_at: SimTime,
     pub seq: u64,
     pub token: u64,
@@ -82,113 +108,176 @@ pub(crate) enum Choice {
     Duplicate(usize),
     Fire(Pid),
     Crash(Pid),
-    /// Split the network: bit `i` of the mask names node `i`'s side.
+    /// Split the network: bit `i` of the mask names the side of the node
+    /// of rank `i` in id order.
     Partition(u64),
     /// Restore all links.
     Heal,
 }
 
-/// Everything an applied transition produced besides the state change:
-/// the engine-reported events and how many messages hit the transport.
-/// Kept out of [`McState`] so history is tracked per DFS *path* (append
-/// on apply, truncate on backtrack) instead of being cloned into every
-/// one of the million states it cannot influence.
+/// What a plainly stepped path produced besides the state change: the
+/// engine-reported events and how many messages hit the transport.
+/// History cannot influence behaviour, so the walk itself keeps none.
 #[derive(Default)]
 pub(crate) struct StepLog {
     pub events: Vec<LoggedEvent>,
     pub sent: u64,
 }
 
-/// One vertex of the interleaving graph.
+/// What an engine call is a response to; with the node's digest and
+/// local clock, everything its outcome depends on.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Stimulus {
+    Start,
+    Message { from: Pid, digest: u64 },
+    Timer { token: u64 },
+    Crash,
+}
+
+/// The outcome of one engine call: the node it leaves behind and what it
+/// asks of the transport, broadcasts expanded and inert sends elided.
+struct Transition {
+    node: Arc<CoalitionNode>,
+    digest: u64,
+    sends: Vec<InFlight>,
+    timers: Vec<(SimDuration, u64)>,
+}
+
+/// One walk's node states and node transitions (see the module docs).
+/// Lives and dies inside one exploration, so a tap or scenario change
+/// between two checks can never meet the other's entries.
+#[derive(Default)]
+pub(crate) struct NodeTable {
+    nodes: HashMap<u64, Arc<CoalitionNode>>,
+    memo: HashMap<(u64, SimTime, Stimulus), Transition>,
+}
+
+impl NodeTable {
+    /// Distinct node states interned (successors only: the root's nodes
+    /// are stepped before the walk starts).
+    pub fn node_states(&self) -> u64 {
+        self.nodes.len() as u64
+    }
+
+    /// Engine callbacks actually executed, i.e. memo misses.
+    pub fn engine_calls(&self) -> u64 {
+        self.memo.len() as u64
+    }
+}
+
+/// How [`McState::step_node`] obtains a transition.
+pub(crate) enum Stepper<'a> {
+    /// The exhaustive walk: look the transition up, compute on a miss.
+    Walk(&'a mut NodeTable),
+    /// Root, replay and reference path: run every callback, keep history.
+    Plain(&'a mut StepLog),
+}
+
+/// One node of a state: the shared engines, their cached digest, and
+/// the node's virtual clock.
 #[derive(Clone)]
+struct Slot {
+    pid: Pid,
+    node: Arc<CoalitionNode>,
+    digest: u64,
+    clock: SimTime,
+}
+
+/// One vertex of the interleaving graph.
+#[derive(Clone, Default)]
 pub(crate) struct McState {
-    nodes: BTreeMap<Pid, Arc<CoalitionNode>>,
-    /// Cached digest of each node in `nodes`, maintained by every
-    /// mutation path (`with_node_mut`).
-    node_digests: BTreeMap<Pid, u64>,
-    pub clocks: BTreeMap<Pid, SimTime>,
+    /// Ordered by `pid`; a node's index here is its *rank*.
+    slots: Vec<Slot>,
+    /// In arrival order, which fixes the [`Choice`] indices.
     pub in_flight: Vec<InFlight>,
-    pub timers: BTreeMap<Pid, Vec<PendingTimer>>,
+    /// Ordered by `(node, fire_at, seq)`: each node's firing order.
+    timers: Vec<PendingTimer>,
     pub drops_used: u32,
     pub duplicates_used: u32,
     pub crashes_used: u32,
-    /// Active cut, if any: bit `i` names node `i`'s side. `None` when
-    /// the network is whole.
+    /// Active cut, if any: bit `i` names the side of the node of rank
+    /// `i`. `None` when the network is whole.
     pub partition: Option<u64>,
     pub partitions_used: u32,
     next_timer_seq: u64,
 }
 
-fn digest_node(node: &CoalitionNode) -> u64 {
-    let mut h = StableHasher::new();
-    node.digest(&mut h);
-    h.finish()
+/// A message `node` provably ignores: routing in
+/// `CoalitionNode::on_message` is static by message kind (CFP / Award /
+/// Release / LeaseRenew go to the provider engine, the rest to the
+/// organizer), so a message addressed to a node without the matching
+/// engine is a no-op on every schedule. Eliding it at send time removes
+/// an interleaving dimension — every reachable engine state is
+/// unchanged, but e.g. a CFP broadcast no longer parks a dead letter at
+/// each organizer-only node, doubling the frontier until it drains.
+fn is_inert(node: &CoalitionNode, msg: &Msg) -> bool {
+    match msg {
+        Msg::CallForProposals { .. }
+        | Msg::Award { .. }
+        | Msg::Release { .. }
+        | Msg::LeaseRenew { .. } => node.provider().is_none(),
+        Msg::Proposal { .. } | Msg::Accept { .. } | Msg::Decline { .. } | Msg::Heartbeat { .. } => {
+            node.organizer().is_none()
+        }
+    }
 }
 
 impl McState {
-    pub fn new() -> Self {
-        Self {
-            nodes: BTreeMap::new(),
-            node_digests: BTreeMap::new(),
-            clocks: BTreeMap::new(),
-            in_flight: Vec::new(),
-            timers: BTreeMap::new(),
-            drops_used: 0,
-            duplicates_used: 0,
-            crashes_used: 0,
-            partition: None,
-            partitions_used: 0,
-            next_timer_seq: 0,
-        }
-    }
-
     /// True while a partition choice is in effect (cleared by heal).
     pub fn partitioned(&self) -> bool {
         self.partition.is_some()
     }
 
+    fn rank(&self, pid: Pid) -> Option<usize> {
+        self.slots.binary_search_by_key(&pid, |s| s.pid).ok()
+    }
+
     /// True iff the active cut (if any) separates `a` from `b`.
     fn cuts(&self, a: Pid, b: Pid) -> bool {
-        self.partition.is_some_and(|m| (m >> a) & 1 != (m >> b) & 1)
+        let side = |m: u64, pid| self.rank(pid).map(|rank| (m >> rank) & 1);
+        self.partition.is_some_and(|m| side(m, a) != side(m, b))
     }
 
     pub fn insert_node(&mut self, node: CoalitionNode) {
         let pid = NodeEngine::id(&node);
-        self.node_digests.insert(pid, digest_node(&node));
-        self.clocks.insert(pid, SimTime::ZERO);
-        self.nodes.insert(pid, Arc::new(node));
+        let rank = self.slots.partition_point(|s| s.pid < pid);
+        let slot = Slot {
+            pid,
+            digest: digest_of(&node),
+            node: Arc::new(node),
+            clock: SimTime::ZERO,
+        };
+        self.slots.insert(rank, slot);
     }
 
-    pub fn contains_node(&self, pid: Pid) -> bool {
-        self.nodes.contains_key(&pid)
+    pub fn node_count(&self) -> usize {
+        self.slots.len()
     }
 
     pub fn node(&self, pid: Pid) -> Option<&CoalitionNode> {
-        self.nodes.get(&pid).map(|n| &**n)
+        self.rank(pid).map(|rank| &*self.slots[rank].node)
     }
 
     pub fn nodes(&self) -> impl Iterator<Item = &CoalitionNode> {
-        self.nodes.values().map(|n| &**n)
+        self.slots.iter().map(|s| &*s.node)
     }
 
     pub fn node_ids(&self) -> Vec<Pid> {
-        self.nodes.keys().copied().collect()
+        self.slots.iter().map(|s| s.pid).collect()
     }
 
-    pub fn share_nodes(&self) -> BTreeMap<Pid, Arc<CoalitionNode>> {
-        self.nodes.clone()
-    }
-
-    /// Mutates one node copy-on-write and refreshes its cached digest.
+    /// Mutates one node in place and refreshes its cached digest.
+    /// Scenario set-up only: once exploration starts, engines change
+    /// through [`McState::step_node`] alone.
     pub fn with_node_mut<R>(
         &mut self,
         pid: Pid,
         f: impl FnOnce(&mut CoalitionNode) -> R,
     ) -> Option<R> {
-        let arc = self.nodes.get_mut(&pid)?;
-        let node = Arc::make_mut(arc);
-        let out = f(node);
-        self.node_digests.insert(pid, digest_node(node));
+        let rank = self.rank(pid)?;
+        let slot = &mut self.slots[rank];
+        let out = f(Arc::make_mut(&mut slot.node));
+        slot.digest = digest_of(&*slot.node);
         Some(out)
     }
 
@@ -197,14 +286,21 @@ impl McState {
     pub fn arm_timer_at(&mut self, node: Pid, fire_at: SimTime, token: u64) {
         let seq = self.next_timer_seq;
         self.next_timer_seq += 1;
-        let queue = self.timers.entry(node).or_default();
-        let t = PendingTimer {
+        let idx = self
+            .timers
+            .partition_point(|q| (q.node, q.fire_at, q.seq) <= (node, fire_at, seq));
+        let timer = PendingTimer {
+            node,
             fire_at,
             seq,
             token,
         };
-        let idx = queue.partition_point(|q| (q.fire_at, q.seq) <= (t.fire_at, t.seq));
-        queue.insert(idx, t);
+        self.timers.insert(idx, timer);
+    }
+
+    /// True iff `node` has a timer armed.
+    pub fn has_timer(&self, node: Pid) -> bool {
+        self.timers.iter().any(|t| t.node == node)
     }
 
     /// No messages to deliver and no timers to fire: the protocol can
@@ -213,42 +309,48 @@ impl McState {
     /// quiescence mid-partition would let the liveness invariant judge
     /// negotiations whose messages are merely blocked, not lost.
     pub fn quiescent(&self) -> bool {
-        self.partition.is_none()
-            && self.in_flight.is_empty()
-            && self.timers.values().all(|q| q.is_empty())
+        self.partition.is_none() && self.in_flight.is_empty() && self.timers.is_empty()
     }
 
     /// Canonical 64-bit digest for the dedup set. Node digests come from
     /// the per-node cache; the in-flight list is hashed as a sorted
     /// multiset (arrival order of undelivered messages is not
-    /// observable); timer queues are hashed in firing order; the
-    /// path-local event log lives outside the state entirely (history
-    /// does not constrain future behaviour).
+    /// observable); each node's timer queue is hashed in firing order;
+    /// history lives outside the state entirely (it does not constrain
+    /// future behaviour).
     pub fn digest(&self) -> u64 {
         let mut h = StableHasher::new();
-        h.write_usize(self.nodes.len());
-        for (pid, d) in &self.node_digests {
-            h.write_u64(*pid as u64);
-            h.write_u64(*d);
+        h.write_usize(self.slots.len());
+        for slot in &self.slots {
+            h.write_u64(slot.pid as u64);
+            h.write_u64(slot.digest);
         }
-        for (pid, clock) in &self.clocks {
-            h.write_u64(*pid as u64);
-            h.write_u64(clock.0);
+        for slot in &self.slots {
+            h.write_u64(slot.pid as u64);
+            h.write_u64(slot.clock.0);
         }
-        let mut msgs: Vec<(Pid, Pid, u64)> = self
-            .in_flight
-            .iter()
-            .map(|m| (m.from, m.to, m.digest))
-            .collect();
+        // Sorted on the stack: a round rarely has more than a handful of
+        // messages in flight at once.
+        let (mut stack, mut heap) = ([(0, 0, 0); 16], Vec::new());
+        let msgs: &mut [(Pid, Pid, u64)] = match stack.get_mut(..self.in_flight.len()) {
+            Some(buf) => buf,
+            None => {
+                heap.resize(self.in_flight.len(), (0, 0, 0));
+                &mut heap
+            }
+        };
+        for (key, m) in msgs.iter_mut().zip(&self.in_flight) {
+            *key = (m.from, m.to, m.digest);
+        }
         msgs.sort_unstable();
         h.write_usize(msgs.len());
         for (from, to, d) in msgs {
-            h.write_u64(from as u64);
-            h.write_u64(to as u64);
-            h.write_u64(d);
+            h.write_u64(*from as u64);
+            h.write_u64(*to as u64);
+            h.write_u64(*d);
         }
-        for (pid, queue) in &self.timers {
-            h.write_u64(*pid as u64);
+        for queue in self.timers.chunk_by(|a, b| a.node == b.node) {
+            h.write_u64(queue[0].node as u64);
             h.write_usize(queue.len());
             for t in queue {
                 h.write_u64(t.fire_at.0);
@@ -269,13 +371,13 @@ impl McState {
     /// remaining fault budgets. Deterministic: iteration follows the
     /// in-flight list and the node id order.
     pub fn enabled(&self, plan: &FaultPlan) -> Vec<Choice> {
-        let mut choices = Vec::new();
-        let mut seen: HashSet<(Pid, Pid, u64)> = HashSet::new();
+        let mut choices = Vec::with_capacity(3 * self.in_flight.len() + self.slots.len() + 1);
         for (i, m) in self.in_flight.iter().enumerate() {
             if self.cuts(m.from, m.to) {
                 continue; // blocked behind the cut until a heal
             }
-            if !seen.insert((m.from, m.to, m.digest)) {
+            let same = |e: &InFlight| (e.from, e.to, e.digest) == (m.from, m.to, m.digest);
+            if self.in_flight[..i].iter().any(same) {
                 continue; // identical copy: same successor states
             }
             choices.push(Choice::Deliver(i));
@@ -286,41 +388,29 @@ impl McState {
                 choices.push(Choice::Duplicate(i));
             }
         }
-        for (pid, queue) in &self.timers {
-            if !queue.is_empty() {
-                choices.push(Choice::Fire(*pid));
-            }
+        for queue in self.timers.chunk_by(|a, b| a.node == b.node) {
+            choices.push(Choice::Fire(queue[0].node));
         }
         if self.crashes_used < plan.max_crash_restarts {
-            for (pid, node) in &self.nodes {
+            for slot in &self.slots {
                 // Crash-restart models a provider process bounce; nodes
                 // hosting an organizer are out of scope (the engine has no
                 // organizer recovery story to model).
-                if node.organizer().is_none() && node.provider().is_some() {
-                    choices.push(Choice::Crash(*pid));
+                if slot.node.organizer().is_none() && slot.node.provider().is_some() {
+                    choices.push(Choice::Crash(slot.pid));
                 }
             }
         }
         match self.partition {
             Some(_) => choices.push(Choice::Heal),
-            None if self.partitions_used < plan.max_partitions && self.nodes.len() >= 2 => {
-                // Every canonical bisection: the lowest pid is pinned to
-                // group 0 (bit unset), the remaining nodes enumerate both
-                // sides, and `sel` starting at 1 keeps group 1 nonempty —
-                // so each unordered {A, B} split appears exactly once.
-                let ids = self.node_ids();
-                debug_assert!(
-                    ids.iter().all(|p| *p < 64),
-                    "partition masks address nodes by bit index"
-                );
-                for sel in 1..(1u64 << (ids.len() - 1)) {
-                    let mut mask = 0u64;
-                    for (bit, pid) in ids[1..].iter().enumerate() {
-                        if (sel >> bit) & 1 == 1 {
-                            mask |= 1 << pid;
-                        }
-                    }
-                    choices.push(Choice::Partition(mask));
+            None if self.partitions_used < plan.max_partitions && self.slots.len() >= 2 => {
+                // Every canonical bisection: the lowest pid (rank 0) is
+                // pinned to group 0 (bit unset), the remaining ranks
+                // enumerate both sides, and `sel` starting at 1 keeps
+                // group 1 nonempty — so each unordered {A, B} split
+                // appears exactly once.
+                for sel in 1..(1u64 << (self.slots.len() - 1)) {
+                    choices.push(Choice::Partition(sel << 1));
                 }
             }
             None => {}
@@ -328,20 +418,19 @@ impl McState {
         choices
     }
 
-    /// Applies one transition in place, appending engine events and the
-    /// sent-message count to `log`, and returns the trace step that
+    /// Applies one transition in place and returns the trace step that
     /// describes it. Choices must come from [`McState::enabled`] on this
     /// exact state.
     pub fn apply(
         &mut self,
         choice: Choice,
         tap: Option<&ActionTap>,
-        log: &mut StepLog,
+        stepper: &mut Stepper<'_>,
     ) -> TraceStep {
         match choice {
             Choice::Deliver(i) => {
                 let m = self.in_flight.remove(i);
-                self.deliver(&m, tap, log);
+                self.deliver(&m, tap, stepper);
                 TraceStep::Deliver {
                     from: m.from,
                     to: m.to,
@@ -361,11 +450,10 @@ impl McState {
                 // Deliver one copy now, leave a second in flight: the
                 // duplicate's own delivery point is explored on later
                 // transitions, covering "duplicate arrives late" too.
-                let m = self.in_flight[i].clone();
+                let m = self.in_flight.remove(i);
                 self.duplicates_used += 1;
-                self.in_flight.remove(i);
                 self.in_flight.push(m.clone());
-                self.deliver(&m, tap, log);
+                self.deliver(&m, tap, stepper);
                 TraceStep::Duplicate {
                     from: m.from,
                     to: m.to,
@@ -373,31 +461,21 @@ impl McState {
                 }
             }
             Choice::Fire(pid) => {
-                let timer = {
-                    let queue = self.timers.entry(pid).or_default();
-                    let t = queue.remove(0);
-                    if queue.is_empty() {
-                        self.timers.remove(&pid);
-                    }
-                    t
-                };
+                let next = self.timers.iter().position(|t| t.node == pid);
+                let timer = self.timers.remove(next.expect("Fire needs an armed timer"));
                 // The local clock jumps to the deadline (never backwards:
                 // an earlier-armed later-deadline timer cannot have fired
                 // yet by the in-order rule).
-                let clock = self.clocks.entry(pid).or_default();
-                *clock = (*clock).max(timer.fire_at);
-                let now = *clock;
-                let actions = match decode_timer(timer.token) {
-                    Some((nego, kind)) => self
-                        .with_node_mut(pid, |n| n.on_timer(now, nego, kind))
-                        .unwrap_or_default(),
-                    None => Vec::new(),
-                };
-                self.apply_actions(pid, now, actions, tap, log);
+                if let Some(rank) = self.rank(pid) {
+                    let clock = &mut self.slots[rank].clock;
+                    *clock = (*clock).max(timer.fire_at);
+                }
+                let token = timer.token;
+                self.step_node(pid, Stimulus::Timer { token }, None, tap, stepper);
                 TraceStep::Fire {
                     node: pid,
                     fire_at: timer.fire_at,
-                    token: timer.token,
+                    token,
                 }
             }
             Choice::Partition(mask) => {
@@ -411,98 +489,220 @@ impl McState {
             }
             Choice::Crash(pid) => {
                 self.crashes_used += 1;
-                self.with_node_mut(pid, |n| {
-                    if let Some(p) = n.provider_mut() {
-                        p.crash_restart();
-                    }
-                });
+                self.step_node(pid, Stimulus::Crash, None, tap, stepper);
                 // A restarted process has lost its armed timers.
-                self.timers.remove(&pid);
+                self.timers.retain(|t| t.node != pid);
                 TraceStep::Crash { node: pid }
             }
         }
     }
 
-    fn deliver(&mut self, m: &InFlight, tap: Option<&ActionTap>, log: &mut StepLog) {
-        let now = self.clocks.get(&m.to).copied().unwrap_or(SimTime::ZERO);
-        let actions = self
-            .with_node_mut(m.to, |n| n.on_message(now, m.from, &m.msg))
-            .unwrap_or_default();
-        self.apply_actions(m.to, now, actions, tap, log);
-    }
-
-    /// A delivery the receiving node provably ignores: message routing in
-    /// `CoalitionNode::on_message` is static by message kind (CFP / Award /
-    /// Release go to the provider engine, the rest to the organizer), so a
-    /// message addressed to a node without the matching engine is a no-op
-    /// on every schedule. Eliding it at send time removes an interleaving
-    /// dimension — every reachable engine state is unchanged, but e.g. a
-    /// CFP broadcast no longer parks a dead letter at each organizer-only
-    /// node, doubling the frontier until it drains.
-    fn is_inert(&self, to: Pid, msg: &Msg) -> bool {
-        let Some(node) = self.nodes.get(&to) else {
-            return true;
+    fn deliver(&mut self, m: &InFlight, tap: Option<&ActionTap>, stepper: &mut Stepper<'_>) {
+        let stimulus = Stimulus::Message {
+            from: m.from,
+            digest: m.digest,
         };
-        match msg {
-            Msg::CallForProposals { .. }
-            | Msg::Award { .. }
-            | Msg::Release { .. }
-            | Msg::LeaseRenew { .. } => node.provider().is_none(),
-            Msg::Proposal { .. }
-            | Msg::Accept { .. }
-            | Msg::Decline { .. }
-            | Msg::Heartbeat { .. } => node.organizer().is_none(),
-        }
+        self.step_node(m.to, stimulus, Some(&m.msg), tap, stepper);
     }
 
-    fn enqueue(&mut self, from: Pid, to: Pid, msg: Arc<Msg>) {
-        if self.is_inert(to, &msg) {
-            return;
-        }
-        let digest = digest_of(&*msg);
-        self.in_flight.push(InFlight {
-            from,
-            to,
-            msg,
-            digest,
-        });
-    }
-
-    /// Executes an engine's action batch at local time `now` on node `at`.
-    pub fn apply_actions(
+    /// The one way a node is stepped: hands `stimulus` (with its payload,
+    /// for a message) to node `pid` at its local clock and executes what
+    /// the engines ask for — through the table in a walk, by running the
+    /// callback otherwise.
+    pub fn step_node(
         &mut self,
-        at: Pid,
-        now: SimTime,
-        mut actions: Vec<Action>,
+        pid: Pid,
+        stimulus: Stimulus,
+        msg: Option<&Msg>,
         tap: Option<&ActionTap>,
-        log: &mut StepLog,
+        stepper: &mut Stepper<'_>,
     ) {
-        if let Some(tap) = tap {
-            tap(at, &mut actions);
+        let Some(rank) = self.rank(pid) else {
+            return;
+        };
+        let now = self.slots[rank].clock;
+        let computed;
+        let t: &Transition = match stepper {
+            Stepper::Plain(log) => {
+                computed = self.run_engine(rank, stimulus, msg, tap, Some(log));
+                &computed
+            }
+            Stepper::Walk(NodeTable { nodes, memo }) => {
+                match memo.entry((self.slots[rank].digest, now, stimulus)) {
+                    Entry::Occupied(hit) => {
+                        let t = hit.into_mut();
+                        #[cfg(debug_assertions)]
+                        t.assert_agrees(&self.run_engine(rank, stimulus, msg, tap, None));
+                        t
+                    }
+                    Entry::Vacant(miss) => {
+                        let mut t = self.run_engine(rank, stimulus, msg, tap, None);
+                        t.node = Arc::clone(nodes.entry(t.digest).or_insert(t.node));
+                        miss.insert(t)
+                    }
+                }
+            }
+        };
+        let slot = &mut self.slots[rank];
+        slot.node = Arc::clone(&t.node);
+        slot.digest = t.digest;
+        self.in_flight.extend(t.sends.iter().cloned());
+        for &(delay, token) in &t.timers {
+            self.arm_timer_at(pid, now + delay, token);
         }
+    }
+
+    /// Runs the engine callback `stimulus` names on a copy of the node at
+    /// `rank`, applies the tap, and digests the successor and every
+    /// payload. Events and the transport count go to `log` when there is
+    /// one; the state itself is not touched.
+    fn run_engine(
+        &self,
+        rank: usize,
+        stimulus: Stimulus,
+        msg: Option<&Msg>,
+        tap: Option<&ActionTap>,
+        mut log: Option<&mut StepLog>,
+    ) -> Transition {
+        let Slot {
+            pid, node, clock, ..
+        } = &self.slots[rank];
+        let (pid, now) = (*pid, *clock);
+        let mut node = CoalitionNode::clone(node);
+        let mut actions = match (stimulus, msg) {
+            (Stimulus::Start, _) => node.on_start(now),
+            (Stimulus::Message { from, .. }, Some(msg)) => node.on_message(now, from, msg),
+            (Stimulus::Timer { token }, _) => match decode_timer(token) {
+                Some((nego, kind)) => node.on_timer(now, nego, kind),
+                None => Vec::new(),
+            },
+            (Stimulus::Crash, _) => {
+                if let Some(p) = node.provider_mut() {
+                    p.crash_restart();
+                }
+                Vec::new()
+            }
+            (Stimulus::Message { .. }, None) => unreachable!("a delivery carries its payload"),
+        };
+        // A crash is not an action batch: the tap never sees it.
+        if let Some(tap) = tap.filter(|_| stimulus != Stimulus::Crash) {
+            tap(pid, &mut actions);
+        }
+        let mut t = Transition {
+            digest: digest_of(&node),
+            node: Arc::new(node),
+            sends: Vec::new(),
+            timers: Vec::new(),
+        };
+        let mut send = |to: &Slot, msg: &Arc<Msg>, digest: u64| {
+            if !is_inert(&to.node, msg) {
+                t.sends.push(InFlight {
+                    from: pid,
+                    to: to.pid,
+                    msg: Arc::clone(msg),
+                    digest,
+                });
+            }
+        };
         for action in actions {
+            if let (Some(log), Some(_)) = (log.as_deref_mut(), action.payload()) {
+                log.sent += 1;
+            }
             match action {
                 Action::Broadcast(msg) => {
-                    log.sent += 1;
-                    let targets: Vec<Pid> =
-                        self.nodes.keys().copied().filter(|p| *p != at).collect();
-                    for to in targets {
-                        self.enqueue(at, to, Arc::clone(&msg));
+                    let digest = digest_of(&*msg);
+                    for to in self.slots.iter().filter(|s| s.pid != pid) {
+                        send(to, &msg, digest);
                     }
                 }
                 Action::Send { to, msg } => {
-                    log.sent += 1;
-                    self.enqueue(at, to, msg);
+                    if let Some(rank) = self.rank(to) {
+                        send(&self.slots[rank], &msg, digest_of(&*msg));
+                    }
                 }
-                Action::Timer { delay, token } => {
-                    self.arm_timer_at(at, now + delay, token);
+                Action::Timer { delay, token } => t.timers.push((delay, token)),
+                Action::Event(event) => {
+                    if let Some(log) = log.as_deref_mut() {
+                        log.events.push(LoggedEvent {
+                            at: now,
+                            node: pid,
+                            event,
+                        });
+                    }
                 }
-                Action::Event(event) => log.events.push(LoggedEvent {
-                    at: now,
-                    node: at,
-                    event,
-                }),
             }
         }
+        t
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Transition {
+    /// The table's self-check, free where it matters: debug builds (the
+    /// tier-1 suite) recompute every memo hit and require the stored
+    /// transition to match; release builds trust the digest.
+    fn assert_agrees(&self, fresh: &Transition) {
+        let sends = |t: &Transition| -> Vec<(Pid, u64)> {
+            t.sends.iter().map(|m| (m.to, m.digest)).collect()
+        };
+        assert_eq!(self.digest, fresh.digest, "memoized successor diverged");
+        assert_eq!(sends(self), sends(fresh), "memoized sends diverged");
+        assert_eq!(self.timers, fresh.timers, "memoized timers diverged");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qosc_core::{
+        kickoff_token, OrganizerConfig, OrganizerEngine, ProviderConfig, ProviderEngine,
+    };
+    use qosc_resources::{av_demand_model, ResourceVector};
+    use qosc_spec::{catalog, ServiceDef, TaskDef};
+
+    /// Cut masks address nodes by rank in id order, not by raw pid: with
+    /// pids {3, 70} — 70 used to wrap a 64-bit shift — setting bit 1
+    /// isolates node 70, which blocks the CFP 3→70 until the heal.
+    #[test]
+    fn a_cut_between_pids_3_and_70_blocks_the_cfp_until_the_heal() {
+        let spec = catalog::av_spec();
+        let mut provider = ProviderEngine::new(
+            70,
+            ResourceVector::new(400.0, 512.0, 10_000.0, 60.0, 10_000.0),
+            ProviderConfig::for_model_checking(),
+        );
+        provider.register_demand_model(spec.name(), Arc::new(av_demand_model(&spec)));
+        let organizer = OrganizerEngine::new(3, OrganizerConfig::for_model_checking());
+        let mut origin = CoalitionNode::new(3).with_organizer(organizer);
+        let task = TaskDef {
+            name: "sense".into(),
+            spec,
+            request: catalog::surveillance_request(),
+            input_bytes: 50_000,
+            output_bytes: 5_000,
+        };
+        origin.queue_service_at(SimTime::ZERO, ServiceDef::new("svc", vec![task]));
+
+        let mut state = McState::default();
+        state.insert_node(CoalitionNode::new(70).with_provider(provider));
+        state.insert_node(origin);
+        state.arm_timer_at(3, SimTime::ZERO, kickoff_token(3));
+        let plan = FaultPlan::none().with_partitions(1);
+        assert_eq!(
+            state.enabled(&plan),
+            [Choice::Fire(3), Choice::Partition(0b10)]
+        );
+
+        let mut log = StepLog::default();
+        let mut plain = Stepper::Plain(&mut log);
+        state.apply(Choice::Partition(0b10), None, &mut plain);
+        state.apply(Choice::Fire(3), None, &mut plain);
+        let cfp = &state.in_flight[0];
+        assert!(matches!(*cfp.msg, Msg::CallForProposals { .. }));
+        assert_eq!((cfp.from, cfp.to, state.in_flight.len()), (3, 70, 1));
+        // Blocked: only the organizer's deadline and the heal are enabled.
+        assert_eq!(state.enabled(&plan), [Choice::Fire(3), Choice::Heal]);
+        state.apply(Choice::Heal, None, &mut plain);
+        assert_eq!(state.enabled(&plan), [Choice::Deliver(0), Choice::Fire(3)]);
     }
 }

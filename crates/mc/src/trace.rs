@@ -63,7 +63,9 @@ pub enum TraceStep {
     /// The network split in two: nodes whose bit in `mask` differs can
     /// no longer exchange messages until a [`TraceStep::Heal`].
     Partition {
-        /// Bit `i` set ⇔ node `i` is in the second group.
+        /// Bit `i` set ⇔ the node of rank `i` in id order (the `i`-th
+        /// smallest pid, so node `i` itself when pids are `0..n`) is in
+        /// the second group. Ranks, not raw pids: a pid ≥ 64 has no bit.
         mask: u64,
     },
     /// The partition healed: all links restored, blocked in-flight
