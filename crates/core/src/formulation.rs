@@ -56,34 +56,37 @@
 //!   `qosc_resources::LinearDemandModel`); prefixes whose *dependencies*
 //!   fail at full degradation are the one case decided by an actual
 //!   degradation run.
-//! * **Compile caching** — [`Formulator::prepare`] resolves a request and
-//!   compiles its [`PenaltyTable`] once per `(spec, request, demand
-//!   model)` and serves `Arc`s from then on, so repeated CFP rounds for
-//!   the same negotiation (and repeated specs across negotiations) stop
-//!   re-resolving and re-allocating. Entries are keyed by the announced
-//!   handles' content hashes and verified by handle equality (a pointer
-//!   compare for the one instance a world shares) plus the registered
-//!   demand model's identity on every hit, and invalidated by
-//!   [`Formulator::invalidate_spec`] when a provider re-registers a
-//!   demand model.
-//! * **Warm-started degradation** ([`Formulator::formulate_warm`],
-//!   [`Formulator::formulate_shedding_warm`]) — the §5 step *sequence*
-//!   is independent of the admission capacity: the heap orders candidate
-//!   steps purely by penalty-table decreases, and capacity only decides
-//!   where along the sequence the loop stops. A trajectory keyed by the
-//!   bundle's identity records the sequence (with the exact
-//!   floating-point demand accumulations the cold loop would hold) the
-//!   first time a bundle is priced, so every later pricing of the same
-//!   bundle — by any round of any negotiation — replays recorded states
-//!   in O(1) per step — no demand-model evaluation, no heap operations —
-//!   and extends the recording lazily only when a tighter capacity needs
-//!   deeper degradation. Results are bit-identical to the cold path.
+//! * **Bundle plans** ([`BundlePlan`], [`Formulator::plan_for`]) — §4.2
+//!   broadcasts one CFP to every node in range and the §5 step *sequence*
+//!   is independent of the capacity that prices it: the heap orders
+//!   candidate steps purely by penalty-table decreases, and capacity only
+//!   decides where along the sequence the loop stops. So everything a
+//!   bundle costs to price is computed once per *world*, in an immutable
+//!   plan held in a book the world's nodes share: the announcements
+//!   resolved and compiled (one [`PreparedTask`] per distinct `(spec,
+//!   request, demand model)`), the shedding pre-check's dependency split
+//!   and fully-degraded prefix sums, and per prefix — on first probe —
+//!   the complete recorded trajectory (with the exact floating-point
+//!   demand accumulations the cold loop would hold), which every later
+//!   pricing by any node replays as an array walk: no demand-model call,
+//!   no heap. Each trajectory carries its **floor**, the NaN-ignoring
+//!   componentwise minimum of its recorded totals: the admission test
+//!   rejects a total as soon as one component is NaN or exceeds its
+//!   bound, and every recorded total is, per component, NaN or at least
+//!   the floor — so a floor the capacity rejects proves every recorded
+//!   state is rejected, and a node with no room is refused in O(1). The
+//!   argument never compares one state's demand with another's, so it
+//!   needs no monotone demand model, and results are bit-identical to the
+//!   cold path. Entries are keyed by the announced handles' content
+//!   hashes and each demand model's address, verified by handle equality
+//!   plus model identity on every hit (nodes with different models for
+//!   one spec name coexist), and bounded by [`Formulator::WARM_CAP`].
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, RwLock};
 
-use qosc_resources::{AdmissionControl, DemandModel, ResourceVector};
+use qosc_resources::{AdmissionControl, DemandModel, ResourceKind, ResourceVector};
 use qosc_spec::{QosSpec, QualityVector, ResolvedRequest, ServiceRequest};
 
 use crate::evaluation::WeightScheme;
@@ -296,6 +299,8 @@ pub struct PreparedTask {
     table: PenaltyTable,
     /// Spec flat index per requested attribute, in `iter_attrs` order.
     flat_spec: Vec<usize>,
+    /// Ladder length per requested attribute, in `iter_attrs` order.
+    ladder: Vec<usize>,
     /// Demand with every attribute fully degraded, under `demand`.
     full_demand: ResourceVector,
     /// Dependency consistency at full degradation.
@@ -325,7 +330,8 @@ impl PreparedTask {
     ) -> Self {
         let table = PenaltyTable::new(&request, reward);
         let flat_spec = flat_spec_indexes(&spec, &request);
-        let full_levels: Vec<usize> = request.ladder_lengths().iter().map(|l| l - 1).collect();
+        let ladder = request.ladder_lengths();
+        let full_levels: Vec<usize> = ladder.iter().map(|l| l - 1).collect();
         let full_qv = request
             .quality_vector(&spec, &full_levels)
             .expect("full-degradation levels are within ladder bounds");
@@ -337,6 +343,7 @@ impl PreparedTask {
             demand,
             table,
             flat_spec,
+            ladder,
             full_demand,
             full_deps_ok,
         }
@@ -355,6 +362,12 @@ impl PreparedTask {
     /// The demand model this task was compiled against.
     pub fn demand_model(&self) -> &Arc<dyn DemandModel> {
         &self.demand
+    }
+
+    /// Number of levels in each requested attribute's ladder, in
+    /// `iter_attrs` order.
+    pub fn ladder(&self) -> &[usize] {
+        &self.ladder
     }
 
     /// Demand with every attribute fully degraded — the smallest demand
@@ -436,10 +449,10 @@ impl<'a> EngineTask<'a> {
 /// The state one §5 degradation run steps through: per-task levels,
 /// quality vectors, demands and dependency flags, plus the running total
 /// and the count of dependency-violating tasks. The candidate heap lives
-/// outside (a reused scratch for [`degrade`], owned by a [`Trajectory`])
+/// outside (a reused scratch for [`degrade`], a local of [`Trajectory::record`])
 /// and the tasks are handed in per call (`task(i)` views the `i`-th), so
-/// the cold loop and the warm recording are the same arithmetic in the
-/// same order.
+/// the cold loop and the recording are the same arithmetic in the same
+/// order.
 struct Stepper {
     levels: Vec<Vec<usize>>,
     qvs: Vec<QualityVector>,
@@ -609,10 +622,36 @@ fn degrade(
     })
 }
 
-/// Prefix-feasibility shedding over prepared tasks: returns the longest
+/// What [`shed`] reads of a bundle before any degradation runs.
+struct ShedIndex {
+    /// Prefixes `[..c]` with `c ≤ k` are dependency-consistent at full
+    /// degradation; longer ones are not and get the exact (slow) check.
+    k: usize,
+    /// `sums[c]` = Σ fully-degraded demand of `tasks[..c]`, for `c ≤ k`.
+    sums: Vec<ResourceVector>,
+}
+
+impl ShedIndex {
+    fn of<T: std::ops::Deref<Target = PreparedTask>>(tasks: &[T]) -> Self {
+        let k = tasks
+            .iter()
+            .position(|t| !t.full_deps_ok)
+            .unwrap_or(tasks.len());
+        let mut sums = Vec::with_capacity(k + 1);
+        let mut running = ResourceVector::ZERO;
+        sums.push(running);
+        for t in &tasks[..k] {
+            running += t.full_demand;
+            sums.push(running);
+        }
+        Self { k, sums }
+    }
+}
+
+/// Prefix-feasibility shedding over `n` prepared tasks: returns the longest
 /// feasible prefix's length and its formulation, or `None` when not even
 /// a single-task prefix fits. `formulate_prefix(c)` formulates `tasks[..c]`
-/// — a cold [`degrade`] run or a warm [`Trajectory`] replay.
+/// — a cold [`degrade`] run or a [`BundlePlan`]'s recorded trajectory.
 ///
 /// Equivalent to the naive loop "formulate the whole set, drop the last
 /// task on `Infeasible`, repeat" — a prefix is infeasible exactly when
@@ -624,30 +663,17 @@ fn degrade(
 /// full degradation are the one case where early acceptance could still
 /// occur mid-trajectory; those prefixes are decided by a real degradation
 /// run, keeping the outcome identical in all cases.
-fn shed<T: std::ops::Deref<Target = PreparedTask>>(
-    tasks: &[T],
+fn shed(
+    n: usize,
+    index: &ShedIndex,
     admission: &AdmissionControl,
     mut formulate_prefix: impl FnMut(usize) -> Result<Formulated, FormulationError>,
 ) -> Option<(usize, Formulated)> {
-    let n = tasks.len();
-    if n == 0 {
-        return None;
-    }
-    // Prefixes [..c] with c ≤ k are dependency-consistent at full
-    // degradation; longer ones are not and get the exact (slow) check.
-    let k = tasks.iter().position(|t| !t.full_deps_ok).unwrap_or(n);
+    let (k, sums) = (index.k, &index.sums);
     for c in ((k + 1)..=n).rev() {
         if let Ok(f) = formulate_prefix(c) {
             return Some((c, f));
         }
-    }
-    // sums[c] = Σ fully-degraded demand of tasks[..c].
-    let mut sums = Vec::with_capacity(k + 1);
-    let mut running = ResourceVector::ZERO;
-    sums.push(running);
-    for t in &tasks[..k] {
-        running += t.full_demand;
-        sums.push(running);
     }
     // The prefix-sum test and the degradation loop's incrementally
     // maintained total are different floating-point accumulations of the
@@ -689,7 +715,9 @@ fn shed_cold(
     heap: &mut BinaryHeap<Step>,
 ) -> Option<(usize, Formulated)> {
     let engine: Vec<EngineTask<'_>> = tasks.iter().map(|p| EngineTask::of_prepared(p)).collect();
-    shed(tasks, admission, |c| degrade(&engine[..c], admission, heap))
+    shed(tasks.len(), &ShedIndex::of(tasks), admission, |c| {
+        degrade(&engine[..c], admission, heap)
+    })
 }
 
 /// One recorded step of a [`Trajectory`]: which attribute was degraded,
@@ -705,130 +733,91 @@ struct TrajStep {
     deps_bad: usize,
 }
 
-/// A replayable degradation trajectory for one prepared bundle.
+/// The complete degradation trajectory of one bundle prefix, recorded by
+/// the one [`Stepper`] from the all-preferred start to the dry heap.
 ///
 /// [`degrade`]'s step sequence is a function of the penalty tables alone:
 /// the heap orders candidates by reward decrease, never by capacity, so
 /// the admission control only chooses *where along the sequence* the loop
-/// stops — at the first prefix that is dependency-consistent and
-/// schedulable. A trajectory records that sequence once and answers later
-/// formulations of the same bundle by scanning recorded `(total,
-/// deps_bad)` states, extending the recording lazily (from the saved
-/// [`Stepper`]) only when a tighter capacity needs steps nobody has
-/// taken yet. Replay involves no demand-model calls and no heap
-/// operations, and — because the recorded totals are the very
-/// accumulations the cold loop computes — returns results bit-identical
-/// to [`degrade`].
+/// stops — at the first state that is dependency-consistent and
+/// schedulable. Replay scans the recorded `(total, deps_bad)` states with
+/// the same [`acceptable`] test and, because the recorded totals are the
+/// very accumulations the cold loop computes, returns results
+/// bit-identical to [`degrade`].
 struct Trajectory {
-    /// The bundle, by identity: a warm hit requires pointer-equal tasks
-    /// (the `Arc`s also keep the compiled tables alive).
-    tasks: Vec<Arc<PreparedTask>>,
-    /// Initial (all-preferred) per-task demands and their sum.
+    /// Initial (all-preferred) per-task demands, their sum and the count
+    /// of dependency-violating tasks.
     demands0: Vec<ResourceVector>,
     total0: ResourceVector,
     deps_bad0: usize,
-    /// Recorded steps, in degradation order.
+    /// Every step, in degradation order.
     steps: Vec<TrajStep>,
-    /// Live frontier for extending the recording.
-    frontier: Stepper,
-    heap: BinaryHeap<Step>,
+    /// Componentwise minimum of every recorded total (`f64::min` skips a
+    /// NaN, so a component is NaN only when it is NaN in all of them) and
+    /// the minimum `deps_bad`: a capacity that rejects these rejects every
+    /// recorded state.
+    floor: ResourceVector,
+    deps_floor: usize,
 }
 
 impl Trajectory {
-    fn new(tasks: Vec<Arc<PreparedTask>>) -> Self {
+    fn record(tasks: &[Arc<PreparedTask>]) -> Self {
+        let task = |ti: usize| EngineTask::of_prepared(&tasks[ti]);
         let mut heap = BinaryHeap::new();
-        let frontier = Stepper::new(
-            tasks.len(),
-            |ti| EngineTask::of_prepared(&tasks[ti]),
-            &mut heap,
-        );
-        Self {
-            demands0: frontier.demands.clone(),
-            total0: frontier.total,
-            deps_bad0: frontier.deps_bad,
+        let mut state = Stepper::new(tasks.len(), task, &mut heap);
+        let mut t = Self {
+            demands0: state.demands.clone(),
+            total0: state.total,
+            deps_bad0: state.deps_bad,
             steps: Vec::new(),
-            frontier,
-            heap,
-            tasks,
-        }
-    }
-
-    /// Whether this trajectory was recorded for exactly `tasks`.
-    fn matches(&self, tasks: &[Arc<PreparedTask>]) -> bool {
-        self.tasks.len() == tasks.len()
-            && self.tasks.iter().zip(tasks).all(|(a, b)| Arc::ptr_eq(a, b))
-    }
-
-    /// `(total, deps_bad)` after `k` recorded steps.
-    fn state_at(&self, k: usize) -> (ResourceVector, usize) {
-        if k == 0 {
-            (self.total0, self.deps_bad0)
-        } else {
-            let s = &self.steps[k - 1];
-            (s.total, s.deps_bad)
-        }
-    }
-
-    /// Extends the recording by one step of the frontier. Returns `false`
-    /// when the heap is dry (recording complete).
-    fn advance(&mut self) -> bool {
-        let Self {
-            tasks,
-            frontier,
-            heap,
-            ..
-        } = self;
-        let Some((ti, flat)) = frontier.advance(heap, |ti| EngineTask::of_prepared(&tasks[ti]))
-        else {
-            return false;
+            floor: state.total,
+            deps_floor: state.deps_bad,
         };
-        self.steps.push(TrajStep {
-            task: ti as u32,
-            flat: flat as u32,
-            demand: self.frontier.demands[ti],
-            total: self.frontier.total,
-            deps_bad: self.frontier.deps_bad,
-        });
-        true
+        while let Some((ti, flat)) = state.advance(&mut heap, task) {
+            for kind in ResourceKind::ALL {
+                t.floor[kind] = t.floor[kind].min(state.total[kind]);
+            }
+            t.deps_floor = t.deps_floor.min(state.deps_bad);
+            t.steps.push(TrajStep {
+                task: ti as u32,
+                flat: flat as u32,
+                demand: state.demands[ti],
+                total: state.total,
+                deps_bad: state.deps_bad,
+            });
+        }
+        t
     }
 
-    /// Rebuilds the [`Formulated`] the cold loop returns when it stops
-    /// after `k` degradation steps.
-    fn result_at(&self, k: usize) -> Formulated {
-        let mut levels: Vec<Vec<usize>> = self
-            .tasks
-            .iter()
-            .map(|t| vec![0usize; t.request.attr_count()])
-            .collect();
+    /// Whether the floor already proves every recorded state rejected.
+    fn refused(&self, n: usize, admission: &AdmissionControl) -> bool {
+        !acceptable(admission, &self.floor, self.deps_floor, n)
+    }
+
+    /// Walks the recorded states to the first acceptable one — the same
+    /// stopping rule as [`degrade`] — and rebuilds the [`Formulated`] the
+    /// cold loop returns when it stops there.
+    fn walk(
+        &self,
+        tasks: &[Arc<PreparedTask>],
+        admission: &AdmissionControl,
+    ) -> Result<Formulated, FormulationError> {
+        let k = std::iter::once((&self.total0, self.deps_bad0))
+            .chain(self.steps.iter().map(|s| (&s.total, s.deps_bad)))
+            .position(|(total, deps_bad)| acceptable(admission, total, deps_bad, tasks.len()))
+            .ok_or(FormulationError::Infeasible)?;
+        let mut levels: Vec<Vec<usize>> = tasks.iter().map(|t| vec![0; t.ladder.len()]).collect();
         let mut demands = self.demands0.clone();
         for s in &self.steps[..k] {
             levels[s.task as usize][s.flat as usize] += 1;
             demands[s.task as usize] = s.demand;
         }
-        Formulated {
-            reward: total_reward(|ti| EngineTask::of_prepared(&self.tasks[ti]), &levels),
+        Ok(Formulated {
+            reward: total_reward(|ti| EngineTask::of_prepared(&tasks[ti]), &levels),
             levels,
             demands,
             degradations: k as u32,
-        }
-    }
-
-    /// Walks recorded prefixes (extending on demand) to the first
-    /// acceptable one — the same stopping rule as [`degrade`], evaluated
-    /// over recorded states.
-    fn formulate(&mut self, admission: &AdmissionControl) -> Result<Formulated, FormulationError> {
-        let n = self.tasks.len();
-        let mut k = 0usize;
-        loop {
-            let (total, deps_bad) = self.state_at(k);
-            if acceptable(admission, &total, deps_bad, n) {
-                return Ok(self.result_at(k));
-            }
-            if k == self.steps.len() && !self.advance() {
-                return Err(FormulationError::Infeasible);
-            }
-            k += 1;
-        }
+        })
     }
 }
 
@@ -976,71 +965,194 @@ pub fn formulate_reference(
     }
 }
 
-/// Cached compilation of one announced `(spec, request)` pair: the two
-/// content hashes it is filed under, the request it was compiled from
-/// (the spec is the prepared task's own) and the compilation.
-#[derive(Clone)]
-struct CacheEntry {
-    key: (u64, u64),
-    source: ServiceRequest,
-    prepared: Arc<PreparedTask>,
+/// One announcement as a node asks for it to be priced: the announced
+/// handles and the node's demand model for the spec (`None`: it has none).
+type Asked<'a> = (
+    &'a QosSpec,
+    &'a ServiceRequest,
+    Option<&'a Arc<dyn DemandModel>>,
+);
+
+fn same_model(a: &Arc<dyn DemandModel>, b: &Arc<dyn DemandModel>) -> bool {
+    std::ptr::addr_eq(Arc::as_ptr(a), Arc::as_ptr(b))
 }
 
-/// The reusable formulation engine: one reward model, a compile cache
-/// sorted by the `(spec, request)` content hashes (entries verified by
-/// handle equality on every hit, so a colliding hash can never serve
-/// stale tables), and the scratch heap the degradation loop reuses across
-/// calls. The heap is the only reusable buffer by design: the per-task
-/// levels and demands are moved out to the caller inside [`Formulated`],
-/// so pooling them would require an API that takes them back.
+/// One announcement of a [`BundlePlan`]: the handles, and the demand
+/// model the plan was built under (`None`: the asker had none).
+struct Announced {
+    spec: QosSpec,
+    request: ServiceRequest,
+    model: Option<Arc<dyn DemandModel>>,
+}
+
+/// Everything pricing one announced bundle needs that does not depend on
+/// the capacity pricing it, computed once and shared, immutable, by every
+/// node that hears the bundle with the same demand models (see the module
+/// docs, "Bundle plans").
+pub struct BundlePlan {
+    /// The bundle as announced. An entry no task's `source` names was
+    /// skipped: no model, or (with one) a request that does not resolve.
+    announced: Vec<Announced>,
+    /// The priceable announcements, compiled, in announcement order.
+    tasks: Vec<Arc<PreparedTask>>,
+    /// `source[i]` = index in the announcement of `tasks[i]`.
+    source: Vec<usize>,
+    index: ShedIndex,
+    /// `prefixes[c]` = the trajectory of `tasks[..c]`, recorded by the
+    /// first node to probe that prefix.
+    prefixes: Vec<OnceLock<Trajectory>>,
+}
+
+impl BundlePlan {
+    /// Resolves and compiles `asked`; `None` when nothing in it can be
+    /// priced. Equal announcements under one model share a compilation.
+    fn build(asked: &[Asked<'_>], reward: &dyn RewardModel) -> Option<Self> {
+        let mut tasks: Vec<Arc<PreparedTask>> = Vec::with_capacity(asked.len());
+        let mut source: Vec<usize> = Vec::with_capacity(asked.len());
+        for (i, &(spec, request, model)) in asked.iter().enumerate() {
+            let Some(model) = model else { continue };
+            let twin = source.iter().position(|&j| {
+                let (s, r, m) = asked[j];
+                s == spec && r == request && m.is_some_and(|m| same_model(m, model))
+            });
+            let task = match twin {
+                Some(t) => Arc::clone(&tasks[t]),
+                None => match request.resolve(spec) {
+                    Ok(resolved) => Arc::new(PreparedTask::compile(
+                        spec.clone(),
+                        Arc::new(resolved),
+                        reward,
+                        Arc::clone(model),
+                    )),
+                    Err(_) => continue,
+                },
+            };
+            tasks.push(task);
+            source.push(i);
+        }
+        if tasks.is_empty() {
+            return None;
+        }
+        Some(Self {
+            announced: asked
+                .iter()
+                .map(|&(spec, request, model)| Announced {
+                    spec: spec.clone(),
+                    request: request.clone(),
+                    model: model.cloned(),
+                })
+                .collect(),
+            index: ShedIndex::of(&tasks),
+            prefixes: (0..=tasks.len()).map(|_| OnceLock::new()).collect(),
+            tasks,
+            source,
+        })
+    }
+
+    /// Whether this plan was built for exactly `asked`: equal handles
+    /// (a pointer compare for the one instance a world shares) under the
+    /// identical demand models.
+    fn answers(&self, asked: &[Asked<'_>]) -> bool {
+        self.announces(asked.iter().map(|&(s, r, _)| (s, r)))
+            && self.announced.iter().zip(asked).all(|(mine, theirs)| {
+                match (&mine.model, theirs.2) {
+                    (Some(a), Some(b)) => same_model(a, b),
+                    (None, None) => true,
+                    _ => false,
+                }
+            })
+    }
+
+    /// Whether this plan's bundle is `announced`, handle for handle. The
+    /// demand models are not compared: that is for a caller whose models
+    /// are the ones it obtained the plan under.
+    pub fn announces<'a>(
+        &self,
+        announced: impl ExactSizeIterator<Item = (&'a QosSpec, &'a ServiceRequest)>,
+    ) -> bool {
+        self.announced.len() == announced.len()
+            && self
+                .announced
+                .iter()
+                .zip(announced)
+                .all(|(mine, (spec, request))| mine.spec == *spec && mine.request == *request)
+    }
+
+    /// The priceable announcements, compiled, in announcement order.
+    pub fn tasks(&self) -> &[Arc<PreparedTask>] {
+        &self.tasks
+    }
+
+    /// Index in the announced bundle of `tasks()[i]`.
+    pub fn source(&self, i: usize) -> usize {
+        self.source[i]
+    }
+
+    /// §5 formulation of `tasks()[..c]`, bit-identical to
+    /// [`formulate_prepared`] over them: the prefix's trajectory is
+    /// recorded on first use and walked — or refused outright by its
+    /// floor — on every call.
+    pub fn formulate_prefix(
+        &self,
+        c: usize,
+        admission: &AdmissionControl,
+    ) -> Result<Formulated, FormulationError> {
+        let tasks = &self.tasks[..c];
+        let trajectory = self.prefixes[c].get_or_init(|| Trajectory::record(tasks));
+        if trajectory.refused(c, admission) {
+            debug_assert!(trajectory.walk(tasks, admission).is_err());
+            return Err(FormulationError::Infeasible);
+        }
+        trajectory.walk(tasks, admission)
+    }
+
+    /// Prefix-feasibility shedding over `tasks()`, bit-identical to
+    /// [`formulate_shedding`] over them.
+    pub fn formulate_shedding(&self, admission: &AdmissionControl) -> Option<(usize, Formulated)> {
+        shed(self.tasks.len(), &self.index, admission, |c| {
+            self.formulate_prefix(c, admission)
+        })
+    }
+}
+
+/// The reusable formulation engine: one reward model, a book of
+/// [`BundlePlan`]s shared with every clone of the engine, and the scratch
+/// heap the cold degradation loop reuses across calls. The heap is the
+/// only reusable buffer by design: the per-task levels and demands are
+/// moved out to the caller inside [`Formulated`], so pooling them would
+/// require an API that takes them back.
 pub struct Formulator {
     reward: Arc<dyn RewardModel>,
-    cache: Vec<CacheEntry>,
+    /// Plans by [`Formulator::plan_for`]'s key. Readers take the lock only
+    /// to fetch an `Arc`; pricing from a plan takes none.
+    book: Arc<RwLock<HashMap<u64, Arc<BundlePlan>>>>,
     heap: BinaryHeap<Step>,
-    /// Warm-start trajectories keyed by [`bundle_key`]; see
-    /// [`Formulator::formulate_warm`]. Shedding's nested prefixes are
-    /// bundles of their own and warm independently.
-    warm: HashMap<u64, Trajectory>,
-}
-
-/// Warm-table key of a bundle: its tasks' addresses, folded in order. A
-/// trajectory is a function of the prepared tasks alone and holds their
-/// `Arc`s, so while it lives no other task can take those addresses; a
-/// collision between different bundles only costs a rebuild, because
-/// [`Trajectory::matches`] verifies identity before any replay.
-fn bundle_key(tasks: &[Arc<PreparedTask>]) -> u64 {
-    tasks.iter().fold(tasks.len() as u64, |h, t| {
-        (h ^ Arc::as_ptr(t) as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 impl Clone for Formulator {
-    /// Clones the engine for state-forking consumers (the model checker).
-    /// The scratch heap and warm trajectories are behaviour-neutral
-    /// accelerators, so the clone starts cold rather than copying them.
+    /// The clone shares the book (two refcount bumps, no allocation) and
+    /// starts with an empty scratch heap.
     fn clone(&self) -> Self {
         Self {
             reward: Arc::clone(&self.reward),
-            cache: self.cache.clone(),
+            book: Arc::clone(&self.book),
             heap: BinaryHeap::new(),
-            warm: HashMap::new(),
         }
     }
 }
 
 impl Formulator {
-    /// Bound on retained warm trajectories. Warm state is
-    /// behaviour-neutral (a rebuild costs one cold run), so hitting the
-    /// cap simply clears the table instead of tracking recency.
+    /// Bound on the plans a book retains. A plan is behaviour-neutral (a
+    /// rebuild costs one compile and one recording), so hitting the cap
+    /// simply clears the book instead of tracking recency.
     pub const WARM_CAP: usize = 1024;
 
-    /// Creates an engine degrading under `reward`.
+    /// Creates an engine degrading under `reward`, with a book of its own.
     pub fn new(reward: Arc<dyn RewardModel>) -> Self {
         Self {
             reward,
-            cache: Vec::new(),
+            book: Arc::default(),
             heap: BinaryHeap::new(),
-            warm: HashMap::new(),
         }
     }
 
@@ -1049,63 +1161,77 @@ impl Formulator {
         &self.reward
     }
 
-    /// Number of cached compilations (tests, metrics).
+    /// Number of plans in the book (tests, metrics).
     pub fn cached(&self) -> usize {
-        self.cache.len()
+        self.book.read().expect(BOOK_POISONED).len()
+    }
+
+    /// The shared plan of an announced bundle under the asker's demand
+    /// models (`model_of(spec name)`), built and filed in the book when no
+    /// clone of this engine has priced the bundle under those models
+    /// before. `None` when nothing announced can be priced — no model, or
+    /// a request that does not resolve; such bundles are not filed.
+    pub fn plan_for<'a>(
+        &self,
+        announced: impl Iterator<Item = (&'a QosSpec, &'a ServiceRequest)>,
+        model_of: impl Fn(&str) -> Option<&'a Arc<dyn DemandModel>>,
+    ) -> Option<Arc<BundlePlan>> {
+        let asked: Vec<Asked<'a>> = announced
+            .map(|(spec, request)| (spec, request, model_of(spec.name())))
+            .collect();
+        self.plan_of(&asked)
+    }
+
+    fn plan_of(&self, asked: &[Asked<'_>]) -> Option<Arc<BundlePlan>> {
+        // The models' addresses are part of the key: a plan holds its
+        // models' `Arc`s, so while it is filed no other model can take
+        // those addresses, and a colliding key only costs a rebuild —
+        // `answers` verifies identity before any plan is served.
+        let key = asked.iter().fold(asked.len() as u64, |h, &(s, r, m)| {
+            let model = m.map_or(0, |m| Arc::as_ptr(m).cast::<()>() as usize as u64);
+            [s.content_hash(), r.content_hash(), model]
+                .iter()
+                .fold(h, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
+        });
+        if let Some(plan) = self.book.read().expect(BOOK_POISONED).get(&key) {
+            if plan.answers(asked) {
+                return Some(Arc::clone(plan));
+            }
+        }
+        let plan = Arc::new(BundlePlan::build(asked, self.reward.as_ref())?);
+        let mut book = self.book.write().expect(BOOK_POISONED);
+        if book.len() >= Self::WARM_CAP {
+            book.clear();
+        }
+        book.insert(key, Arc::clone(&plan));
+        Some(plan)
     }
 
     /// Resolves `request` against `spec` and compiles it for repeated
-    /// formulation, serving the cached compilation when the same
-    /// `(spec, request)` was prepared before with the same demand model.
-    /// Returns `None` when the request does not resolve (the caller
-    /// cannot price such a task at all); resolution failures are not
-    /// cached.
+    /// formulation — the one task of the single-announcement bundle's
+    /// plan, so the same `(spec, request, demand model)` is served the
+    /// same compilation from then on. Returns `None` when the request
+    /// does not resolve (the caller cannot price such a task at all);
+    /// resolution failures are not cached.
     pub fn prepare(
         &mut self,
         spec: &QosSpec,
         request: &ServiceRequest,
         demand: &Arc<dyn DemandModel>,
     ) -> Option<Arc<PreparedTask>> {
-        let key = (spec.content_hash(), request.content_hash());
-        let slot = self.cache.binary_search_by_key(&key, |e| e.key);
-        if let Ok(at) = slot {
-            let e = &self.cache[at];
-            // A re-registered demand model must recompile; data-pointer
-            // identity is the check (a re-registered Arc is a new
-            // allocation).
-            if e.source == *request
-                && *e.prepared.spec() == *spec
-                && std::ptr::addr_eq(Arc::as_ptr(&e.prepared.demand), Arc::as_ptr(demand))
-            {
-                return Some(Arc::clone(&e.prepared));
-            }
-        }
-        let resolved = request.resolve(spec).ok()?;
-        let prepared = Arc::new(PreparedTask::compile(
-            spec.clone(),
-            Arc::new(resolved),
-            self.reward.as_ref(),
-            Arc::clone(demand),
-        ));
-        let entry = CacheEntry {
-            key,
-            source: request.clone(),
-            prepared: Arc::clone(&prepared),
-        };
-        match slot {
-            Ok(at) => self.cache[at] = entry,
-            Err(at) => self.cache.insert(at, entry),
-        }
-        Some(prepared)
+        let plan = self.plan_of(&[(spec, request, Some(demand))])?;
+        Some(Arc::clone(&plan.tasks[0]))
     }
 
-    /// Drops every cached compilation for `spec_name`. Called when a
-    /// provider re-registers a demand model: the cached fully-degraded
-    /// demands were computed under the old model.
+    /// Drops every plan announcing `spec_name` from the book. Never
+    /// needed for correctness — a plan is only served to an asker holding
+    /// the very demand models it was built under — but it frees the plans
+    /// of a model nobody holds any more.
     pub fn invalidate_spec(&mut self, spec_name: &str) {
-        self.cache.retain(|e| e.prepared.spec.name() != spec_name);
-        self.warm
-            .retain(|_, t| t.tasks.iter().all(|p| p.spec.name() != spec_name));
+        self.book
+            .write()
+            .expect(BOOK_POISONED)
+            .retain(|_, p| p.announced.iter().all(|a| a.spec.name() != spec_name));
     }
 
     /// Heap-driven §5 formulation over prepared tasks, reusing the
@@ -1130,57 +1256,11 @@ impl Formulator {
     ) -> Option<(usize, Formulated)> {
         shed_cold(tasks, admission, &mut self.heap)
     }
-
-    /// Serves the warm trajectory of `tasks`, building it when missing (or
-    /// when its slot holds a colliding bundle).
-    fn warm_entry(&mut self, tasks: &[Arc<PreparedTask>]) -> &mut Trajectory {
-        let slot = bundle_key(tasks);
-        if !self.warm.get(&slot).is_some_and(|t| t.matches(tasks)) {
-            if self.warm.len() >= Self::WARM_CAP {
-                self.warm.clear();
-            }
-            self.warm.insert(slot, Trajectory::new(tasks.to_vec()));
-        }
-        self.warm.get_mut(&slot).expect("entry inserted above")
-    }
-
-    /// Warm-started §5 formulation: identical results to
-    /// [`Formulator::formulate`] (pinned by `formulation_props`), but the
-    /// degradation sequence of `tasks` is recorded on first use and
-    /// replayed on every later call — later rounds, and every other
-    /// negotiation announcing the same bundle, pay an array scan instead
-    /// of demand-model evaluations and heap churn. Bundle identity is
-    /// `Arc` pointer equality, so a re-prepared bundle transparently
-    /// records afresh; [`Formulator::WARM_CAP`] bounds what is retained.
-    pub fn formulate_warm(
-        &mut self,
-        tasks: &[Arc<PreparedTask>],
-        admission: &AdmissionControl,
-    ) -> Result<Formulated, FormulationError> {
-        self.warm_entry(tasks).formulate(admission)
-    }
-
-    /// Warm-started prefix-feasibility shedding: identical results to
-    /// [`Formulator::formulate_shedding`], with every prefix degradation
-    /// answered by that prefix's warm trajectory. The shedding structure
-    /// (dependency split, fully-degraded prefix sums, boundary probe) is
-    /// the same as [`formulate_shedding`]; only the inner degradation
-    /// runs are replayed.
-    pub fn formulate_shedding_warm(
-        &mut self,
-        tasks: &[Arc<PreparedTask>],
-        admission: &AdmissionControl,
-    ) -> Option<(usize, Formulated)> {
-        shed(tasks, admission, |c| {
-            self.formulate_warm(&tasks[..c], admission)
-        })
-    }
-
-    /// Number of retained warm trajectories (tests, metrics).
-    pub fn warm_entries(&self) -> usize {
-        self.warm.len()
-    }
 }
+
+/// The book's map is only ever inserted into, cleared or filtered, under
+/// the write lock, by code that cannot panic half-way.
+const BOOK_POISONED: &str = "a thread panicked while holding the plan book";
 
 #[cfg(test)]
 mod tests {
@@ -1556,10 +1636,14 @@ mod tests {
             .build();
         let c = f.prepare(&spec, &renamed, &model).unwrap();
         assert!(!Arc::ptr_eq(&a, &c), "changed content must recompile");
-        // Re-registered demand model: pointer identity differs.
+        // Another demand model: pointer identity differs, and the two
+        // compilations coexist instead of evicting each other.
         let model2: Arc<dyn DemandModel> = Arc::new(av_demand_model(&spec));
         let d = f.prepare(&spec, &renamed, &model2).unwrap();
         assert!(!Arc::ptr_eq(&c, &d), "new demand model must recompile");
+        let again = f.prepare(&spec, &renamed, &model).unwrap();
+        assert!(Arc::ptr_eq(&c, &again), "the first model's entry survives");
+        assert_eq!(f.cached(), 3);
         // Explicit invalidation empties the spec's entries.
         f.invalidate_spec(spec.name());
         assert_eq!(f.cached(), 0);

@@ -13,8 +13,8 @@
 //!   heuristic of §5 with the eq. 1 reward ([`LinearPenalty`],
 //!   [`QuadraticPenalty`]), built as a reusable engine: heap-driven
 //!   O(log A) degradation steps, prefix-feasibility shedding for
-//!   overloaded bundles, and a per-provider compile cache
-//!   ([`PreparedTask`]) keyed by spec + request.
+//!   overloaded bundles, and one shared [`BundlePlan`] per announced
+//!   bundle (compiled tasks, recorded degradation trajectories).
 //! * [`OrganizerEngine`] / [`ProviderEngine`] — the §4.2 negotiation
 //!   protocol as sans-IO state machines covering the full coalition life
 //!   cycle (Formation / Operation with heartbeat monitoring and
@@ -100,8 +100,8 @@ pub use evaluation::{DifMode, EvalConfig, Evaluator, Inadmissible, WeightScheme}
 pub use formation::{select_winners, Candidate, Criterion, Selection, TieBreak};
 pub use formulation::{
     formulate, formulate_prepared, formulate_reference, formulate_shedding, local_reward,
-    Formulated, FormulationError, Formulator, LinearPenalty, PenaltyTable, PreparedTask,
-    QuadraticPenalty, RewardModel, TaskInput,
+    BundlePlan, Formulated, FormulationError, Formulator, LinearPenalty, PenaltyTable,
+    PreparedTask, QuadraticPenalty, RewardModel, TaskInput,
 };
 pub use metrics::{NegoEvent, NegotiationMetrics, TaskOutcome};
 pub use organizer::{NegoPhase, OrganizerConfig, OrganizerEngine, TaskLifecycle};

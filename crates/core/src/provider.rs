@@ -21,7 +21,7 @@ use qosc_resources::{
 };
 use qosc_spec::TaskId;
 
-use crate::formulation::{local_reward, Formulator, LinearPenalty, PreparedTask, RewardModel};
+use crate::formulation::{local_reward, BundlePlan, Formulator, LinearPenalty, RewardModel};
 use crate::protocol::{
     encode_timer, Action, Msg, NegoId, Pid, TaskAnnouncement, TaskProposal, TimerKind,
 };
@@ -143,9 +143,12 @@ pub struct ProviderEngine {
     config: ProviderConfig,
     ledger: NodeLedger,
     demand_models: HashMap<String, Arc<dyn DemandModel>>,
-    /// The reusable §5 engine: compile cache + scratch, shared by every
-    /// CFP this provider prices.
+    /// The §5 engine; its book of bundle plans may be shared with other
+    /// providers ([`ProviderEngine::with_formulator`]).
     formulator: Formulator,
+    /// The plans of the bundles priced last, most recent first: valid for
+    /// the demand models registered now, so a hit compares handles only.
+    memo: [Option<Arc<BundlePlan>>; 4],
     /// Tentative holds per (negotiation, task).
     holds: HashMap<(NegoId, TaskId), VectorHold>,
     /// Committed grants per (negotiation, task).
@@ -176,6 +179,7 @@ impl ProviderEngine {
             ledger: NodeLedger::new(capacity),
             demand_models: HashMap::new(),
             formulator,
+            memo: Default::default(),
             holds: HashMap::new(),
             committed: HashMap::new(),
             active: HashMap::new(),
@@ -192,21 +196,42 @@ impl ProviderEngine {
         self.id
     }
 
+    /// Prices from `formulator`'s book of bundle plans instead of a
+    /// private one: a world hands every provider a clone of one engine, so
+    /// a bundle is compiled and its trajectories recorded once per world.
+    ///
+    /// # Panics
+    /// When `formulator` degrades under another reward model than
+    /// `ProviderConfig::reward` — its plans would price a different §5.
+    pub fn with_formulator(mut self, formulator: Formulator) -> Self {
+        assert!(
+            std::ptr::addr_eq(
+                Arc::as_ptr(&self.config.reward),
+                Arc::as_ptr(formulator.reward())
+            ),
+            "with_formulator: the engine's reward model ({}) is not this provider's \
+             ProviderConfig::reward ({}) — share the Arc",
+            formulator.reward().name(),
+            self.config.reward.name(),
+        );
+        self.formulator = formulator;
+        self
+    }
+
     /// Registers the a-priori demand analysis for an application class
     /// (keyed by the spec name). CFP tasks with unknown specs are skipped —
     /// the node genuinely cannot estimate their resource needs.
     ///
-    /// Re-registering a spec's model invalidates that spec's entries in
-    /// the formulation compile cache: their fully-degraded demands were
-    /// computed under the old model.
+    /// Re-registering a spec's model forgets this provider's memoized
+    /// plans (built under the old model); the shared book files plans by
+    /// the model's identity, so what other providers see is untouched.
     pub fn register_demand_model(
         &mut self,
         spec_name: impl Into<String>,
         model: Arc<dyn DemandModel>,
     ) {
-        let name = spec_name.into();
-        self.formulator.invalidate_spec(&name);
-        self.demand_models.insert(name, model);
+        self.memo = Default::default();
+        self.demand_models.insert(spec_name.into(), model);
     }
 
     /// Read access to the reservation ledger (tests, metrics).
@@ -294,10 +319,11 @@ impl ProviderEngine {
         // We conservatively keep entries; the ledger is the truth.
     }
 
-    /// Prices a batch of concurrent deliveries in one pass — exactly
-    /// equivalent to calling [`ProviderEngine::on_message`] per entry in
-    /// order (pinned by the `provider_batch` property test). Non-CFP
-    /// messages are legal in the batch and take the normal path.
+    /// Handles a batch of concurrent deliveries: [`ProviderEngine::on_message`]
+    /// per entry in order, actions concatenated (pinned by the
+    /// `provider_batch` property test). Same-instant CFPs of one bundle
+    /// share its plan through the memo; non-CFP messages are legal in the
+    /// batch.
     pub fn on_cfp_batch(&mut self, now: SimTime, batch: &[(Pid, &Msg)]) -> Vec<Action> {
         let mut out = Vec::new();
         for &(from, msg) in batch {
@@ -363,28 +389,16 @@ impl ProviderEngine {
         if !self.config.chain.participates(&ctx) {
             return Vec::new();
         }
-        // Resolve + compile every announced request through the engine's
-        // cache (repeated rounds, repeated specs and every task stamped
-        // from one template hit it); unknown specs or invalid requests
-        // exclude the task.
-        let mut anns: Vec<&TaskAnnouncement> = Vec::with_capacity(tasks.len());
-        let mut bundle: Vec<Arc<PreparedTask>> = Vec::with_capacity(tasks.len());
-        for ann in tasks {
-            let Some(model) = self.demand_models.get(ann.spec.name()) else {
-                continue;
-            };
-            let Some(task) = self.formulator.prepare(&ann.spec, &ann.request, model) else {
-                continue;
-            };
-            anns.push(ann);
-            bundle.push(task);
-        }
-        if bundle.is_empty() {
+        // The bundle's plan: every announced request resolved and compiled
+        // (unknown specs or invalid requests exclude the task), shared by
+        // every node that hears this bundle.
+        let Some(plan) = self.plan_for(tasks) else {
             return Vec::new();
-        }
+        };
+        let bundle = plan.tasks();
 
         // Per-task pricing: (task, levels, demand, reward).
-        let mut priced: Vec<(usize, Vec<usize>, qosc_resources::ResourceVector, f64)> = Vec::new();
+        let mut priced: Vec<(usize, Vec<usize>, ResourceVector, f64)> = Vec::new();
         match self.config.strategy {
             ProposalStrategy::Joint => {
                 // §5: joint formulation over the announced task set against
@@ -392,17 +406,12 @@ impl ProviderEngine {
                 // grants). If even fully degraded the whole set does not
                 // fit, shed tasks from the tail until a feasible subset
                 // remains — proposing for a subset is better than silence.
-                // The engine finds that subset from the prefix-summed
-                // fully-degraded demands, so shedding costs one admission
-                // test per dropped task instead of a full degradation.
-                // Warm-started per bundle: later rounds, other negotiations
-                // announcing the same tasks and repeated capacities under
-                // contention replay the recorded degradation trajectory
-                // instead of re-running it.
-                let admission = AdmissionControl::new(self.config.policy, self.ledger.available());
-                let Some((_, outcome)) =
-                    self.formulator.formulate_shedding_warm(&bundle, &admission)
-                else {
+                // The plan finds that subset from the prefix-summed
+                // fully-degraded demands and replays the prefix's recorded
+                // degradation trajectory; a node with no room is refused by
+                // the trajectory's floor without walking it.
+                let admission = AdmissionControl::new(self.config.policy, ctx.available);
+                let Some((_, outcome)) = plan.formulate_shedding(&admission) else {
                     return Vec::new();
                 };
                 for (i, (levels, demand)) in
@@ -415,7 +424,7 @@ impl ProviderEngine {
                 // Price each task alone against what is left after the
                 // offers already in this bundle; unpriceable tasks are
                 // simply skipped.
-                let mut left = self.ledger.available();
+                let mut left = ctx.available;
                 for (i, task) in bundle.iter().enumerate() {
                     let admission = AdmissionControl::new(self.config.policy, left);
                     if let Ok(out) = self.formulator.formulate(&[task.as_ref()], &admission) {
@@ -435,13 +444,12 @@ impl ProviderEngine {
         // offer exactly as formulated.
         let mut offers: Vec<(usize, TaskOffer)> = Vec::with_capacity(priced.len());
         for (i, levels, demand, reward) in priced {
-            let request = bundle[i].request();
-            let ladder: Vec<usize> = request.iter_attrs().map(|(_, a)| a.levels.len()).collect();
-            let task_reward = local_reward(request, &levels, self.config.reward.as_ref());
+            let task_reward =
+                local_reward(bundle[i].request(), &levels, self.config.reward.as_ref());
             let mut offer = TaskOffer {
-                task: anns[i].task,
+                task: tasks[plan.source(i)].task,
                 levels,
-                ladder,
+                ladder: bundle[i].ladder().to_vec(),
                 demand,
                 reward,
                 task_reward,
@@ -477,13 +485,12 @@ impl ProviderEngine {
         // component cannot push an offer off the announced value range).
         let mut proposals = Vec::with_capacity(offers.len());
         for (i, offer) in offers {
-            let request = bundle[i].request();
-            let levels: Vec<usize> = request
-                .iter_attrs()
-                .zip(offer.levels.iter())
-                .map(|((_, a), &l)| l.min(a.levels.len() - 1))
-                .collect();
-            let offered: Vec<qosc_spec::Value> = request
+            let mut levels = offer.levels;
+            for (l, len) in levels.iter_mut().zip(bundle[i].ladder()) {
+                *l = (*l).min(len - 1);
+            }
+            let offered: Vec<qosc_spec::Value> = bundle[i]
+                .request()
                 .iter_attrs()
                 .zip(levels.iter())
                 .map(|((_, a), &l)| a.levels[l].clone())
@@ -511,6 +518,27 @@ impl ProviderEngine {
                 token: encode_timer(nego, TimerKind::HoldExpiry),
             },
         ]
+    }
+
+    /// The plan of an announced bundle under this provider's demand models:
+    /// from the memo when one of the last few bundles priced here, else
+    /// from the engine's book. `None` when nothing announced can be priced.
+    fn plan_for(&mut self, tasks: &[TaskAnnouncement]) -> Option<Arc<BundlePlan>> {
+        let announced = || tasks.iter().map(|t| (&t.spec, &t.request));
+        let last = self.memo.len() - 1;
+        let hit = self
+            .memo
+            .iter()
+            .position(|p| p.as_ref().is_some_and(|p| p.announces(announced())));
+        if hit.is_none() {
+            let models = &self.demand_models;
+            self.memo[last] = Some(
+                self.formulator
+                    .plan_for(announced(), |name| models.get(name))?,
+            );
+        }
+        self.memo[..=hit.unwrap_or(last)].rotate_right(1);
+        self.memo[0].clone()
     }
 
     /// Returns one committed grant's resources to the pool and scrubs
@@ -794,7 +822,7 @@ impl crate::snapshot::StateDigest for ProviderEngine {
             h.write_u64(at.0);
         }
         // Config and demand models are immutable after setup and the
-        // formulator cache is behaviour-neutral: all excluded by design.
+        // bundle plans are behaviour-neutral: all excluded by design.
     }
 }
 
@@ -1273,5 +1301,122 @@ mod tests {
         let committed_cpu = p.ledger().capacity().get(ResourceKind::Cpu)
             - p.ledger().available().get(ResourceKind::Cpu);
         assert!(committed_cpu <= 60.0 + 1e-9);
+    }
+
+    /// A provider pricing from a clone of `book` (a private engine when
+    /// `None`), with `model` registered for the AV spec.
+    fn provider_on(
+        book: Option<&Formulator>,
+        cpu: f64,
+        model: &Arc<dyn DemandModel>,
+    ) -> ProviderEngine {
+        let mut p = ProviderEngine::new(
+            5,
+            ResourceVector::new(cpu, 512.0, 10_000.0, 60.0, 10_000.0),
+            ProviderConfig {
+                reward: book
+                    .map_or_else(|| ProviderConfig::default().reward, |b| b.reward().clone()),
+                ..Default::default()
+            },
+        );
+        if let Some(book) = book {
+            p = p.with_formulator(book.clone());
+        }
+        p.register_demand_model(catalog::av_spec().name(), Arc::clone(model));
+        p
+    }
+
+    /// The catalog's AV demand model and one demanding thrice its base.
+    fn light_and_heavy() -> [Arc<dyn DemandModel>; 2] {
+        let light = av_demand_model(&catalog::av_spec());
+        let mut heavy = light.clone();
+        heavy.base = heavy.base.scale(3.0);
+        [Arc::new(light), Arc::new(heavy)]
+    }
+
+    /// The `seq`-th negotiation's CFP for `tasks` surveillance tasks.
+    fn cfp_of(seq: u32, tasks: u32) -> Msg {
+        Msg::CallForProposals {
+            nego: NegoId { organizer: 0, seq },
+            tasks: (0..tasks).map(announcement).collect(),
+            round: 0,
+        }
+    }
+
+    #[test]
+    fn shared_book_keeps_nodes_with_different_models_apart() {
+        let [light, heavy] = light_and_heavy();
+        let book = Formulator::new(Arc::new(LinearPenalty::default()));
+        let mut shared = [&light, &heavy].map(|m| provider_on(Some(&book), 120.0, m));
+        let mut private = [&light, &heavy].map(|m| provider_on(None, 120.0, m));
+        // Five bundles in rotation overflow the four-entry memo, so every
+        // CFP below is answered from the book: one plan per (bundle,
+        // model), built on first sight and never evicted by the other
+        // node's plan for the same announcement.
+        for round in 0..3u32 {
+            for tasks in 1..=5u32 {
+                let msg = cfp_of(round * 5 + tasks, tasks);
+                let now = SimTime(1_000 * u64::from(round * 5 + tasks));
+                let [a, b] = [0, 1].map(|i| {
+                    let priced = shared[i].on_message(now, 0, &msg);
+                    assert_eq!(priced, private[i].on_message(now, 0, &msg));
+                    priced
+                });
+                assert!(a != b || a.is_empty(), "the two models price differently");
+                let seen = if round == 0 { tasks as usize } else { 5 };
+                assert_eq!(book.cached(), 2 * seen, "round {round}, {tasks} tasks");
+            }
+        }
+    }
+
+    #[test]
+    fn reregistering_a_model_leaves_other_providers_untouched() {
+        let [light, heavy] = light_and_heavy();
+        let book = Formulator::new(Arc::new(LinearPenalty::default()));
+        let mut changed = provider_on(Some(&book), 120.0, &light);
+        let mut bystander = provider_on(Some(&book), 120.0, &light);
+        let mut private = [
+            provider_on(None, 120.0, &light),
+            provider_on(None, 120.0, &light),
+        ];
+        for p in [&mut changed, &mut bystander]
+            .into_iter()
+            .chain(&mut private)
+        {
+            assert!(!p.on_message(SimTime(1_000), 0, &cfp_of(0, 2)).is_empty());
+        }
+        changed.register_demand_model(catalog::av_spec().name(), Arc::clone(&heavy));
+        private[0].register_demand_model(catalog::av_spec().name(), heavy);
+        let msg = cfp_of(1, 2);
+        let repriced = changed.on_message(SimTime(2_000), 0, &msg);
+        assert_eq!(repriced, private[0].on_message(SimTime(2_000), 0, &msg));
+        let untouched = bystander.on_message(SimTime(2_000), 0, &msg);
+        assert_eq!(untouched, private[1].on_message(SimTime(2_000), 0, &msg));
+        assert_ne!(repriced, untouched);
+    }
+
+    #[test]
+    #[should_panic(expected = "with_formulator: the engine's reward model (quadratic-penalty)")]
+    fn with_formulator_rejects_a_foreign_reward_model() {
+        let foreign = Formulator::new(Arc::new(crate::QuadraticPenalty::default()));
+        let _ = provider(100.0).with_formulator(foreign);
+    }
+
+    #[test]
+    fn a_cloned_provider_prices_like_the_original() {
+        let mut original = provider(60.0);
+        original.on_message(SimTime(1_000), 0, &cfp_of(0, 2));
+        let mut clone = original.clone();
+        for seq in 1..4 {
+            let (now, msg) = (SimTime(1_000 + u64::from(seq)), cfp_of(seq, seq));
+            assert_eq!(
+                clone.on_message(now, 0, &msg),
+                original.on_message(now, 0, &msg)
+            );
+        }
+        assert_eq!(
+            crate::snapshot::digest_of(&clone),
+            crate::snapshot::digest_of(&original)
+        );
     }
 }

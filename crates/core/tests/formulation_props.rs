@@ -3,7 +3,10 @@
 //! across random specs, ladders, dependencies, demand models and
 //! capacities the two must produce identical levels, demands, rewards
 //! and degradation counts — and prefix-feasibility shedding must match
-//! the old shed-one-task-and-reformulate loop on random bundles.
+//! the old shed-one-task-and-reformulate loop on random bundles. Pricing
+//! from a shared [`qosc_core::BundlePlan`] (recorded trajectories, floor
+//! refusals) must in turn equal the cold prepared path on every input,
+//! monotone or not, NaN included.
 
 use proptest::prelude::*;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
@@ -12,16 +15,16 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 use qosc_core::{
-    formulate, formulate_prepared, formulate_reference, formulate_shedding, FormulationError,
-    Formulator, LinearPenalty, PreparedTask, TaskInput,
+    formulate, formulate_prepared, formulate_reference, formulate_shedding, BundlePlan,
+    FormulationError, Formulator, LinearPenalty, PreparedTask, TaskInput,
 };
 use qosc_resources::{
     AdmissionControl, DemandModel, DemandTerm, Feature, LinearDemandModel, ResourceKind,
     ResourceVector, SchedulingPolicy,
 };
 use qosc_spec::{
-    Attribute, Dependency, DependencyKind, Dimension, Domain, LevelSpec, QosSpec, ResolvedRequest,
-    ServiceRequest, Value,
+    Attribute, Dependency, DependencyKind, Dimension, Domain, LevelSpec, QosSpec, QualityVector,
+    ResolvedRequest, ServiceRequest, Value,
 };
 
 const VAL_MAX: i64 = 40;
@@ -201,12 +204,69 @@ fn prepared_of(world: &World) -> Vec<PreparedTask> {
         .collect()
 }
 
-fn shared(tasks: Vec<PreparedTask>) -> Vec<Arc<PreparedTask>> {
-    tasks.into_iter().map(Arc::new).collect()
-}
-
 fn refs_of(tasks: &[Arc<PreparedTask>]) -> Vec<&PreparedTask> {
     tasks.iter().map(Arc::as_ref).collect()
+}
+
+/// A demand model that reports a NaN CPU demand at some quality levels
+/// (a pure function of the inner model's answer), so recorded
+/// trajectories carry NaN totals from some step on.
+struct NanDemand(Arc<dyn DemandModel>);
+
+impl DemandModel for NanDemand {
+    fn demand(&self, spec: &QosSpec, qv: &QualityVector) -> ResourceVector {
+        let mut d = self.0.demand(spec, qv);
+        if (d.get(ResourceKind::Cpu) * 10.0).round() as i64 % 3 == 0 {
+            d[ResourceKind::Cpu] = f64::NAN;
+        }
+        d
+    }
+}
+
+/// [`random_world`], with its demand model wrapped in [`NanDemand`] when
+/// `nan` is set.
+fn plan_world(seed: u64, tasks: usize, monotone: bool, nan: bool) -> World {
+    let mut world = random_world(seed, tasks, monotone);
+    if nan {
+        world.model = Arc::new(NanDemand(world.model));
+    }
+    world
+}
+
+/// The plan of the first `len` announcements of `world`, from
+/// `formulator`'s book. Every source of a random world resolves, so the
+/// plan's tasks are the announcements, one for one.
+fn plan_of(formulator: &Formulator, world: &World, len: usize) -> Arc<BundlePlan> {
+    let plan = formulator
+        .plan_for(
+            world.sources[..len].iter().map(|r| (&world.spec, r)),
+            |_| Some(&world.model),
+        )
+        .expect("random sources resolve");
+    assert_eq!(plan.tasks().len(), len);
+    plan
+}
+
+/// An outcome by its `Debug` rendering: floats print their shortest
+/// round-trip form, so equal renderings are equal bits — and, unlike
+/// `==`, a NaN demand an accepted configuration may carry equals itself.
+fn bits(outcome: &impl std::fmt::Debug) -> String {
+    format!("{outcome:?}")
+}
+
+/// `cpus` as admission controls, plus the corners: no CPU at all, a NaN
+/// CPU capacity, the all-zero capacity vector and a rich node.
+fn capacities(cpus: Vec<f64>) -> Vec<AdmissionControl> {
+    let mut out: Vec<AdmissionControl> = cpus
+        .into_iter()
+        .chain([0.0, f64::NAN, 1e6])
+        .map(admission)
+        .collect();
+    out.push(AdmissionControl::new(
+        SchedulingPolicy::Edf,
+        ResourceVector::ZERO,
+    ));
+    out
 }
 
 proptest! {
@@ -264,45 +324,47 @@ proptest! {
         prop_assert_eq!(new, old);
     }
 
-    /// Warm-started formulation is bit-identical to the cold prepared
-    /// path. One retained trajectory serves a random *sequence* of
-    /// capacities against the same bundle, which exercises all three warm
-    /// regimes: prefix replay (capacity grew), in-place extension
-    /// (capacity shrank) and re-replay after extension — each must equal
-    /// a from-scratch cold formulation, reward bits included. Invalidating
-    /// the bundle's spec drops the trajectory.
+    /// Pricing a prefix from its plan is bit-identical to the cold
+    /// prepared path: the complete trajectory is recorded once and every
+    /// capacity — starved to rich, NaN, all-zero — is answered from it by
+    /// the floor test or the walk, for every prefix of the bundle, on
+    /// monotone and non-monotone worlds and under a demand model that
+    /// emits NaN (the debug build re-checks each floor refusal against
+    /// the walk). Invalidating the bundle's spec drops the plan.
     #[test]
     fn warm_start_matches_cold_path(
-        seed in 0u64..(1 << 48), tasks in 1usize..=4,
+        seed in 0u64..(1 << 48), tasks in 1usize..=5, monotone in 0u8..2, nan in 0u8..4,
         cpus in proptest::collection::vec(0.0f64..60.0, 1..6),
     ) {
-        let world = random_world(seed, tasks, false);
-        let prepared = shared(prepared_of(&world));
-        let refs = refs_of(&prepared);
+        let world = plan_world(seed, tasks, monotone == 1, nan == 0);
         let mut formulator = Formulator::new(Arc::new(LinearPenalty::default()));
-        for cpu in cpus {
-            let adm = admission(cpu);
-            let cold = formulate_prepared(&refs, &adm);
-            let warm = formulator.formulate_warm(&prepared, &adm);
-            prop_assert_eq!(&warm, &cold);
+        let plan = plan_of(&formulator, &world, tasks);
+        let refs = refs_of(plan.tasks());
+        for adm in capacities(cpus) {
+            for c in 0..=tasks {
+                let cold = formulate_prepared(&refs[..c], &adm);
+                prop_assert_eq!(bits(&plan.formulate_prefix(c, &adm)), bits(&cold), "prefix {}", c);
+            }
         }
-        prop_assert_eq!(formulator.warm_entries(), 1);
+        prop_assert_eq!(formulator.cached(), 1);
         formulator.invalidate_spec("no such spec");
-        prop_assert_eq!(formulator.warm_entries(), 1);
+        prop_assert_eq!(formulator.cached(), 1);
         formulator.invalidate_spec(world.spec.name());
-        prop_assert_eq!(formulator.warm_entries(), 0);
+        prop_assert_eq!(formulator.cached(), 0);
     }
 
-    /// Warm-started prefix shedding returns exactly what the stateless
+    /// Shedding from a plan returns exactly what the stateless
     /// [`formulate_shedding`] does — same surviving prefix, same
     /// formulation — when several bundles, prefixes of them and
-    /// capacities interleave through one engine (monotone bundles, the
-    /// shedding contract): warm state is keyed by what is priced, never
-    /// by who asks or in which order. Dropping one spec's trajectories
-    /// mid-sequence changes no later answer.
+    /// capacities interleave through one book shared by two engines:
+    /// a plan is keyed by what is priced, never by who asks or in which
+    /// order, and both engines are served the same instance. The shed
+    /// structure is the same code over an equal `formulate_prefix`, so
+    /// this holds without the monotone contract too. Dropping one spec's
+    /// plans mid-sequence changes no later answer.
     #[test]
     fn warm_shedding_matches_cold_shedding(
-        seed in 0u64..(1 << 48),
+        seed in 0u64..(1 << 48), monotone in 0u8..2, nan in 0u8..4,
         sizes in proptest::collection::vec(1usize..=5, 1..=3),
         calls in proptest::collection::vec((0usize..3, 1usize..=5, 0.0f64..40.0), 1..12),
         invalidate_at in 0usize..12,
@@ -310,26 +372,28 @@ proptest! {
         let worlds: Vec<World> = sizes
             .iter()
             .enumerate()
-            .map(|(w, &tasks)| random_world(seed.wrapping_add(w as u64), tasks, true))
+            .map(|(w, &tasks)| plan_world(seed.wrapping_add(w as u64), tasks, monotone == 1, w == 0 && nan == 0))
             .collect();
-        let bundles: Vec<Vec<Arc<PreparedTask>>> =
-            worlds.iter().map(|w| shared(prepared_of(w))).collect();
         let mut formulator = Formulator::new(Arc::new(LinearPenalty::default()));
+        let other = formulator.clone();
         for (i, (w, len, cpu)) in calls.into_iter().enumerate() {
-            let bundle = &bundles[w % bundles.len()];
-            let prefix = &bundle[..len.min(bundle.len())];
+            let world = &worlds[w % worlds.len()];
             if i == invalidate_at {
                 formulator.invalidate_spec(worlds[0].spec.name());
             }
-            let adm = admission(cpu);
-            let cold = formulate_shedding(&refs_of(prefix), &adm);
-            let warm = formulator.formulate_shedding_warm(prefix, &adm);
-            prop_assert_eq!(warm, cold);
+            let len = len.min(world.sources.len());
+            let plan = plan_of(&formulator, world, len);
+            prop_assert!(Arc::ptr_eq(&plan, &plan_of(&other, world, len)), "one plan per bundle");
+            let refs = refs_of(plan.tasks());
+            for adm in capacities(vec![cpu]) {
+                let cold = formulate_shedding(&refs, &adm);
+                prop_assert_eq!(bits(&plan.formulate_shedding(&adm)), bits(&cold));
+            }
         }
         for w in &worlds {
             formulator.invalidate_spec(w.spec.name());
         }
-        prop_assert_eq!(formulator.warm_entries(), 0);
+        prop_assert_eq!(other.cached(), 0);
     }
 
     /// The compile cache is keyed by what a handle *says*, not where it
@@ -370,28 +434,41 @@ proptest! {
     }
 }
 
-/// Warm state is bounded by [`Formulator::WARM_CAP`] alone: nothing
-/// forgets a bundle when its negotiation ends, so the cap must hold over
-/// any number of distinct bundles — and pricing stays exact across the
-/// clears it triggers.
+/// The book is bounded by [`Formulator::WARM_CAP`] alone: nothing forgets
+/// a bundle when its negotiation ends, so the cap must hold over any
+/// number of distinct bundles (10⁴ here) — and pricing stays exact across
+/// the clears it triggers.
 #[test]
 fn warm_table_stays_within_its_cap() {
     let world = random_world(11, 1, true);
-    let tasks: Vec<Arc<PreparedTask>> =
-        (0..100).flat_map(|_| shared(prepared_of(&world))).collect();
+    let dim = &world.sources[0].dimensions()[0];
+    let requests: Vec<ServiceRequest> = (0..100)
+        .map(|i| {
+            let mut b =
+                ServiceRequest::builder(format!("req-{i}")).dimension(dim.dimension.clone());
+            for a in &dim.attributes {
+                b = b.attribute(a.attribute.clone(), a.levels.clone());
+            }
+            b.build()
+        })
+        .collect();
     let adm = admission(1_000.0);
-    let cold = formulate_prepared(&[tasks[0].as_ref()], &adm);
-    let mut formulator = Formulator::new(Arc::new(LinearPenalty::default()));
-    for a in &tasks {
-        for b in &tasks {
-            let pair = [Arc::clone(a), Arc::clone(b)];
-            let warm = formulator.formulate_warm(&pair[..1], &adm);
-            assert_eq!(warm, cold);
-            formulator
-                .formulate_warm(&pair, &adm)
-                .expect("two tasks fit");
-            assert!(formulator.warm_entries() <= Formulator::WARM_CAP);
+    let formulator = Formulator::new(Arc::new(LinearPenalty::default()));
+    for a in &requests {
+        for b in &requests {
+            let plan = formulator
+                .plan_for([a, b].into_iter().map(|r| (&world.spec, r)), |_| {
+                    Some(&world.model)
+                })
+                .expect("both resolve");
+            let refs = refs_of(plan.tasks());
+            assert_eq!(
+                plan.formulate_prefix(1, &adm),
+                formulate_prepared(&refs[..1], &adm)
+            );
+            plan.formulate_prefix(2, &adm).expect("two tasks fit");
+            assert!(formulator.cached() <= Formulator::WARM_CAP);
         }
     }
-    assert!(formulator.warm_entries() > 0);
+    assert!(formulator.cached() > 0);
 }

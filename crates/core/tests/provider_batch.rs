@@ -2,10 +2,11 @@
 //! provider fed a batch through [`ProviderEngine::on_cfp_batch`] must
 //! emit exactly the actions — and land in exactly the state — of an
 //! identically-constructed provider fed the same messages one
-//! [`ProviderEngine::on_message`] at a time. Both paths share the
-//! engine's compile cache and warm-start formulation from trajectories
-//! recorded by earlier messages, so this test is the pin that keeps
-//! both strictly behaviour-neutral.
+//! [`ProviderEngine::on_message`] at a time. Both paths price from the
+//! same memoized bundle plans and the trajectories earlier messages
+//! recorded in them, so this test is the pin that keeps both strictly
+//! behaviour-neutral. The same waves also drive providers built on
+//! hostile capacities, which must answer without panicking.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -14,16 +15,24 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 use qosc_core::{
-    digest_of, Msg, NegoId, Pid, ProposalStrategy, ProviderConfig, ProviderEngine, TaskAnnouncement,
+    digest_of, Action, Msg, NegoId, Pid, ProposalStrategy, ProviderConfig, ProviderEngine,
+    TaskAnnouncement,
 };
 use qosc_netsim::SimTime;
 use qosc_resources::{av_demand_model, ResourceVector};
 use qosc_spec::{catalog, TaskId};
 
 fn fresh_provider(cpu: f64, strategy: ProposalStrategy) -> ProviderEngine {
+    provider_with(
+        ResourceVector::new(cpu, 512.0, 10_000.0, 60.0, 10_000.0),
+        strategy,
+    )
+}
+
+fn provider_with(capacity: ResourceVector, strategy: ProposalStrategy) -> ProviderEngine {
     let mut p = ProviderEngine::new(
         5,
-        ResourceVector::new(cpu, 512.0, 10_000.0, 60.0, 10_000.0),
+        capacity,
         ProviderConfig {
             strategy,
             ..Default::default()
@@ -85,8 +94,98 @@ fn random_wave(rng: &mut ChaCha8Rng, wave: u32) -> Vec<(Pid, Msg)> {
         .collect()
 }
 
+/// Every proposal in `actions`, the answer to `cfp`, is one it could have
+/// asked for: levels inside the announced ladders, the offered values
+/// read off them, a finite non-negative demand.
+fn assert_valid_proposals(actions: &[Action], cfp: &Msg) {
+    let spec = catalog::av_spec();
+    for action in actions {
+        let Some(Msg::Proposal { proposals, .. }) = action.payload() else {
+            continue;
+        };
+        let Msg::CallForProposals {
+            tasks: announced, ..
+        } = cfp
+        else {
+            panic!("{cfp:?} drew a proposal");
+        };
+        assert!(!proposals.is_empty());
+        for p in proposals {
+            let ann = announced
+                .iter()
+                .find(|t| t.task == p.task)
+                .expect("announced task");
+            let request = ann
+                .request
+                .resolve(&spec)
+                .expect("catalog requests resolve");
+            assert_eq!(p.levels.len(), request.attr_count());
+            for (((_, a), &l), v) in request.iter_attrs().zip(&p.levels).zip(&p.offered) {
+                assert_eq!(a.levels.get(l), Some(v), "offered value is ladder[level]");
+            }
+            assert!(p.demand.is_valid(), "demand {:?}", p.demand);
+            assert!(!p.reward.is_nan());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::default())]
+
+    /// A provider built on NaN, infinite, zero or negative capacity
+    /// components — or a sane one whose CPU is held to the last MIPS —
+    /// answers every CFP with silence or a valid proposal, never a panic.
+    #[test]
+    fn hostile_capacities_answer_without_panicking(
+        seed in 0u64..(1 << 48), hostile in proptest::collection::vec(0usize..7, 5), joint in 0u8..2,
+    ) {
+        let strategy = if joint == 0 {
+            ProposalStrategy::Joint
+        } else {
+            ProposalStrategy::Sequential
+        };
+        let sane = [500.0, 512.0, 10_000.0, 60.0, 10_000.0];
+        let c: Vec<f64> = hostile
+            .iter()
+            .zip(sane)
+            .map(|(&h, sane)| {
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -5.0, sane, sane][h]
+            })
+            .collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let full = {
+            // Preferred surveillance demand is ~18.25 MIPS, the fully
+            // degraded one ~5.95: once the first task is awarded, nothing
+            // announced fits what is left of 20.
+            let mut p = fresh_provider(20.0, strategy);
+            let nego = NegoId { organizer: 9, seq: 0 };
+            let tasks = vec![TaskAnnouncement {
+                task: TaskId(0),
+                spec: catalog::av_spec(),
+                request: catalog::surveillance_request(),
+                input_bytes: 1_000,
+                output_bytes: 1_000,
+            }];
+            p.on_message(SimTime(1), 9, &Msg::CallForProposals { nego, tasks, round: 0 });
+            p.on_message(SimTime(2), 9, &Msg::Award { nego, task: TaskId(0), round: 0 });
+            prop_assert_eq!(p.executing().len(), 1);
+            p
+        };
+        let mut providers = [
+            provider_with(ResourceVector::new(c[0], c[1], c[2], c[3], c[4]), strategy),
+            full,
+        ];
+        for wave in 0..3u32 {
+            let now = SimTime(1_000 + u64::from(wave) * 50_000);
+            let msgs = random_wave(&mut rng, wave);
+            for p in &mut providers {
+                for (from, msg) in &msgs {
+                    assert_valid_proposals(&p.on_message(now, *from, msg), msg);
+                }
+            }
+        }
+        prop_assert_eq!(providers[1].holding().len(), 0, "a full node proposes nothing");
+    }
 
     /// Sequential and batched delivery of the same waves produce
     /// identical action streams and identical provider state, for both

@@ -1,11 +1,15 @@
 //! Scenario-level behaviour: dynamic Poisson arrivals, multiple
 //! concurrent negotiations from different organizers, determinism.
 
-use qosc_core::NegoEvent;
+use qosc_core::{
+    digest_of, CoalitionNode, DirectRuntime, NegoEvent, OrganizerEngine, ProviderConfig,
+    ProviderEngine, Runtime,
+};
 use qosc_load::PoissonArrivals;
 use qosc_netsim::SimTime;
+use qosc_resources::ResourceKind;
 use qosc_system_tests::dense_scenario;
-use qosc_workloads::{AppTemplate, Scenario, ScenarioConfig};
+use qosc_workloads::{AppTemplate, Backend, PopulationConfig, Scenario, ScenarioConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -127,4 +131,56 @@ fn identical_seeds_give_identical_event_logs() {
         )
     };
     assert_eq!(run(5), run(5));
+}
+
+/// A built world's providers price from one shared book of bundle plans.
+/// The same population assembled by hand, one private book per node, must
+/// conclude exactly the same — event for event, message for message, node
+/// state for node state — on a pool tight enough that providers degrade,
+/// shed and refuse.
+#[test]
+fn world_on_a_shared_book_matches_private_book_nodes() {
+    let config = ScenarioConfig {
+        population: PopulationConfig::constrained(),
+        ..ScenarioConfig::dense(24, 0x5B00C)
+    };
+    let mut shared = config.build_backend(Backend::Direct);
+    let mut private = DirectRuntime::new();
+    for (profile, id) in Scenario::build(&config).profiles.iter().zip(0u32..) {
+        let mut provider = ProviderEngine::new(
+            id,
+            profile.capacity,
+            ProviderConfig {
+                link_kbps: profile.capacity.get(ResourceKind::NetBandwidth),
+                ..config.provider.clone()
+            },
+        );
+        for template in AppTemplate::ALL {
+            provider.register_demand_model(template.spec().name(), template.demand_model());
+        }
+        let node = CoalitionNode::new(id)
+            .with_provider(provider)
+            .with_organizer(OrganizerEngine::new(id, config.organizer.clone()));
+        private.add_node(node).expect("sequential ids are unique");
+    }
+    for rt in [shared.as_mut(), &mut private as &mut dyn Runtime] {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5B00C);
+        for i in 0..12u32 {
+            let template = AppTemplate::ALL[i as usize % AppTemplate::ALL.len()];
+            let svc = template.service(format!("svc-{i}"), 1 + i as usize % 4, &mut rng);
+            rt.submit(i % 6, svc, SimTime(1_000 + u64::from(i / 3) * 400_000))
+                .expect("every node organizes");
+        }
+        rt.run(SimTime(30_000_000));
+    }
+    assert!(!shared.events().is_empty());
+    assert_eq!(shared.events(), private.events());
+    assert_eq!(shared.messages_sent(), private.messages_sent());
+    for id in 0..24u32 {
+        assert_eq!(
+            digest_of(shared.node(id).expect("registered")),
+            digest_of(private.node(id).expect("registered")),
+            "node {id}"
+        );
+    }
 }

@@ -13,8 +13,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use qosc_core::{
-    CoalitionNode, DesRuntime, DesShardedRuntime, DirectRuntime, LoggedEvent, Msg, OrganizerConfig,
-    OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
+    CoalitionNode, DesRuntime, DesShardedRuntime, DirectRuntime, Formulator, LoggedEvent, Msg,
+    OrganizerConfig, OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
 };
 use qosc_netsim::{
     Area, Mobility, NetStats, PartitionPlan, RadioModel, ShardedSimulator, SimConfig, SimDuration,
@@ -116,8 +116,9 @@ impl ScenarioConfig {
     /// id order: a provider (capacity from the profile, payload bandwidth
     /// tied to the radio class, every application template's demand
     /// model registered) plus an organizer, since any node may originate
-    /// service requests. The demand models are built once here, so all
-    /// nodes of a world share one allocation per template.
+    /// service requests. The demand models and the formulation engine are
+    /// built once here, so all nodes of a world share one allocation per
+    /// template and price every announced bundle from one plan.
     fn coalition_nodes<'a>(
         &'a self,
         profiles: &'a [NodeProfile],
@@ -126,6 +127,7 @@ impl ScenarioConfig {
             .iter()
             .map(|t| (t.spec().name().to_string(), t.demand_model()))
             .collect();
+        let formulator = Formulator::new(Arc::clone(&self.provider.reward));
         profiles.iter().zip(0u32..).map(move |(profile, id)| {
             let link_kbps = profile.capacity.get(ResourceKind::NetBandwidth);
             let mut provider = ProviderEngine::new(
@@ -135,7 +137,8 @@ impl ScenarioConfig {
                     link_kbps,
                     ..self.provider.clone()
                 },
-            );
+            )
+            .with_formulator(formulator.clone());
             for (spec_name, model) in &models {
                 provider.register_demand_model(spec_name.clone(), Arc::clone(model));
             }
