@@ -2,10 +2,10 @@
 //! DES heap, and neighbour queries through the spatial index.
 //!
 //! `des_broadcast_fanout/N` times one realistic CFP broadcast delivered
-//! to all N−1 in-range neighbours: payloads ride the event heap behind
-//! `Arc<Msg>` (one allocation per broadcast, pointer clones per delivery)
-//! and the fan-out targets come from the `NeighbourIndex` grid instead of
-//! an O(N) node-table scan. Compare run-over-run `BENCH_JSON` lines
+//! to all N−1 in-range neighbours: the payload rides the event heap
+//! behind `Arc<Msg>` in one queue entry (one allocation per broadcast,
+//! every delivery borrows it) and the fan-out targets come from the
+//! `NeighbourIndex` grid instead of an O(N) node-table scan. Compare run-over-run `BENCH_JSON` lines
 //! against the pre-zero-copy numbers to see the per-recipient clone and
 //! scan disappear.
 //!

@@ -6,19 +6,21 @@
 //! * `sharded_netsim` — a spatially uniform gossip workload (every node
 //!   beacons once per tick, receivers stay silent) at constant density
 //!   on the sequential `Simulator` and on `ShardedSimulator` at 1/2/4
-//!   workers. The one-worker leg is the overhead gate for the sharding
-//!   machinery itself: per-event cost must stay within ~10% of
-//!   sequential, because the parallel path is only worth having if the
-//!   serial floor does not move. Speedup above 1 on the 2/4-worker legs
-//!   needs real cores — on a single-core runner they only guard against
-//!   pathological slowdowns.
+//!   workers. The one-worker leg against the sequential one is what the
+//!   per-copy engine costs next to the batched one: `Simulator` queues
+//!   one entry per transmission and remembers neighbourhoods, the
+//!   sharded engine schedules every copy and queries the grid per send,
+//!   so one worker reads about a quarter of `Simulator`'s events/s
+//!   (×0.22–0.26 in T6 on 2 cores, PR 22). The 2/4-worker legs need
+//!   real cores to say anything about scaling.
 //! * `sharded_runtime` — B6's dense 256-node negotiation on
 //!   `Backend::Des` vs `Backend::DesSharded`, i.e. the same comparison
 //!   through the full coalition-formation stack.
 //!
 //! Emits one JSON line per bench via the criterion shim; set
 //! `BENCH_JSON=<path>` to append them for run-over-run diffing and
-//! `BENCH_SMOKE=1` for the 3-sample CI variant.
+//! `BENCH_SMOKE=1` for the 3-sample CI variant. The bench reports; it
+//! compares nothing and always exits zero.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -16,10 +16,13 @@
 //! excluded from the timed region — it is a one-off O(n log n) sort.
 //!
 //! Speedup is wall-clock relative to the sequential engine at the same
-//! scale; reaching the ≥3× target at 4 workers needs ≥4 physical cores
-//! (on fewer cores the parallel legs time-slice and the column reads
-//! ≈1/workers). Set `T6_SMOKE=1` for the small single-cell CI variant
-//! and `BENCH_JSON=<path>` to append one machine-readable line per leg.
+//! scale. Since `Simulator` queues one entry per transmission while the
+//! sharded engine schedules every copy, one worker reads about ×0.25;
+//! what the table can still show is how the sharded engine scales over
+//! its own one-worker leg, which needs as many physical cores as workers
+//! (on fewer the parallel legs time-slice). Set `T6_SMOKE=1` for the
+//! small single-cell CI variant and `BENCH_JSON=<path>` to append one
+//! machine-readable line per leg.
 
 use std::time::Instant;
 
@@ -129,8 +132,8 @@ fn emit_json(nodes: usize, engine: &str, workers: usize, events: u64, wall: f64,
 pub fn run() -> Table {
     let mut table = Table::new(
         "T6: sharded-DES scaling on uniform beacon gossip at constant density \
-         (events/s and wall-clock speedup vs the sequential engine; the 4-worker \
-         leg needs >=4 physical cores to show its >=3x target)",
+         (events/s and wall-clock speedup vs the sequential engine, which queues \
+         one entry per transmission where the sharded one schedules every copy)",
         &[
             "nodes",
             "engine",

@@ -418,3 +418,10 @@ fn direct_dissolution_releases_resources() {
         .iter()
         .any(|e| matches!(e.event, NegoEvent::Dissolved { .. })));
 }
+
+/// The DES queue entry carrying a protocol message is the size it was
+/// before broadcasts became one entry per transmission.
+#[test]
+fn des_queue_entry_for_msg_stays_64_bytes() {
+    assert_eq!(Simulator::<Msg>::QUEUE_ENTRY_BYTES, 64);
+}

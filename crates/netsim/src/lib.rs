@@ -16,8 +16,10 @@
 //! * [`NeighbourIndex`] — spatial grid behind neighbour queries and
 //!   broadcast fan-out (rebuilt on each mobility tick).
 //! * [`Simulator`] + [`NetApp`] — the event loop and the sans-IO protocol
-//!   hook; applications send via [`Ctx`]. Payloads ride the heap behind
-//!   `Arc<M>`: a broadcast allocates once regardless of fan-out.
+//!   hook; applications send via [`Ctx`]. A broadcast is one queue entry
+//!   and one `Arc<M>` payload regardless of fan-out, sent to a
+//!   neighbourhood each node remembers until a node is added or moves
+//!   (liveness is tested per target, so `Down`/`Up` never invalidate it).
 //! * [`NetStats`] — message/latency counters for the T1 experiment.
 //! * [`FaultPlan`] / [`FaultSampler`] — drop/duplicate/reorder fault
 //!   injection, sharing one vocabulary with the `qosc-mc` model checker.

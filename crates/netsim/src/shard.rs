@@ -118,7 +118,7 @@ fn anchor_node<M>(kind: &EventKind<M>) -> Option<NodeId> {
         EventKind::Deliver { dst, .. } => Some(*dst),
         EventKind::Timer { node, .. } => Some(*node),
         EventKind::Down(n) | EventKind::Up(n) => Some(*n),
-        EventKind::MobilityTick => None,
+        EventKind::MobilityTick | EventKind::Fanout { .. } => None,
     }
 }
 
@@ -243,6 +243,7 @@ fn execute_event<M, A: NetApp<M>>(
             with_ctx!(node, |ctx| app.on_node_up(&mut ctx, node));
         }
         EventKind::MobilityTick => unreachable!("mobility ticks are handled by the merged loop"),
+        EventKind::Fanout { .. } => unreachable!("this engine schedules one event per copy"),
     }
 }
 
@@ -634,21 +635,13 @@ impl<M> ShardedSimulator<M> {
 
     /// Buffer-reusing variant of [`ShardedSimulator::neighbours`].
     pub fn neighbours_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        let Some(slot) = self.nodes.get(node.0 as usize) else {
-            return;
-        };
-        if !slot.up {
-            return;
+        Medium {
+            radio: &self.config.radio,
+            nodes: &self.nodes,
+            index: &self.index,
+            cuts: None,
         }
-        self.index.candidates_into(slot.pos, out);
-        out.retain(|&c| {
-            c != node && {
-                let s = &self.nodes[c.0 as usize];
-                s.up && self.config.radio.in_range(slot.pos.distance(&s.pos))
-            }
-        });
-        out.sort_unstable();
+        .live_neighbours_into(node, out);
     }
 
     /// Freezes the node→shard partition (idempotent; implied by the

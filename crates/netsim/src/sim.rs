@@ -23,17 +23,31 @@
 //! control RNG (seeded from the run seed) drives placement
 //! ([`Simulator::add_node_random`]) and mobility ticks.
 //!
-//! # The zero-copy delivery plane
+//! # The delivery plane: one entry per transmission
 //!
-//! Message payloads travel the heap behind [`Arc`]: a broadcast allocates
-//! its payload once and every per-recipient delivery event clones the
-//! pointer, not the message (`M` needs no `Clone` bound at all). Fan-out
-//! targets come from the [`NeighbourIndex`] spatial grid — rebuilt on
-//! each mobility tick, extended on `add_node` — so a broadcast scans only
-//! the 3×3 cell block around the sender instead of the whole node table.
-//! Handlers see borrowed views throughout: `&M` payloads and a [`Ctx`]
-//! that reads the live node table directly instead of copying positions
-//! per event.
+//! The medium is a shared radio: a broadcast is *one* transmission heard
+//! by everyone in range, and the queue holds it as one entry per run of
+//! copies that share a delivery instant (normally the whole fan-out; a
+//! fault-delayed or duplicated copy breaks the run and is an entry of its
+//! own). The entry reserves one sequence number per copy at send time, so
+//! popping it and handing copy `i` to its receiver under `seq + i` is
+//! exactly the order one entry per copy would give — the per-copy
+//! [`crate::ShardedSimulator`] at one worker is the oracle for that, bit
+//! for bit. Every copy borrows the entry's one `Arc<M>` payload (`M`
+//! needs no `Clone` bound at all); receiver lists live beside the heap,
+//! so an entry is 64 bytes whatever it carries.
+//!
+//! Fan-out targets come from a **remembered neighbourhood**: the ids in
+//! range of the sender, computed from the [`NeighbourIndex`] grid (3×3
+//! cells around the sender, not the whole node table) on the node's first
+//! broadcast after the topology changed, and reused until it changes
+//! again — `add_node` and the mobility tick are the only things that move
+//! a position, and both bump the epoch that invalidates every list.
+//! Liveness is deliberately not part of the list: `Down`/`Up` events are
+//! frequent and cheap to test per target at send time, so failure
+//! injection never costs a refill. Handlers see borrowed views
+//! throughout: `&M` payloads and a [`Ctx`] that reads the live node table
+//! directly instead of copying positions per event.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -123,6 +137,17 @@ pub(crate) enum EventKind<M> {
         /// same allocation.
         msg: Arc<M>,
     },
+    /// One radio transmission on the sequential engine: the run of
+    /// broadcast copies that share a delivery instant. The entry's own
+    /// `seq` is copy 0's; copy `i` goes to the `i`-th id of receiver
+    /// list `targets` of `Simulator::fanout` under `seq + i`.
+    Fanout {
+        src: NodeId,
+        targets: u32,
+        bytes: u64,
+        sent_at: SimTime,
+        msg: Arc<M>,
+    },
     Timer {
         node: NodeId,
         token: u64,
@@ -173,6 +198,14 @@ pub(crate) struct NodeSlot {
     pub(crate) pos: Point,
     pub(crate) mobility: MobilityState,
     pub(crate) up: bool,
+}
+
+/// A node's remembered neighbourhood: the ids within radio range of its
+/// position, valid while `epoch` equals the simulator's topology epoch.
+#[derive(Default)]
+struct Hood {
+    epoch: u64,
+    ids: Vec<NodeId>,
 }
 
 /// Commands an application handler may emit through [`Ctx`].
@@ -236,8 +269,8 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Broadcasts `msg` from `src` to every in-range, live neighbour.
-    /// The payload is allocated (or shared) once; every delivery clones
-    /// the `Arc`, never the message.
+    /// The payload is allocated (or shared) once; no delivery copies the
+    /// message.
     pub fn broadcast(&mut self, src: NodeId, bytes: u64, msg: impl Into<Arc<M>>) {
         self.cmds.push(Command::Broadcast {
             src,
@@ -254,21 +287,14 @@ impl<'a, M> Ctx<'a, M> {
     /// Live single-hop neighbours of `node` under the current topology,
     /// in ascending id order (answered from the spatial index).
     pub fn neighbours(&self, node: NodeId) -> Vec<NodeId> {
-        let Some(slot) = self.nodes.get(node.0 as usize) else {
-            return Vec::new();
-        };
-        if !slot.up {
-            return Vec::new();
-        }
         let mut out = Vec::new();
-        self.index.candidates_into(slot.pos, &mut out);
-        out.retain(|&c| {
-            c != node && {
-                let s = &self.nodes[c.0 as usize];
-                s.up && self.radio.in_range(slot.pos.distance(&s.pos))
-            }
-        });
-        out.sort_unstable();
+        Medium {
+            radio: self.radio,
+            nodes: self.nodes,
+            index: self.index,
+            cuts: None,
+        }
+        .live_neighbours_into(node, &mut out);
         out
     }
 
@@ -299,12 +325,20 @@ pub struct Simulator<M> {
     /// tick, extended in place by `add_node`. Queries filter liveness
     /// against `nodes`, so up/down events never touch the index.
     index: NeighbourIndex,
-    /// Reused per-broadcast target buffer: broadcast fan-out is the
-    /// 256-node hot path, and a fresh `Vec` per delivery showed up in
-    /// profiles.
-    bcast_scratch: Vec<(NodeId, f64)>,
-    /// Reused grid-candidate buffer for the same reason.
-    cand_scratch: Vec<NodeId>,
+    /// Per-node remembered neighbourhoods (parallel to `nodes`), filled
+    /// on a node's first broadcast after `topo_epoch` moved.
+    hoods: Vec<Hood>,
+    /// Where a neighbourhood is computed (the grid hands back ~3× the
+    /// ids that stay) before an exact-size copy is remembered.
+    hood_scratch: Vec<NodeId>,
+    /// Bumped whenever a position appears or changes: `add_node` and the
+    /// mobility tick. Starts at 1 so a default `Hood` is stale.
+    topo_epoch: u64,
+    /// Receiver lists of the in-flight [`EventKind::Fanout`] entries,
+    /// kept beside the heap so a heap entry stays 64 bytes. A delivered
+    /// list is emptied and its slot pushed on `fanout_free`.
+    fanout: Vec<Vec<NodeId>>,
+    fanout_free: Vec<u32>,
     /// Reused handler command buffer (one per event otherwise).
     cmd_scratch: Vec<Command<M>>,
     /// The installed fault plan, if it samples anything; kept so nodes
@@ -322,6 +356,11 @@ pub struct Simulator<M> {
 }
 
 impl<M> Simulator<M> {
+    /// Bytes one queue entry occupies for this payload type; pinned by
+    /// tests so the unicast path does not pay for the fan-out variant.
+    #[doc(hidden)]
+    pub const QUEUE_ENTRY_BYTES: usize = std::mem::size_of::<Scheduled<M>>();
+
     /// Creates an empty simulation.
     pub fn new(config: SimConfig) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -337,8 +376,11 @@ impl<M> Simulator<M> {
             stats: NetStats::default(),
             mobility_armed: false,
             index,
-            bcast_scratch: Vec::new(),
-            cand_scratch: Vec::new(),
+            hoods: Vec::new(),
+            hood_scratch: Vec::new(),
+            topo_epoch: 1,
+            fanout: Vec::new(),
+            fanout_free: Vec::new(),
             cmd_scratch: Vec::new(),
             fault_plan: None,
             fault: Vec::new(),
@@ -390,6 +432,8 @@ impl<M> Simulator<M> {
             self.fault.push(FaultSampler::for_node(p, id.0));
         }
         self.index.insert(id, pos);
+        self.hoods.push(Hood::default());
+        self.topo_epoch += 1;
         if mobile && !self.mobility_armed {
             self.mobility_armed = true;
             let at = self.now + self.config.mobility_tick;
@@ -465,21 +509,13 @@ impl<M> Simulator<M> {
     /// block around the node is scanned; callers on hot paths keep one
     /// scratch `Vec` alive across queries instead of allocating per call.
     pub fn neighbours_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        let Some(slot) = self.nodes.get(node.0 as usize) else {
-            return;
-        };
-        if !slot.up {
-            return;
+        Medium {
+            radio: &self.config.radio,
+            nodes: &self.nodes,
+            index: &self.index,
+            cuts: None,
         }
-        self.index.candidates_into(slot.pos, out);
-        out.retain(|&c| {
-            c != node && {
-                let s = &self.nodes[c.0 as usize];
-                s.up && self.config.radio.in_range(slot.pos.distance(&s.pos))
-            }
-        });
-        out.sort_unstable();
+        .live_neighbours_into(node, out);
     }
 
     /// All nodes reachable from `node` over live multi-hop paths
@@ -585,27 +621,46 @@ impl<M> Simulator<M> {
         }
     }
 
+    /// One transmission: walks `src`'s remembered neighbourhood in
+    /// ascending id order — the order the loss/fault draws and sequence
+    /// numbers are consumed in — and schedules each maximal run of
+    /// copies that share a delivery instant as one [`EventKind::Fanout`]
+    /// entry holding the run's reserved range of sequence numbers.
     fn submit_broadcast(&mut self, anchor: NodeId, src: NodeId, bytes: u64, msg: Arc<M>) {
-        let mut cands = std::mem::take(&mut self.cand_scratch);
-        let mut targets = std::mem::take(&mut self.bcast_scratch);
-        Medium {
+        self.stats.broadcasts_sent += 1;
+        let Some(src_pos) = self
+            .nodes
+            .get(src.0 as usize)
+            .filter(|s| s.up)
+            .map(|s| s.pos)
+        else {
+            return;
+        };
+        let medium = Medium {
             radio: &self.config.radio,
             nodes: &self.nodes,
             index: &self.index,
             cuts: self.partition.as_ref(),
+        };
+        let hood = &mut self.hoods[src.0 as usize];
+        if hood.epoch != self.topo_epoch {
+            medium.in_range_ids(src, &mut self.hood_scratch);
+            hood.ids.clear();
+            hood.ids.extend_from_slice(&self.hood_scratch);
+            hood.epoch = self.topo_epoch;
         }
-        .collect_broadcast_targets(&mut self.stats, src, &mut cands, &mut targets);
-        self.cand_scratch = cands;
-        let latency = self.config.radio.latency(bytes);
+        let ids = std::mem::take(&mut hood.ids);
         let sent_at = self.now;
-        for &(dst, dist) in &targets {
-            let times = Medium {
-                radio: &self.config.radio,
-                nodes: &self.nodes,
-                index: &self.index,
-                cuts: self.partition.as_ref(),
+        let base_at = sent_at + self.config.radio.latency(bytes);
+        // The open run: its delivery instant and receiver list.
+        let mut run: Option<(SimTime, u32)> = None;
+        for &dst in &ids {
+            // The list is positions only; liveness is today's.
+            let d = &self.nodes[dst.0 as usize];
+            if !d.up {
+                continue;
             }
-            .plan_broadcast_copy(
+            let times = medium.plan_broadcast_copy(
                 &mut Draws {
                     rng: &mut self.streams[anchor.0 as usize],
                     fault: self.fault.get_mut(anchor.0 as usize),
@@ -613,66 +668,144 @@ impl<M> Simulator<M> {
                 },
                 src,
                 dst,
-                dist,
-                sent_at + latency,
+                src_pos.distance(&d.pos),
+                base_at,
             );
             for at in times.into_iter().flatten() {
-                self.push(
-                    at,
-                    EventKind::Deliver {
-                        kind: SendKind::Broadcast,
-                        src,
-                        dst,
-                        bytes,
-                        sent_at,
-                        // Shared payload: the broadcast's one allocation.
-                        msg: Arc::clone(&msg),
-                    },
-                );
+                let seq = self.seq;
+                self.seq += 1;
+                let targets = match run {
+                    Some((run_at, targets)) if run_at == at => targets,
+                    _ => {
+                        // The entry only names the list, so it can be
+                        // queued now and the run's later copies appended.
+                        let targets = self.fanout_free.pop().unwrap_or_else(|| {
+                            self.fanout.push(Vec::new());
+                            self.fanout.len() as u32 - 1
+                        });
+                        self.heap.push(Scheduled {
+                            at,
+                            shard: 0,
+                            seq,
+                            kind: EventKind::Fanout {
+                                src,
+                                targets,
+                                bytes,
+                                sent_at,
+                                msg: Arc::clone(&msg),
+                            },
+                        });
+                        run = Some((at, targets));
+                        targets
+                    }
+                };
+                self.fanout[targets as usize].push(dst);
             }
         }
-        self.bcast_scratch = targets;
+        self.hoods[src.0 as usize].ids = ids;
     }
 
-    /// Processes the next event through `app`. Returns the new time, or
-    /// `None` when the heap is empty.
-    pub fn step<A: NetApp<M>>(&mut self, app: &mut A) -> Option<SimTime> {
+    /// Runs `call` against a borrowed [`Ctx`] view of the node table,
+    /// then applies the commands it emitted. `anchor` is the node the
+    /// event is anchored at: its RNG stream backs `ctx.rng` and every
+    /// draw the emitted commands need. The command buffer is reused.
+    fn with_ctx(
+        &mut self,
+        key: (SimTime, u32, u64),
+        anchor: NodeId,
+        call: impl FnOnce(&mut Ctx<'_, M>),
+    ) {
+        let mut ctx = Ctx {
+            now: self.now,
+            rng: &mut self.streams[anchor.0 as usize],
+            cmds: std::mem::take(&mut self.cmd_scratch),
+            nodes: &self.nodes,
+            index: &self.index,
+            radio: &self.config.radio,
+            key,
+        };
+        call(&mut ctx);
+        let mut cmds = ctx.cmds;
+        self.apply_commands(anchor, &mut cmds);
+        self.cmd_scratch = cmds;
+    }
+
+    /// Hands one delivery, handled under `key`, to `app`.
+    #[allow(clippy::too_many_arguments)]
+    fn deliver<A: NetApp<M>>(
+        &mut self,
+        app: &mut A,
+        key: (SimTime, u32, u64),
+        kind: SendKind,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        sent_at: SimTime,
+        msg: &M,
+    ) {
+        // The destination may have died in flight.
+        if self.is_up(dst) {
+            match kind {
+                SendKind::Unicast => self.stats.unicasts_delivered += 1,
+                SendKind::Broadcast => self.stats.broadcast_deliveries += 1,
+            }
+            let latency = self.now.since(sent_at);
+            self.stats.record_delivery(latency, bytes);
+            self.with_ctx(key, dst, |ctx| app.on_message(ctx, dst, src, msg));
+        } else {
+            match kind {
+                SendKind::Unicast => self.stats.unicasts_unreachable += 1,
+                SendKind::Broadcast => self.stats.broadcasts_undelivered += 1,
+            }
+        }
+    }
+
+    /// Takes the next queue entry and processes one event of it, or —
+    /// `whole` — every copy a fan-out entry still holds. Returns the
+    /// number of events processed, `None` when nothing is pending.
+    fn advance<A: NetApp<M>>(&mut self, app: &mut A, whole: bool) -> Option<u64> {
         let ev = self.heap.pop()?;
         self.now = ev.at;
         let key = ev.key();
-        // Handlers run against a borrowed Ctx view of the node table and
-        // fill the reused command buffer; commands are applied after the
-        // handler returns and the buffer goes back into the scratch slot.
-        // `$anchor` is the node the event is anchored at: its RNG stream
-        // backs `ctx.rng` and every draw the emitted commands need.
-        macro_rules! with_ctx {
-            ($anchor:expr, |$ctx:ident| $call:expr) => {{
-                let anchor: NodeId = $anchor;
-                let cmds = std::mem::take(&mut self.cmd_scratch);
-                let mut $ctx = Ctx {
-                    now: self.now,
-                    rng: &mut self.streams[anchor.0 as usize],
-                    cmds,
-                    nodes: &self.nodes,
-                    index: &self.index,
-                    radio: &self.config.radio,
-                    key,
-                };
-                $call;
-                let mut cmds = $ctx.cmds;
-                self.apply_commands(anchor, &mut cmds);
-                self.cmd_scratch = cmds;
-            }};
-        }
         match ev.kind {
+            EventKind::Fanout {
+                src,
+                targets,
+                bytes,
+                sent_at,
+                ref msg,
+            } => {
+                // Nothing else holds a key inside the entry's reserved
+                // range and whatever a handler schedules sorts after it,
+                // so the copies run back to back off the one payload.
+                let mut list = std::mem::take(&mut self.fanout[targets as usize]);
+                let n = if whole { list.len() } else { 1 };
+                for (i, &dst) in list[..n].iter().enumerate() {
+                    let key = (key.0, key.1, key.2 + i as u64);
+                    self.deliver(app, key, SendKind::Broadcast, src, dst, bytes, sent_at, msg);
+                }
+                list.drain(..n);
+                if list.is_empty() {
+                    self.fanout_free.push(targets);
+                } else {
+                    // Stepped into: the rest goes back under its next key,
+                    // still ahead of everything else queued.
+                    let seq = ev.seq + n as u64;
+                    self.heap.push(Scheduled { seq, ..ev });
+                }
+                self.fanout[targets as usize] = list;
+                return Some(n as u64);
+            }
             EventKind::MobilityTick => {
                 let dt = self.config.mobility_tick;
                 let area = self.config.area;
                 for slot in &mut self.nodes {
                     slot.pos = slot.mobility.advance(slot.pos, dt, &area, &mut self.rng);
                 }
-                // Positions changed: re-bin the spatial index.
+                // Positions changed: re-bin the spatial index and let
+                // every remembered neighbourhood go stale.
                 self.index.rebuild(self.nodes.iter().map(|s| s.pos));
+                self.topo_epoch += 1;
                 let at = self.now + dt;
                 self.push(at, EventKind::MobilityTick);
             }
@@ -683,61 +816,47 @@ impl<M> Simulator<M> {
                 bytes,
                 sent_at,
                 msg,
-            } => {
-                // The destination may have died in flight.
-                if self.is_up(dst) {
-                    match kind {
-                        SendKind::Unicast => self.stats.unicasts_delivered += 1,
-                        SendKind::Broadcast => self.stats.broadcast_deliveries += 1,
-                    }
-                    let latency = self.now.since(sent_at);
-                    self.stats.record_delivery(latency, bytes);
-                    with_ctx!(dst, |ctx| app.on_message(&mut ctx, dst, src, &msg));
-                } else {
-                    match kind {
-                        SendKind::Unicast => self.stats.unicasts_unreachable += 1,
-                        SendKind::Broadcast => self.stats.broadcasts_undelivered += 1,
-                    }
-                }
-            }
+            } => self.deliver(app, key, kind, src, dst, bytes, sent_at, &msg),
             EventKind::Timer { node, token } => {
                 if self.is_up(node) {
-                    with_ctx!(node, |ctx| app.on_timer(&mut ctx, node, token));
+                    self.with_ctx(key, node, |ctx| app.on_timer(ctx, node, token));
                 }
             }
             EventKind::Down(node) => {
-                if node.0 as usize >= self.nodes.len() {
-                    return Some(self.now);
+                if let Some(slot) = self.nodes.get_mut(node.0 as usize) {
+                    slot.up = false;
+                    self.with_ctx(key, node, |ctx| app.on_node_down(ctx, node));
                 }
-                self.nodes[node.0 as usize].up = false;
-                with_ctx!(node, |ctx| app.on_node_down(&mut ctx, node));
             }
             EventKind::Up(node) => {
-                if node.0 as usize >= self.nodes.len() {
-                    return Some(self.now);
+                if let Some(slot) = self.nodes.get_mut(node.0 as usize) {
+                    slot.up = true;
+                    self.with_ctx(key, node, |ctx| app.on_node_up(ctx, node));
                 }
-                self.nodes[node.0 as usize].up = true;
-                with_ctx!(node, |ctx| app.on_node_up(&mut ctx, node));
             }
         }
-        Some(self.now)
+        Some(1)
     }
 
-    /// Runs until the heap drains or `deadline` passes. Returns the number
-    /// of events processed. The perpetual mobility tick does not count as
-    /// progress, so a simulation with only mobile nodes and no protocol
-    /// activity still terminates at the deadline.
+    /// Processes the next event through `app` — one delivered copy when
+    /// it is part of a fan-out. Returns the new time, or `None` when
+    /// nothing is pending.
+    pub fn step<A: NetApp<M>>(&mut self, app: &mut A) -> Option<SimTime> {
+        self.advance(app, false).map(|_| self.now)
+    }
+
+    /// Runs until the queue drains or `deadline` passes. Returns the number
+    /// of events processed, one per delivered copy. The perpetual mobility
+    /// tick does not count as progress, so a simulation with only mobile
+    /// nodes and no protocol activity still terminates at the deadline.
     pub fn run_until<A: NetApp<M>>(&mut self, app: &mut A, deadline: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(&Scheduled { at, .. }) = self.heap.peek().map(|s| s as &Scheduled<M>) {
+        while let Some(at) = self.heap.peek().map(|ev| ev.at) {
             if at > deadline {
                 self.now = deadline;
                 break;
             }
-            if self.step(app).is_none() {
-                break;
-            }
-            n += 1;
+            n += self.advance(app, true).unwrap_or(0);
         }
         n
     }
@@ -816,36 +935,60 @@ impl Medium<'_> {
         self.cut_partitioned(times, src, dst, draws.stats)
     }
 
-    /// Resolves a broadcast's fan-out: bumps `broadcasts_sent`, then
-    /// fills `targets` with the `(neighbour, distance)` pairs the copies
-    /// go to, in ascending id order (the order the per-target loss draws
-    /// and sequence numbers are consumed in). `cands` is the reused grid
-    /// candidate buffer. Leaves `targets` empty when `src` is missing or
-    /// down.
+    /// The one in-range query: clears `out` and fills it with every node
+    /// within radio range of `node`'s position, ascending, `node` itself
+    /// excluded. Positions only — liveness is the caller's to test, which
+    /// is what lets the answer be remembered across `Down`/`Up` events.
+    /// Scans the 3×3 cell block around the node; empty for an unknown id.
+    pub(crate) fn in_range_ids(&self, node: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
+        let Some(pos) = self.nodes.get(node.0 as usize).map(|s| s.pos) else {
+            return;
+        };
+        self.index.candidates_into(pos, out);
+        out.retain(|&c| {
+            c != node
+                && self
+                    .radio
+                    .in_range(pos.distance(&self.nodes[c.0 as usize].pos))
+        });
+        out.sort_unstable();
+    }
+
+    /// Clears `out` and fills it with the live single-hop neighbours of
+    /// `node` in ascending id order; empty when `node` is down or unknown.
+    pub(crate) fn live_neighbours_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
+        if self.nodes.get(node.0 as usize).is_some_and(|s| s.up) {
+            self.in_range_ids(node, out);
+            out.retain(|&c| self.nodes[c.0 as usize].up);
+        }
+    }
+
+    /// Resolves a broadcast's fan-out for the per-copy (sharded) engine:
+    /// bumps `broadcasts_sent`, then fills `targets` with the live
+    /// `(neighbour, distance)` pairs the copies go to, in ascending id
+    /// order (the order the per-target loss draws and sequence numbers
+    /// are consumed in). `ids` is a reused buffer. Leaves `targets` empty
+    /// when `src` is missing or down.
     pub(crate) fn collect_broadcast_targets(
         &self,
         stats: &mut NetStats,
         src: NodeId,
-        cands: &mut Vec<NodeId>,
+        ids: &mut Vec<NodeId>,
         targets: &mut Vec<(NodeId, f64)>,
     ) {
         stats.broadcasts_sent += 1;
         targets.clear();
-        let Some(s) = self.nodes.get(src.0 as usize) else {
+        let Some(s) = self.nodes.get(src.0 as usize).filter(|s| s.up) else {
             return;
         };
-        if !s.up {
-            return;
-        }
-        let src_pos = s.pos;
-        self.index.candidates_into(src_pos, cands);
-        cands.sort_unstable();
+        self.in_range_ids(src, ids);
         targets.extend(
-            cands
-                .iter()
-                .filter(|&&c| c != src && self.nodes[c.0 as usize].up)
-                .map(|&c| (c, src_pos.distance(&self.nodes[c.0 as usize].pos)))
-                .filter(|(_, dist)| self.radio.in_range(*dist)),
+            ids.iter()
+                .map(|&c| (c, &self.nodes[c.0 as usize]))
+                .filter(|(_, d)| d.up)
+                .map(|(c, d)| (c, s.pos.distance(&d.pos))),
         );
     }
 
@@ -916,6 +1059,13 @@ mod tests {
                 ctx.broadcast(at, 100, 0);
             }
         }
+    }
+
+    /// An app that does nothing: time (and mobility) just passes.
+    struct Noop;
+    impl NetApp<u32> for Noop {
+        fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: NodeId, _: &u32) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u64) {}
     }
 
     fn two_node_sim(distance: f64) -> (Simulator<u32>, NodeId, NodeId) {
@@ -1038,11 +1188,6 @@ mod tests {
         assert_eq!(sim.neighbours(b), vec![a, c]);
         assert_eq!(sim.reachable_set(a), vec![a, b, c]);
         sim.schedule_down(b, SimDuration::micros(1));
-        struct Noop;
-        impl NetApp<u32> for Noop {
-            fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: NodeId, _: &u32) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u64) {}
-        }
         sim.run_until(&mut Noop, SimTime(1_000));
         assert_eq!(sim.reachable_set(a), vec![a]);
     }
@@ -1091,15 +1236,13 @@ mod tests {
                 pause: SimDuration::ZERO,
             });
         }
-        struct Noop;
-        impl NetApp<u32> for Noop {
-            fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: NodeId, _: &u32) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u64) {}
-        }
         let before: Vec<_> = (0..12).map(|i| sim.neighbours(NodeId(i))).collect();
         sim.run_until(&mut Noop, SimTime(60_000_000)); // 60 s
         let after: Vec<_> = (0..12).map(|i| sim.neighbours(NodeId(i))).collect();
         assert_ne!(before, after, "60 s at 5-10 m/s must change neighbourhoods");
+        // Nobody broadcast: no neighbourhood was remembered, no list made.
+        assert!(sim.hoods.iter().all(|h| h.ids.capacity() == 0));
+        assert!(sim.fanout.is_empty());
     }
 
     #[test]
@@ -1178,6 +1321,74 @@ mod tests {
         assert_eq!(stats.broadcasts_lost, 1);
         assert_eq!(stats.unicasts_lost, 0);
         assert_eq!(stats.broadcast_deliveries, 0);
+    }
+
+    #[test]
+    fn queue_entry_stays_64_bytes_whatever_the_payload() {
+        assert_eq!(Simulator::<u32>::QUEUE_ENTRY_BYTES, 64);
+        assert_eq!(Simulator::<[u64; 512]>::QUEUE_ENTRY_BYTES, 64);
+    }
+
+    fn beacon(sim: &mut Simulator<u32>, from: NodeId) -> Vec<NodeId> {
+        let mut app = Echo {
+            received: vec![],
+            reply: false,
+        };
+        sim.schedule_timer(from, SimDuration::micros(1), 1);
+        sim.run_until(&mut app, sim.now() + SimDuration::millis(10));
+        app.received.iter().map(|r| r.0).collect()
+    }
+
+    #[test]
+    fn node_added_mid_run_hears_the_next_beacon() {
+        let (mut sim, a, b) = two_node_sim(30.0);
+        assert_eq!(beacon(&mut sim, a), vec![b]);
+        let c = sim.add_node(Point::new(0.0, 30.0), Mobility::Static);
+        assert_eq!(beacon(&mut sim, a), vec![b, c]);
+    }
+
+    #[test]
+    fn down_and_up_between_beacons_needs_no_new_neighbourhood() {
+        let (mut sim, a, b) = two_node_sim(30.0);
+        assert_eq!(beacon(&mut sim, a), vec![b]);
+        let epoch = sim.topo_epoch;
+        sim.schedule_down(b, SimDuration::ZERO);
+        assert_eq!(beacon(&mut sim, a), vec![]);
+        sim.schedule_up(b, SimDuration::ZERO);
+        assert_eq!(beacon(&mut sim, a), vec![b]);
+        // The list holds ids, not liveness: it was never refilled.
+        assert_eq!(sim.topo_epoch, epoch);
+        assert_eq!(sim.hoods[a.0 as usize].epoch, epoch);
+    }
+
+    #[test]
+    fn beacons_follow_receivers_in_and_out_of_range() {
+        let mut sim: Simulator<u32> = Simulator::new(SimConfig {
+            area: Area::new(150.0, 150.0),
+            seed: 3,
+            ..Default::default()
+        });
+        let a = sim.add_node(Point::new(75.0, 75.0), Mobility::Static);
+        for _ in 0..30 {
+            sim.add_node_random(Mobility::RandomWaypoint {
+                min_speed: 10.0,
+                max_speed: 20.0,
+                pause: SimDuration::ZERO,
+            });
+        }
+        let (mut left, mut joined) = (0, 0);
+        let mut before = sim.neighbours(a);
+        for _ in 0..8 {
+            // Ticks land on whole multiples of 100 ms; beacons go out
+            // 1 µs after one, so `neighbours` sees the sender's topology.
+            let now = sim.neighbours(a);
+            assert_eq!(beacon(&mut sim, a), now);
+            left += before.iter().filter(|n| !now.contains(n)).count();
+            joined += now.iter().filter(|n| !before.contains(n)).count();
+            before = now;
+            sim.run_until(&mut Noop, sim.now() + SimDuration::millis(990));
+        }
+        assert!(left > 0 && joined > 0, "left {left}, joined {joined}");
     }
 
     #[test]
