@@ -403,12 +403,6 @@ pub fn aggregate_cpu(instance: &Instance) -> f64 {
         .max(f64::MIN_POSITIVE)
 }
 
-#[allow(unused_imports)]
-use qosc_resources::ResourceKind as _ResourceKindForDocs;
-
-#[allow(dead_code)]
-fn _assert_send(_: &ResourceVector) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,7 +55,6 @@ fn bench_runtime_backends(c: &mut Criterion) {
                 // The 1024-node point is about Direct's own dispatch.
                 Backend::Des if nodes > 256 => continue,
                 Backend::Des => "des_dense",
-                Backend::DesSharded { .. } => unreachable!(),
             };
             g.bench_with_input(BenchmarkId::new(name, nodes), &backend, |b, &backend| {
                 let mut seed = 0u64;

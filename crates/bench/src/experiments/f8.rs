@@ -37,7 +37,7 @@ use qosc_workloads::{AppTemplate, Backend, PopulationConfig, ScenarioConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::table::{f, mean, replicate, Table};
+use crate::table::{append_bench_json, f, mean, replicate, Table};
 
 /// The compared chains, in presentation order.
 const CHAINS: [&str; 5] = [
@@ -153,32 +153,13 @@ fn run_once(
     )
 }
 
-/// Appends one machine-readable line per cell when `BENCH_JSON` is set
-/// (same file and line discipline as the criterion-shim benches).
+/// Appends one machine-readable line per cell when `BENCH_JSON` is set.
 fn emit_json(label: &str, formed: f64, dist: f64, unassigned: f64, msgs: f64, samples: u64) {
-    let json = format!(
+    append_bench_json([format!(
         "{{\"benchmark\":\"{label}\",\"formed_ratio\":{formed:.4},\
          \"mean_distance\":{dist:.4},\"unassigned_tasks\":{unassigned:.4},\
          \"messages\":{msgs:.1},\"samples\":{samples}}}"
-    );
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    let path = std::path::Path::new(&path);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        Ok(mut file) => {
-            use std::io::Write as _;
-            let _ = writeln!(file, "{json}");
-        }
-        Err(e) => eprintln!("BENCH_JSON: cannot append to {}: {e}", path.display()),
-    }
+    )]);
 }
 
 /// Runs F8 and returns its table.

@@ -18,14 +18,13 @@ pub mod t2;
 pub mod t3;
 pub mod t4;
 pub mod t5;
-pub mod t6;
 pub mod t7;
 
 use crate::table::Table;
 
 /// All experiment ids in canonical order.
-pub const ALL: [&str; 15] = [
-    "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "t1", "t2", "t3", "t4", "t5", "t6", "t7",
+pub const ALL: [&str; 14] = [
+    "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "t1", "t2", "t3", "t4", "t5", "t7",
 ];
 
 /// Runs one experiment by id.
@@ -44,7 +43,6 @@ pub fn run(id: &str) -> Option<Table> {
         "t3" => t3::run(),
         "t4" => t4::run(),
         "t5" => t5::run(),
-        "t6" => t6::run(),
         "t7" => t7::run(),
         _ => return None,
     })

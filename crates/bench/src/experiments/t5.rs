@@ -26,7 +26,7 @@ use qosc_load::{LoadDriver, LoadPlan, LoadReport, PoissonArrivals, SaturationRep
 use qosc_netsim::SimDuration;
 use qosc_workloads::{AppTemplate, Backend, ScenarioConfig};
 
-use crate::table::{f, Table};
+use crate::table::{append_bench_json, f, Table};
 
 fn smoke() -> bool {
     std::env::var("T5_SMOKE").is_ok_and(|v| v != "0")
@@ -69,7 +69,7 @@ fn cell(
 }
 
 /// Appends one machine-readable line per sweep point when `BENCH_JSON`
-/// is set (same file and line discipline as the criterion-shim benches).
+/// is set.
 fn emit_json(label: &str, offered: f64, report: &LoadReport) {
     let ms = |q: f64| {
         report
@@ -77,7 +77,7 @@ fn emit_json(label: &str, offered: f64, report: &LoadReport) {
             .quantile(q)
             .map_or(-1.0, |d| d.as_secs_f64() * 1e3)
     };
-    let json = format!(
+    append_bench_json([format!(
         "{{\"benchmark\":\"{label}\",\"offered_per_s\":{offered:.2},\
          \"submitted\":{},\"formed_ratio\":{:.4},\"sustained_per_s\":{:.3},\
          \"p50_ms\":{:.3},\"p90_ms\":{:.3},\"p99_ms\":{:.3},\"messages\":{}}}",
@@ -88,25 +88,7 @@ fn emit_json(label: &str, offered: f64, report: &LoadReport) {
         ms(0.90),
         ms(0.99),
         report.messages,
-    );
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    let path = std::path::Path::new(&path);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        Ok(mut file) => {
-            use std::io::Write as _;
-            let _ = writeln!(file, "{json}");
-        }
-        Err(e) => eprintln!("BENCH_JSON: cannot append to {}: {e}", path.display()),
-    }
+    )]);
 }
 
 /// Runs T5 and returns its table.

@@ -30,7 +30,7 @@ use qosc_workloads::{AppTemplate, PopulationConfig, Scenario, ScenarioConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::table::{f, mean, replicate, Table};
+use crate::table::{append_bench_json, f, mean, replicate, Table};
 
 /// The split lands mid-CFP: the round-0 call (submitted at 1 ms,
 /// ~2 ms latency) has reached the providers, their proposals have not
@@ -135,35 +135,16 @@ fn run_cell(nodes: usize, seed: u64, duration: SimDuration, chain: &OrganizerStr
     }
 }
 
-/// Appends one machine-readable line per cell when `BENCH_JSON` is set
-/// (same file and line discipline as the criterion-shim benches).
+/// Appends one machine-readable line per cell when `BENCH_JSON` is set.
 fn emit_json(nodes: usize, duration_ms: u64, policy: &str, c: &Cell, overhead: f64) {
-    let json = format!(
+    append_bench_json([format!(
         "{{\"benchmark\":\"t7/partition-n{nodes}-d{duration_ms}ms-{policy}\",\
          \"nodes\":{nodes},\"partition_ms\":{duration_ms},\"policy\":\"{policy}\",\
          \"formed_ratio\":{:.3},\"assigned_tasks\":{:.2},\"recovered_after_heal\":{:.2},\
          \"settle_ms\":{:.1},\"messages\":{:.0},\"partition_cuts\":{:.0},\
          \"msg_overhead\":{overhead:.3}}}",
         c.formed, c.assigned, c.recovered, c.settle_ms, c.msgs, c.cuts,
-    );
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    let path = std::path::Path::new(&path);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        Ok(mut file) => {
-            use std::io::Write as _;
-            let _ = writeln!(file, "{json}");
-        }
-        Err(e) => eprintln!("BENCH_JSON: cannot append to {}: {e}", path.display()),
-    }
+    )]);
 }
 
 /// Runs T7 and returns its table.

@@ -22,18 +22,16 @@
 //! * [`select_winners`] — winner selection with the paper's three-level
 //!   tie-break (evaluation value ≻ communication cost ≻ distinct members),
 //!   fully configurable for ablations ([`TieBreak`]).
-//! * [`runtime`] — one execution API, three backends: the engines run
-//!   unmodified on the deterministic DES ([`DesRuntime`]), its
-//!   region-partitioned parallel sibling ([`DesShardedRuntime`]) or the
+//! * [`runtime`] — one execution API, two backends: the engines run
+//!   unmodified on the deterministic DES ([`DesRuntime`]) or the
 //!   zero-latency in-memory fast path ([`DirectRuntime`]).
 //!
 //! ## Quick start
 //!
 //! Three heterogeneous nodes negotiate a one-task coalition on the
-//! zero-latency [`DirectRuntime`]; swap in [`DesRuntime`] or
-//! [`DesShardedRuntime`] without touching the scenario (see the
-//! [`runtime`] module docs for the three-backend version of this exact
-//! snippet).
+//! zero-latency [`DirectRuntime`]; swap in [`DesRuntime`] without
+//! touching the scenario (see the [`runtime`] module docs for the
+//! two-backend version of this exact snippet).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -111,7 +109,7 @@ pub use protocol::{
 pub use provider::{ProposalStrategy, ProviderConfig, ProviderEngine};
 pub use runtime::{
     dissolve_token, kickoff_token, single_organizer_scenario, CoalitionNode, DesRuntime,
-    DesShardedRuntime, DirectRuntime, LoggedEvent, NodeEngine, Runtime, RuntimeError,
+    DirectRuntime, LoggedEvent, NodeEngine, Runtime, RuntimeError,
 };
 pub use snapshot::{digest_of, StableHasher, StateDigest};
 pub use strategy::{OrganizerComponent, OrganizerStrategy, ProviderComponent, ProviderStrategy};

@@ -12,7 +12,7 @@
 //! negotiation dies; an [`Msg::Award`] upgrades them to committed grants
 //! and starts the operation-phase heartbeats.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use qosc_netsim::{SimDuration, SimTime};
@@ -156,7 +156,7 @@ pub struct ProviderEngine {
     /// Negotiations we execute tasks for (heartbeat targets).
     active: HashMap<NegoId, Vec<TaskId>>,
     /// Heartbeat timers armed per negotiation (avoid duplicates).
-    heartbeat_armed: HashMap<NegoId, bool>,
+    heartbeat_armed: HashSet<NegoId>,
     /// Highest CFP round heard per negotiation (partition recovery: a
     /// fresh round re-announcing a task we committed in an older round
     /// proves the organizer gave that award up).
@@ -166,7 +166,7 @@ pub struct ProviderEngine {
     /// Commit-lease expiry per grant (only populated under `commit_ttl`).
     lease_deadline: HashMap<(NegoId, TaskId), SimTime>,
     /// Lease-check timers armed per negotiation (avoid duplicates).
-    lease_armed: HashMap<NegoId, bool>,
+    lease_armed: HashSet<NegoId>,
 }
 
 impl ProviderEngine {
@@ -183,11 +183,11 @@ impl ProviderEngine {
             holds: HashMap::new(),
             committed: HashMap::new(),
             active: HashMap::new(),
-            heartbeat_armed: HashMap::new(),
+            heartbeat_armed: HashSet::new(),
             latest_round: HashMap::new(),
             commit_round: HashMap::new(),
             lease_deadline: HashMap::new(),
-            lease_armed: HashMap::new(),
+            lease_armed: HashSet::new(),
         }
     }
 
@@ -605,8 +605,7 @@ impl ProviderEngine {
                 round,
             },
         )];
-        if self.config.heartbeats && !self.heartbeat_armed.get(&nego).copied().unwrap_or(false) {
-            self.heartbeat_armed.insert(nego, true);
+        if self.config.heartbeats && self.heartbeat_armed.insert(nego) {
             actions.push(Action::Timer {
                 delay: self.config.heartbeat_interval,
                 token: encode_timer(nego, TimerKind::HeartbeatSend),
@@ -614,8 +613,7 @@ impl ProviderEngine {
         }
         if let Some(ttl) = self.config.commit_ttl {
             self.lease_deadline.insert((nego, task), now + ttl);
-            if !self.lease_armed.get(&nego).copied().unwrap_or(false) {
-                self.lease_armed.insert(nego, true);
+            if self.lease_armed.insert(nego) {
                 actions.push(Action::Timer {
                     delay: ttl,
                     token: encode_timer(nego, TimerKind::LeaseCheck),
@@ -783,13 +781,16 @@ impl crate::snapshot::StateDigest for ProviderEngine {
                 h.write_u64(t.0 as u64);
             }
         }
-        let mut armed: Vec<(&NegoId, &bool)> = self.heartbeat_armed.iter().collect();
+        let mut armed: Vec<&NegoId> = self.heartbeat_armed.iter().collect();
         armed.sort();
         h.write_usize(armed.len());
-        for (n, a) in armed {
+        for n in armed {
             h.write_u64(n.organizer as u64);
             h.write_u64(n.seq as u64);
-            h.write_bool(*a);
+            // A constant byte per entry is part of the recorded digest
+            // stream (pinned model-check graph counts, the digests in
+            // `direct_batching_equivalence`).
+            h.write_bool(true);
         }
         // Round bookkeeping drives the stale-commit release decision, so
         // it is protocol state and must be hashed. Lease deadlines are

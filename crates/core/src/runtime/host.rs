@@ -1,42 +1,26 @@
 //! The one engine host every backend feeds: the node table, the
 //! registration/submission checks, timer-token decoding and the event
-//! log. The DES backends plug it into the simulator as their
-//! [`NetApp`]; [`DirectRuntime`](super::DirectRuntime) drives it from
+//! log. [`DesRuntime`](super::DesRuntime) plugs it into the simulator as
+//! its [`NetApp`]; [`DirectRuntime`](super::DirectRuntime) drives it from
 //! its own queue.
 
 use std::collections::BTreeMap;
 
-use qosc_netsim::{Ctx, NetApp, NodeId, SimDuration, SimTime};
+use qosc_netsim::{Ctx, NetApp, NodeId, SimTime, Simulator};
 use qosc_spec::ServiceDef;
 
 use super::{CoalitionNode, LoggedEvent, NodeEngine, RuntimeError};
 use crate::metrics::NegoEvent;
 use crate::protocol::{decode_timer, Action, Msg, Pid};
 
-/// Total-order key of a simulator event (see [`Ctx::order_key`]).
-pub(super) type OrderKey = (SimTime, u32, u64);
-
-/// Node table and event log of one runtime — or of one shard of the
-/// sharded DES.
+/// Node table and event log of one runtime.
 #[derive(Default)]
 pub(super) struct Host {
     pub(super) nodes: BTreeMap<Pid, CoalitionNode>,
     pub(super) events: Vec<LoggedEvent>,
-    /// `Some` on a shard's host: the simulator's total-order key of every
-    /// entry of `events`, so per-shard logs merge into one deterministic
-    /// sequence afterwards.
-    keys: Option<Vec<OrderKey>>,
 }
 
 impl Host {
-    /// A host that tags each logged event with its order key.
-    pub(super) fn keyed() -> Self {
-        Self {
-            keys: Some(Vec::new()),
-            ..Self::default()
-        }
-    }
-
     /// Registers a node. `sim_nodes` is the simulator's node count on the
     /// backends with geometry: an engine for an id the simulator does not
     /// have could never be reached by a timer or a delivery.
@@ -93,17 +77,14 @@ impl Host {
             .collect()
     }
 
-    /// [`Host::start`] for the DES backends, which start their nodes
-    /// outside the event loop: timers go to `schedule`, events to the log.
-    pub(super) fn start_des(
-        &mut self,
-        now: SimTime,
-        mut schedule: impl FnMut(NodeId, SimDuration, u64),
-    ) {
+    /// [`Host::start`] for the DES backend, which starts its nodes
+    /// outside the event loop: timers go to `sim`, events to the log.
+    pub(super) fn start_des(&mut self, sim: &mut Simulator<Msg>) {
+        let now = sim.now();
         for (pid, actions) in self.start(now) {
             for action in actions {
                 match action {
-                    Action::Timer { delay, token } => schedule(NodeId(pid), delay, token),
+                    Action::Timer { delay, token } => sim.schedule_timer(NodeId(pid), delay, token),
                     Action::Event(event) => self.log(now, pid, event),
                     // The DES has no delivery context outside the event
                     // loop; an engine that needs to announce itself must
@@ -135,14 +116,9 @@ impl Host {
         })
     }
 
-    /// Appends to the event log, outside any simulator event.
+    /// Appends to the event log.
     pub(super) fn log(&mut self, at: SimTime, node: Pid, event: NegoEvent) {
         self.events.push(LoggedEvent { at, node, event });
-    }
-
-    /// The log with its order keys (empty on an unkeyed host).
-    pub(super) fn keyed_events(&self) -> impl Iterator<Item = (OrderKey, &LoggedEvent)> {
-        self.keys.iter().flatten().copied().zip(&self.events)
     }
 
     fn apply(&mut self, ctx: &mut Ctx<'_, Msg>, at: Pid, actions: Vec<Action>) {
@@ -157,12 +133,7 @@ impl Host {
                     ctx.unicast(NodeId(at), NodeId(to), bytes, msg);
                 }
                 Action::Timer { delay, token } => ctx.timer(NodeId(at), delay, token),
-                Action::Event(event) => {
-                    if let Some(keys) = &mut self.keys {
-                        keys.push(ctx.order_key());
-                    }
-                    self.log(ctx.now, at, event);
-                }
+                Action::Event(event) => self.log(ctx.now, at, event),
             }
         }
     }

@@ -1,4 +1,4 @@
-//! One runtime API, three backends.
+//! One runtime API, two backends.
 //!
 //! The negotiation engines ([`OrganizerEngine`](crate::OrganizerEngine),
 //! [`ProviderEngine`](crate::ProviderEngine)) are sans-IO state machines:
@@ -9,15 +9,13 @@
 //! * [`DesRuntime`] — the deterministic discrete-event simulator of
 //!   `qosc-netsim`: geometry, latency, loss, mobility, failures. The
 //!   backend every experiment sweep uses.
-//! * [`DesShardedRuntime`] — the same semantics on the region-partitioned
-//!   parallel simulator, for large node counts.
 //! * [`DirectRuntime`] — a zero-latency in-memory event loop (FIFO message
 //!   queue + timer wheel, no geometry, full connectivity). The fast path
 //!   for tests, property checks and benches; at zero network latency it is
 //!   event-for-event identical to the DES (pinned by the
 //!   `runtime_equivalence` system test).
 //!
-//! All three are deterministic, expose their nodes for digests and
+//! Both are deterministic, expose their nodes for digests and
 //! invariant checks ([`Runtime::node`]) and enforce the full fault
 //! vocabulary ([`Runtime::set_fault_plan`],
 //! [`Runtime::set_partition_plan`]).
@@ -28,15 +26,15 @@
 //! That trait is also the seam a future live transport plugs into: the
 //! engines never see which backend drives them.
 //!
-//! # Quickstart — the same scenario on all three backends
+//! # Quickstart — the same scenario on both backends
 //!
 //! ```
 //! use std::sync::Arc;
 //! use qosc_core::{
-//!     CoalitionNode, DesRuntime, DesShardedRuntime, DirectRuntime, NegoEvent, OrganizerConfig,
-//!     OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
+//!     CoalitionNode, DesRuntime, DirectRuntime, NegoEvent, OrganizerConfig, OrganizerEngine,
+//!     ProviderConfig, ProviderEngine, Runtime,
 //! };
-//! use qosc_netsim::{Mobility, Point, ShardedSimulator, SimConfig, SimTime, Simulator};
+//! use qosc_netsim::{Mobility, Point, SimConfig, SimTime, Simulator};
 //! use qosc_resources::{av_demand_model, ResourceVector};
 //! use qosc_spec::{catalog, ServiceDef, TaskDef};
 //!
@@ -74,17 +72,14 @@
 //!     )
 //! };
 //!
-//! // Three backends, one driver.
+//! // Two backends, one driver.
 //! let mut sim = Simulator::new(SimConfig::default());
-//! let mut sharded = ShardedSimulator::new(SimConfig::default(), 2);
 //! for i in 0..3 {
 //!     sim.add_node(Point::new(10.0 * i as f64, 0.0), Mobility::Static);
-//!     sharded.add_node(Point::new(10.0 * i as f64, 0.0), Mobility::Static);
 //! }
 //! let backends: Vec<Box<dyn Runtime>> = vec![
 //!     Box::new(DirectRuntime::new()),
 //!     Box::new(DesRuntime::new(sim)),
-//!     Box::new(DesShardedRuntime::new(sharded)),
 //! ];
 //! for mut rt in backends {
 //!     for node in nodes() {
@@ -113,7 +108,7 @@ use qosc_spec::ServiceDef;
 use crate::metrics::NegoEvent;
 use crate::protocol::{encode_timer, NegoId, Pid, TimerKind};
 
-pub use des::{single_organizer_scenario, DesRuntime, DesShardedRuntime};
+pub use des::{single_organizer_scenario, DesRuntime};
 pub use direct::DirectRuntime;
 pub use node::{CoalitionNode, NodeEngine};
 

@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use qosc_netsim::{
-    Area, Mobility, NodeId, Point, ShardedSimulator, SimConfig, SimDuration, SimTime, Simulator,
+    Area, FaultPlan, Mobility, NodeId, PartitionPlan, Point, SimConfig, SimDuration, SimTime,
+    Simulator,
 };
 use qosc_resources::{av_demand_model, ResourceVector};
 use qosc_spec::{catalog, ServiceDef, TaskDef};
@@ -56,15 +57,20 @@ fn clustered_sim(n: usize) -> Simulator<Msg> {
     sim
 }
 
+/// A provider node; node 0 also organizes.
+fn node(id: Pid, cpu: f64) -> CoalitionNode {
+    let node = CoalitionNode::new(id).with_provider(provider(id, cpu));
+    if id == 0 {
+        node.with_organizer(OrganizerEngine::new(id, OrganizerConfig::default()))
+    } else {
+        node
+    }
+}
+
 fn direct_runtime(cpus: &[f64]) -> DirectRuntime {
     let mut rt = DirectRuntime::new();
-    for (i, cpu) in cpus.iter().enumerate() {
-        let id = i as Pid;
-        let mut node = CoalitionNode::new(id).with_provider(provider(id, *cpu));
-        if i == 0 {
-            node = node.with_organizer(OrganizerEngine::new(id, OrganizerConfig::default()));
-        }
-        rt.add_node(node).unwrap();
+    for (id, cpu) in (0..).zip(cpus) {
+        rt.add_node(node(id, *cpu)).unwrap();
     }
     rt
 }
@@ -275,25 +281,20 @@ fn cfps_queued_before_switching_batching_on_are_delivered_singly() {
     assert!(rt.is_drained());
 }
 
-/// Runs `check` on a fresh runtime of every backend — Des, DesSharded,
-/// Direct and Direct with CFP batching — both before and after its first
-/// `run` (the sharded backend hosts its nodes differently once the
-/// partition froze). The DES backends get three simulator nodes (ids
-/// 0–2); `check` is told whether the backend has geometry.
+/// Runs `check` on a fresh runtime of every backend — Des, Direct and
+/// Direct with CFP batching — both before and after its first `run`.
+/// The DES backend gets three simulator nodes (ids 0–2); `check` is told
+/// whether the backend has geometry.
 fn on_every_backend(check: impl Fn(&mut dyn Runtime, bool)) {
     for after_run in [false, true] {
         let mut sim = Simulator::new(SimConfig::default());
-        let mut sharded = ShardedSimulator::new(SimConfig::default(), 2);
         for i in 0..3 {
-            let pos = Point::new(10.0 * i as f64, 0.0);
-            sim.add_node(pos, Mobility::Static);
-            sharded.add_node(pos, Mobility::Static);
+            sim.add_node(Point::new(10.0 * i as f64, 0.0), Mobility::Static);
         }
         let mut batched = DirectRuntime::new();
         batched.set_cfp_batching(true);
         let backends: Vec<(Box<dyn Runtime>, bool)> = vec![
             (Box::new(DesRuntime::new(sim)), true),
-            (Box::new(DesShardedRuntime::new(sharded)), true),
             (Box::new(DirectRuntime::new()), false),
             (Box::new(batched), false),
         ];
@@ -362,6 +363,28 @@ fn unknown_node_submission_is_rejected() {
         }
         assert_eq!(rt.submit(0, service(1), at), Ok(()), "{name}");
         assert_eq!(rt.schedule_dissolve(nego(0), at), Ok(()), "{name}");
+    });
+}
+
+#[test]
+fn event_log_only_grows_and_fault_vocabulary_is_enforced_on_every_backend() {
+    on_every_backend(|rt, _| {
+        let name = rt.backend_name();
+        assert!(rt.set_fault_plan(FaultPlan::none()), "{name}");
+        assert!(rt.set_partition_plan(&PartitionPlan::none()), "{name}");
+        for id in 0..3 {
+            rt.add_node(node(id, 300.0)).unwrap();
+        }
+        rt.submit(0, service(1), SimTime(2_000)).unwrap();
+        rt.submit(0, service(2), SimTime(2_000_000)).unwrap();
+        rt.run(SimTime(1_000_000));
+        let first = rt.events().to_vec();
+        assert_eq!(settled_count(&first), 1, "{name}: {first:?}");
+        rt.run(SimTime(5_000_000));
+        // One log, appended to in emission order: a second `run` never
+        // reorders or rewrites what the first one reported.
+        assert_eq!(&rt.events()[..first.len()], &first[..], "{name}");
+        assert_eq!(settled_count(rt.events()), 2, "{name}");
     });
 }
 

@@ -59,7 +59,7 @@
 //!
 //! Wire chains through [`ProviderConfig::chain`](crate::ProviderConfig)
 //! and [`OrganizerConfig::chain`](crate::OrganizerConfig); the engines,
-//! all three runtime backends and the offline baselines (`qosc-baselines`
+//! every runtime backend and the offline baselines (`qosc-baselines`
 //! `Instance` path) consult them at every decision point. Experiment F8
 //! compares chains head-to-head on the T4 push grid.
 //!

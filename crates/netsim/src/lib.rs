@@ -27,8 +27,11 @@
 //!   and heal schedules (scripted or sampled), enforced identically at
 //!   delivery time by every backend.
 //! * [`ShardedSimulator`] — the same event loop partitioned into spatial
-//!   shards and run on worker threads under a conservative-lookahead
-//!   horizon protocol (see the [`shard`](crate::ShardedSimulator) docs).
+//!   shards under a conservative-lookahead horizon protocol. Not a
+//!   protocol backend (it measures slower than [`Simulator`] at every
+//!   worker count): it is the one-event-per-copy oracle that
+//!   [`Simulator`]'s one-entry-per-transmission queue is proven against,
+//!   and the engine behind the repo benchmark's `netsim.shard.*` rows.
 //!
 //! Determinism: every node owns a private `ChaCha8Rng` stream seeded from
 //! `(run seed, node id)` (placement and mobility draw from a separate

@@ -251,8 +251,9 @@ impl<'a, M> Ctx<'a, M> {
     /// Total-order key `(time, origin shard, sequence)` of the event
     /// currently being handled. Identical seeds give identical keys, on
     /// the sequential and the sharded engine alike (the sequential one
-    /// always reports shard 0), so runtimes can tag log entries with it
-    /// and later merge per-shard logs into one deterministic order.
+    /// always reports shard 0), so an application can tag what it
+    /// receives with it and compare or merge logs in one deterministic
+    /// order.
     pub fn order_key(&self) -> (SimTime, u32, u64) {
         self.key
     }

@@ -4,15 +4,21 @@
 //! reservations the dead round left behind, and once the partition heals
 //! the negotiation settles with every announced task either assigned or
 //! explicitly given up — never silently dropped.
+//!
+//! The converse is pinned too: a partition plan that never cuts a
+//! delivery leaves every backend bit-identical to a run with no plan
+//! (proptest, under `PROPTEST_CASES`: 64 locally, 256 in CI).
 
 use std::collections::BTreeSet;
 
+use proptest::prelude::*;
+
 use qosc_core::strategy::{OrganizerStrategy, TimeoutBackoff};
-use qosc_core::{NegoEvent, OrganizerConfig, Runtime};
+use qosc_core::{LoggedEvent, NegoEvent, OrganizerConfig, Runtime};
 use qosc_mc::{partition_invariants, verify_runtime};
 use qosc_netsim::{PartitionPlan, SimDuration, SimTime};
 use qosc_spec::TaskId;
-use qosc_workloads::{AppTemplate, Scenario, ScenarioConfig};
+use qosc_workloads::{AppTemplate, Backend, Scenario, ScenarioConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -115,4 +121,70 @@ fn mid_cfp_partition_settles_after_heal_with_every_task_conserved() {
     let ids: Vec<u32> = (0..NODES as u32).collect();
     verify_runtime(&scenario.runtime, &ids, &partition_invariants(), true)
         .unwrap_or_else(|v| panic!("{v}"));
+}
+
+/// Runs a `tasks`-task surveillance service from node 0 on `backend`;
+/// returns the event log and the message count. A `plan` is installed
+/// directly on the runtime (bypassing `ScenarioConfig::partitions`, which
+/// skips inert plans), so even a plan with no events is genuinely
+/// installed before the run.
+fn run_with_installed_plan(
+    backend: Backend,
+    config: &ScenarioConfig,
+    tasks: usize,
+    plan: Option<&PartitionPlan>,
+) -> (Vec<LoggedEvent>, u64) {
+    let mut rt = config.build_backend(backend);
+    if let Some(plan) = plan {
+        assert!(
+            rt.set_partition_plan(plan),
+            "{} enforces partitions",
+            rt.backend_name()
+        );
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xE0_0001);
+    let svc = AppTemplate::Surveillance.service("svc", tasks, &mut rng);
+    rt.submit(0, svc, SimTime(1_000)).expect("node 0 organizes");
+    rt.run(SimTime(5_000_000));
+    (rt.events().to_vec(), rt.messages_sent())
+}
+
+/// Nodes `0..n` split into two halves (the canonical worst-case cut).
+fn halves(nodes: usize) -> Vec<Vec<u32>> {
+    let mid = (nodes / 2) as u32;
+    vec![(0..mid).collect(), (mid..nodes as u32).collect()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// An installed partition plan that never cuts a delivery — no events
+    /// at all, or a split healed before the first send — leaves every
+    /// backend bit-identical to a run with no plan.
+    #[test]
+    fn inert_partition_plans_are_bit_identical(
+        seed in 0u64..10_000,
+        nodes in 2usize..12,
+        tasks in 1usize..3,
+    ) {
+        let cfg = ScenarioConfig::dense(nodes, seed);
+        // Split at t=0, healed at t=500 µs: the first send is the submit
+        // at t=1 ms, so no delivery ever lands while a link is cut.
+        let prehealed = PartitionPlan::none()
+            .partition_at(SimTime(0), halves(nodes))
+            .heal_at(SimTime(500));
+        for backend in [Backend::Des, Backend::Direct, Backend::DirectBatched] {
+            let (plain_events, plain_msgs) = run_with_installed_plan(backend, &cfg, tasks, None);
+            prop_assert!(!plain_events.is_empty(), "scenario was vacuous");
+            for plan in [PartitionPlan::none(), prehealed.clone()] {
+                let (cut_events, cut_msgs) =
+                    run_with_installed_plan(backend, &cfg, tasks, Some(&plan));
+                prop_assert_eq!(&plain_events, &cut_events,
+                    "inert plan changed the {:?} log (seed {}, {} nodes)",
+                    backend, seed, nodes);
+                prop_assert_eq!(plain_msgs, cut_msgs,
+                    "inert plan changed {:?} message counts (seed {})", backend, seed);
+            }
+        }
+    }
 }

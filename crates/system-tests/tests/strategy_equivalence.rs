@@ -1,11 +1,11 @@
 //! Cross-backend equivalence for non-default strategy chains: a
 //! reserve-price provider chain plus a reputation-weighted organizer
-//! chain must behave identically on all three backends — the engines own
-//! every decision, so plugging components in cannot introduce
-//! backend-specific divergence.
+//! chain must behave identically on all three backends (Des, Direct,
+//! Direct with CFP batching) — the engines own every decision, so
+//! plugging components in cannot introduce backend-specific divergence.
 //!
-//! Same contract as `runtime_equivalence`: the DES at zero latency —
-//! sequential or sharded — is event-for-event identical to Direct.
+//! Same contract as `runtime_equivalence`: the DES at zero latency is
+//! event-for-event identical to Direct.
 
 use std::collections::BTreeMap;
 
@@ -131,8 +131,8 @@ fn chained_outcomes_pin_across_all_three_backends() {
         let (dir_events, dir_msgs) = run_virtual(Backend::Direct, nodes, tasks, seed);
         assert_eq!(des_events, dir_events, "seed {seed}");
         assert_eq!(des_msgs, dir_msgs, "seed {seed}");
-        let sharded = run_virtual(Backend::DesSharded { workers: 1 }, nodes, tasks, seed);
-        assert_eq!(sharded, (des_events, des_msgs), "sharded, seed {seed}");
+        let batched = run_virtual(Backend::DirectBatched, nodes, tasks, seed);
+        assert_eq!(batched, (des_events, des_msgs), "batched, seed {seed}");
         let dir_winners = winner_maps(&dir_events);
         assert!(
             !dir_winners.is_empty(),

@@ -13,12 +13,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use qosc_core::{
-    CoalitionNode, DesRuntime, DesShardedRuntime, DirectRuntime, Formulator, LoggedEvent, Msg,
-    OrganizerConfig, OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
+    CoalitionNode, DesRuntime, DirectRuntime, Formulator, LoggedEvent, Msg, OrganizerConfig,
+    OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
 };
 use qosc_netsim::{
-    Area, Mobility, NetStats, PartitionPlan, RadioModel, ShardedSimulator, SimConfig, SimDuration,
-    SimTime, Simulator,
+    Area, Mobility, NetStats, PartitionPlan, RadioModel, SimConfig, SimDuration, SimTime, Simulator,
 };
 use qosc_resources::{DemandModel, NodeProfile, ResourceKind};
 use qosc_spec::ServiceDef;
@@ -32,15 +31,6 @@ pub enum Backend {
     /// The deterministic DES (`qosc-netsim`): geometry, latency, loss,
     /// mobility. The backend every experiment sweep uses.
     Des,
-    /// The DES event loop sharded across `workers` threads
-    /// (region-partitioned conservative parallel simulation). Identical
-    /// geometry and semantics to [`Backend::Des`]; at `workers: 1` the
-    /// run is bit-equal to it.
-    DesSharded {
-        /// Worker thread count (≥ 1; the shard count is additionally
-        /// capped by the node count).
-        workers: usize,
-    },
     /// The zero-latency in-memory runtime: no geometry (full
     /// connectivity), the fast path for tests and benches.
     Direct,
@@ -160,12 +150,11 @@ impl ScenarioConfig {
     /// Instantiates the scenario description on any [`Runtime`] backend.
     /// The population draw is identical across backends (profiles are
     /// sampled before any backend-specific randomness); geometry and
-    /// mobility only exist on the DES backends — the Direct ones are
+    /// mobility only exist on the DES backend — the Direct ones are
     /// fully connected.
     pub fn build_backend(&self, backend: Backend) -> Box<dyn Runtime> {
         let mut rt: Box<dyn Runtime> = match backend {
             Backend::Des => return Box::new(Scenario::build(self).runtime),
-            Backend::DesSharded { workers } => return Box::new(self.build_sharded(workers)),
             Backend::Direct => Box::new(DirectRuntime::new()),
             Backend::DirectBatched => {
                 let mut direct = DirectRuntime::new();
@@ -181,39 +170,6 @@ impl ScenarioConfig {
             debug_assert!(applied, "backend {backend:?} rejected the partition plan");
         }
         rt
-    }
-
-    /// Builds the scenario on the sharded parallel DES, with exactly the
-    /// geometry, population and seed derivation of [`Scenario::build`] —
-    /// so a sharded run is comparable, event for event, with a sequential
-    /// DES run of the same config.
-    pub fn build_sharded(&self, workers: usize) -> DesShardedRuntime {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x5eed_cafe);
-        let mut sim: ShardedSimulator<Msg> = ShardedSimulator::new(
-            SimConfig {
-                area: self.area,
-                radio: self.radio.clone(),
-                seed: self.seed,
-                ..Default::default()
-            },
-            workers,
-        );
-        let profiles = self.population.sample_many(self.nodes, &mut rng);
-        for profile in profiles.iter() {
-            let mobility = match (&self.mobility, profile.class.battery_powered()) {
-                (Some(m), true) => m.clone(),
-                _ => Mobility::Static,
-            };
-            sim.add_node(self.area.sample(&mut rng), mobility);
-        }
-        let mut runtime = DesShardedRuntime::new(sim);
-        for node in self.coalition_nodes(&profiles) {
-            runtime.add_node(node).expect("sequential ids are unique");
-        }
-        if !self.partitions.is_none() {
-            runtime.set_partition_plan(&self.partitions);
-        }
-        runtime
     }
 }
 
