@@ -38,12 +38,11 @@ pub fn small_instance(cpus: &[f64], tasks: usize) -> Instance {
             OfflineTask::new(
                 TaskId(i as u32),
                 spec.clone(),
-                catalog::surveillance_request()
-                    .resolve(&spec)
-                    .expect("catalog request matches catalog spec"),
+                catalog::surveillance_request(),
                 100_000,
                 10_000,
             )
+            .expect("catalog request matches catalog spec")
         })
         .collect();
     Instance {
@@ -65,12 +64,11 @@ pub fn conference_instance(cpus: &[f64], tasks: usize) -> Instance {
             OfflineTask::new(
                 TaskId(i as u32),
                 spec.clone(),
-                catalog::video_conference_request()
-                    .resolve(&spec)
-                    .expect("catalog request matches catalog spec"),
+                catalog::video_conference_request(),
                 500_000,
                 50_000,
             )
+            .expect("catalog request matches catalog spec")
         })
         .collect();
     inst

@@ -13,11 +13,11 @@ use qosc_core::{
     ProviderStrategy, RewardModel,
 };
 use qosc_resources::{AdmissionControl, DemandModel, ResourceVector, SchedulingPolicy};
-use qosc_spec::{QosSpec, ResolvedRequest, TaskId};
+use qosc_spec::{QosSpec, ResolvedRequest, ServiceRequest, SpecError, TaskId};
 
 /// The shared default reward model (`reward: None` nodes). One static
 /// `Arc` so every such node keys the same per-task compile cache entry.
-fn default_reward() -> &'static Arc<dyn RewardModel> {
+pub(crate) fn default_reward() -> &'static Arc<dyn RewardModel> {
     static DEFAULT: OnceLock<Arc<dyn RewardModel>> = OnceLock::new();
     DEFAULT.get_or_init(|| Arc::new(LinearPenalty::default()))
 }
@@ -73,7 +73,9 @@ pub struct OfflineTask {
     pub id: TaskId,
     /// Application spec.
     pub spec: QosSpec,
-    /// Resolved user request.
+    /// The user's request as stated — what the engines announce.
+    pub source: ServiceRequest,
+    /// `source` resolved against `spec`.
     pub request: ResolvedRequest,
     /// Input payload bytes.
     pub input_bytes: u64,
@@ -98,23 +100,25 @@ struct PreparedEntry {
 }
 
 impl OfflineTask {
-    /// Creates a task (the compiled evaluator is built on first use).
+    /// Creates a task, resolving `source` against `spec` (the compiled
+    /// evaluator is built on first use).
     pub fn new(
         id: TaskId,
         spec: QosSpec,
-        request: ResolvedRequest,
+        source: ServiceRequest,
         input_bytes: u64,
         output_bytes: u64,
-    ) -> Self {
-        Self {
+    ) -> Result<Self, SpecError> {
+        Ok(Self {
             id,
+            request: source.resolve(&spec)?,
             spec,
-            request,
+            source,
             input_bytes,
             output_bytes,
             compiled: Mutex::new(None),
             prepared: Mutex::new(Vec::new()),
-        }
+        })
     }
 
     /// The task compiled for repeated formulation under `(reward, model)`.

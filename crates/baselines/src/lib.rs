@@ -21,9 +21,11 @@
 #![forbid(unsafe_code)]
 
 pub mod builders;
+mod engines;
 mod instance;
 mod policies;
 
+pub use engines::{instance_runtime, instance_service, protocol_run};
 pub use instance::{
     formulate_on_node, Allocation, Instance, OfflineNode, OfflineTask, Pid, Placement,
 };

@@ -6,18 +6,17 @@
 //! evaluation (§6) should find proposals closer to the user's preferences;
 //! a single node's quality is flat (and often degraded).
 //!
-//! Three allocators over the *same* instance per replication: the offline
-//! protocol emulation, the single-node baseline, and — since PR 3 — the
-//! actual §4.2 protocol running on the zero-latency `DirectRuntime`
-//! backend (retry rounds included), which validates that the emulation
-//! tracks the real engines.
+//! Two allocators over the *same* instance per replication: the §4.2
+//! protocol (the engines on the zero-latency `DirectRuntime`, retry
+//! rounds included) and the single-node baseline. Columns: `nodes`,
+//! `coalition_dist`, `single_dist`, `coalition_accept`, `single_accept`,
+//! `improvement`.
 
 use qosc_baselines::{protocol_emulation, single_node};
-use qosc_core::{NegoEvent, Runtime, TieBreak};
-use qosc_netsim::SimTime;
+use qosc_core::TieBreak;
 use qosc_workloads::{AppTemplate, PopulationConfig};
 
-use crate::instances::{instance_runtime, instance_service, population_instance};
+use crate::instances::population_instance;
 use crate::table::{f, mean, replicate, Table};
 
 /// Replications per point (fewer at the 128/256-node scale, where each
@@ -33,28 +32,6 @@ fn reps(nodes: usize) -> u64 {
 /// Tasks per service.
 const TASKS: usize = 3;
 
-/// Runs the real protocol on the Direct backend and returns
-/// (mean distance over placed tasks, acceptance ratio).
-fn protocol_run(inst: &qosc_baselines::Instance, template: AppTemplate) -> (f64, f64) {
-    let mut rt = instance_runtime(inst);
-    let svc = instance_service(inst, template, "svc");
-    rt.submit(inst.requester, svc, SimTime(1_000))
-        .expect("requester is registered");
-    rt.run(SimTime(30_000_000));
-    // The last settling event carries the final metrics (retry rounds
-    // update them in place).
-    let metrics = rt.events().iter().rev().find_map(|e| match &e.event {
-        NegoEvent::Formed { metrics, .. } | NegoEvent::FormationIncomplete { metrics, .. } => {
-            Some(metrics.clone())
-        }
-        _ => None,
-    });
-    match metrics {
-        Some(m) => (m.mean_distance(), m.outcomes.len() as f64 / TASKS as f64),
-        None => (f64::NAN, 0.0),
-    }
-}
-
 /// Runs F1 and returns its table.
 pub fn run() -> Table {
     let mut table = Table::new(
@@ -63,10 +40,8 @@ pub fn run() -> Table {
             "nodes",
             "coalition_dist",
             "single_dist",
-            "protocol_dist",
             "coalition_accept",
             "single_accept",
-            "protocol_accept",
             "improvement",
         ],
     );
@@ -82,37 +57,24 @@ pub fn run() -> Table {
             );
             let coalition = protocol_emulation(&inst, &TieBreak::default());
             let single = single_node(&inst);
-            let (proto_dist, proto_accept) = protocol_run(&inst, AppTemplate::VideoConference);
             (
                 coalition.mean_distance(),
                 single.mean_distance(),
                 coalition.acceptance_ratio(TASKS),
                 single.acceptance_ratio(TASKS),
-                proto_dist,
-                proto_accept,
             )
         });
         let cd = mean(&results.iter().map(|r| r.0).collect::<Vec<_>>());
         let sd = mean(&results.iter().map(|r| r.1).collect::<Vec<_>>());
         let ca = mean(&results.iter().map(|r| r.2).collect::<Vec<_>>());
         let sa = mean(&results.iter().map(|r| r.3).collect::<Vec<_>>());
-        // NaN (not 0.0 = "preferred quality") when no replication settled.
-        let pds: Vec<f64> = results
-            .iter()
-            .map(|r| r.4)
-            .filter(|d| d.is_finite())
-            .collect();
-        let pd = if pds.is_empty() { f64::NAN } else { mean(&pds) };
-        let pa = mean(&results.iter().map(|r| r.5).collect::<Vec<_>>());
         let improvement = if cd > 0.0 { sd / cd } else { f64::INFINITY };
         table.row(vec![
             n.to_string(),
             f(cd),
             f(sd),
-            f(pd),
             f(ca),
             f(sa),
-            f(pa),
             f(improvement),
         ]);
     }

@@ -1,7 +1,4 @@
-//! Bridges populations/templates into offline allocation instances —
-//! and the same instances into live runtime scenarios, so an experiment
-//! can compare the closed-form emulation against the actual protocol on
-//! any `qosc_core::runtime` backend.
+//! Bridges populations/templates into allocation instances.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,14 +8,11 @@ use rand_chacha::ChaCha8Rng;
 
 use qosc_baselines::{Instance, OfflineNode, OfflineTask};
 use qosc_core::{
-    CoalitionNode, DirectRuntime, EvalConfig, LinearPenalty, OrganizerConfig, OrganizerEngine,
-    OrganizerStrategy, ProviderConfig, ProviderEngine, ProviderStrategy, QuadraticPenalty,
-    RewardModel, Runtime,
+    EvalConfig, LinearPenalty, OrganizerStrategy, ProviderStrategy, QuadraticPenalty, RewardModel,
 };
 use qosc_resources::{ResourceKind, SchedulingPolicy};
-use qosc_spec::{ServiceDef, TaskDef, TaskId};
+use qosc_spec::TaskId;
 use qosc_workloads::{AppTemplate, PopulationConfig};
-use std::sync::Arc as StdArc;
 
 /// Builds an offline instance: `n_nodes` drawn from `population` (node 0
 /// is the requester), `n_tasks` instances of `template`.
@@ -32,11 +26,11 @@ pub fn population_instance(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let profiles = population.sample_many(n_nodes, &mut rng);
     let spec = template.spec();
-    let resolved = template
-        .request()
-        .resolve(&spec)
-        .expect("catalog requests resolve");
     let model = template.demand_model();
+    // One `Arc` per policy, so the nodes that share a policy share its
+    // compiled formulation tables.
+    let linear: Arc<dyn RewardModel> = Arc::new(LinearPenalty::default());
+    let quadratic: Arc<dyn RewardModel> = Arc::new(QuadraticPenalty::default());
     let nodes = profiles
         .iter()
         .enumerate()
@@ -47,18 +41,14 @@ pub fn population_instance(
             // be defined according to user's own criteria"): odd nodes
             // degrade quadratically, which shapes their offers differently
             // and exercises cross-dimension trade-offs in evaluation.
-            let reward: StdArc<dyn RewardModel> = if i % 2 == 1 {
-                StdArc::new(QuadraticPenalty::default())
-            } else {
-                StdArc::new(LinearPenalty::default())
-            };
+            let reward = if i % 2 == 1 { &quadratic } else { &linear };
             OfflineNode {
                 id: i as u32,
                 capacity: p.capacity,
                 link_kbps: p.capacity.get(ResourceKind::NetBandwidth),
                 policy: SchedulingPolicy::Edf,
                 models,
-                reward: Some(reward),
+                reward: Some(Arc::clone(reward)),
                 chain: ProviderStrategy::default(),
             }
         })
@@ -69,10 +59,11 @@ pub fn population_instance(
             OfflineTask::new(
                 TaskId(i as u32),
                 spec.clone(),
-                resolved.clone(),
+                template.request(),
                 input_bytes,
                 output_bytes,
             )
+            .expect("catalog requests resolve")
         })
         .collect();
     Instance {
@@ -82,67 +73,6 @@ pub fn population_instance(
         eval: EvalConfig::default(),
         chain: OrganizerStrategy::default(),
     }
-}
-
-/// Re-assembles an offline [`Instance`] as a zero-latency runtime
-/// scenario: one [`CoalitionNode`] per [`OfflineNode`] (the requester
-/// also organizes, with the instance's evaluation config and monitoring
-/// off — formation cost only), same capacities, link bandwidths, demand
-/// models and per-node reward policies.
-pub fn instance_runtime(inst: &Instance) -> DirectRuntime {
-    let mut rt = DirectRuntime::new();
-    for n in &inst.nodes {
-        let reward: Arc<dyn RewardModel> = n
-            .reward
-            .clone()
-            .unwrap_or_else(|| Arc::new(LinearPenalty::default()));
-        let mut provider = ProviderEngine::new(
-            n.id,
-            n.capacity,
-            ProviderConfig {
-                link_kbps: n.link_kbps,
-                policy: n.policy,
-                reward,
-                chain: n.chain.clone(),
-                ..Default::default()
-            },
-        );
-        for (name, model) in &n.models {
-            provider.register_demand_model(name.clone(), Arc::clone(model));
-        }
-        let mut node = CoalitionNode::new(n.id).with_provider(provider);
-        if n.id == inst.requester {
-            node = node.with_organizer(OrganizerEngine::new(
-                n.id,
-                OrganizerConfig {
-                    eval: inst.eval,
-                    monitor: false,
-                    chain: inst.chain.clone(),
-                    ..Default::default()
-                },
-            ));
-        }
-        rt.add_node(node).expect("instance node ids are unique");
-    }
-    rt
-}
-
-/// The instance's task list as a [`ServiceDef`] over the template's
-/// (unresolved) request, preserving each task's payload sizes.
-pub fn instance_service(inst: &Instance, template: AppTemplate, name: &str) -> ServiceDef {
-    ServiceDef::new(
-        name,
-        inst.tasks
-            .iter()
-            .map(|t| TaskDef {
-                name: format!("t{}", t.id.0),
-                spec: t.spec.clone(),
-                request: template.request(),
-                input_bytes: t.input_bytes,
-                output_bytes: t.output_bytes,
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -175,7 +105,8 @@ mod tests {
 
     #[test]
     fn instance_runs_as_a_protocol_scenario() {
-        use qosc_core::NegoEvent;
+        use qosc_baselines::{instance_runtime, instance_service, ProposalStrategy};
+        use qosc_core::{NegoEvent, Runtime, TieBreak};
         use qosc_netsim::SimTime;
         let inst = population_instance(
             &PopulationConfig::default(),
@@ -184,8 +115,8 @@ mod tests {
             2,
             7,
         );
-        let mut rt = instance_runtime(&inst);
-        let svc = instance_service(&inst, AppTemplate::Surveillance, "svc");
+        let mut rt = instance_runtime(&inst, &TieBreak::default(), ProposalStrategy::Joint);
+        let svc = instance_service(&inst, "svc");
         rt.submit(inst.requester, svc, SimTime(1_000)).unwrap();
         rt.run(SimTime(30_000_000));
         assert!(

@@ -40,9 +40,6 @@ fn node(id: u32, class: DeviceClass) -> OfflineNode {
 
 fn main() {
     let spec = catalog::transcode_spec();
-    let request = catalog::transcode_request()
-        .resolve(&spec)
-        .expect("catalog request matches catalog spec");
     println!("payload_mb | winner        | distance | comm_cost_s");
     println!("-----------|---------------|----------|------------");
     for mb in [0.5, 1.0, 2.0, 5.0, 10.0, 40.0] {
@@ -56,10 +53,11 @@ fn main() {
             tasks: vec![OfflineTask::new(
                 TaskId(0),
                 spec.clone(),
-                request.clone(),
+                catalog::transcode_request(),
                 bytes,
                 bytes / 4,
-            )],
+            )
+            .expect("catalog request matches catalog spec")],
             eval: EvalConfig::default(),
             chain: OrganizerStrategy::default(),
         };
