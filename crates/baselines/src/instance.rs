@@ -1,16 +1,16 @@
 //! Offline allocation instances.
 //!
-//! Baselines and the exhaustive optimum operate on a *snapshot* of the
-//! system — nodes with capacities and the task set — rather than through
-//! the message protocol, so that allocation policies can be compared on
-//! identical inputs without protocol noise (experiments F1, F2, F4, T3).
+//! Every policy operates on a *snapshot* of the system — nodes with
+//! capacities and the task set — so that policies can be compared on
+//! identical inputs (experiments F1, F2, F4, T3). The baselines and the
+//! optimum price it directly; the protocol runs the engines on it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use qosc_core::{
-    local_reward, CompiledRequest, EvalConfig, LinearPenalty, OrganizerStrategy, PreparedTask,
-    ProviderStrategy, RewardModel,
+    CompiledRequest, EvalConfig, LinearPenalty, OrganizerStrategy, PreparedTask, ProviderStrategy,
+    RewardModel,
 };
 use qosc_resources::{AdmissionControl, DemandModel, ResourceVector, SchedulingPolicy};
 use qosc_spec::{QosSpec, ResolvedRequest, ServiceRequest, SpecError, TaskId};
@@ -20,11 +20,6 @@ use qosc_spec::{QosSpec, ResolvedRequest, ServiceRequest, SpecError, TaskId};
 pub(crate) fn default_reward() -> &'static Arc<dyn RewardModel> {
     static DEFAULT: OnceLock<Arc<dyn RewardModel>> = OnceLock::new();
     DEFAULT.get_or_init(|| Arc::new(LinearPenalty::default()))
-}
-
-/// Identity of an `Arc<dyn _>` by data pointer (vtable-address-agnostic).
-fn data_ptr<T: ?Sized>(a: &Arc<T>) -> *const u8 {
-    Arc::as_ptr(a) as *const u8
 }
 
 /// Node id type shared with `qosc-core`.
@@ -50,23 +45,6 @@ pub struct OfflineNode {
     pub chain: ProviderStrategy,
 }
 
-impl OfflineNode {
-    /// The reward model this node formulates and prices with.
-    pub fn reward_model(&self) -> &dyn RewardModel {
-        match self.reward.as_deref() {
-            Some(r) => r,
-            None => default_reward().as_ref(),
-        }
-    }
-}
-
-impl OfflineNode {
-    /// Looks up the demand model for a spec.
-    pub fn model_for(&self, spec: &QosSpec) -> Option<&Arc<dyn DemandModel>> {
-        self.models.get(spec.name())
-    }
-}
-
 /// One task of an offline instance (request already resolved).
 pub struct OfflineTask {
     /// Task id.
@@ -86,10 +64,9 @@ pub struct OfflineTask {
     /// by every policy and round that prices this task).
     compiled: Mutex<Option<(EvalConfig, Arc<CompiledRequest>)>>,
     /// Lazily-compiled formulation tables ([`PreparedTask`]), keyed by
-    /// `(reward model, demand model)` identity — multi-round policies
-    /// (the F-series protocol emulation) re-formulate this task on every
-    /// node every round, and recompiling penalty grids per round was a
-    /// dominant cost.
+    /// `(reward model, demand model)` identity — the placement policies
+    /// re-formulate this task on every node they try it on, and
+    /// recompiling penalty grids per attempt was a dominant cost.
     prepared: Mutex<Vec<PreparedEntry>>,
 }
 
@@ -132,8 +109,8 @@ impl OfflineTask {
     ) -> Arc<PreparedTask> {
         let mut guard = self.prepared.lock().expect("prepare cache poisoned");
         if let Some(e) = guard.iter().find(|e| {
-            std::ptr::eq(data_ptr(&e.reward), data_ptr(reward))
-                && std::ptr::eq(data_ptr(e.prepared.demand_model()), data_ptr(model))
+            std::ptr::addr_eq(Arc::as_ptr(&e.reward), Arc::as_ptr(reward))
+                && std::ptr::addr_eq(Arc::as_ptr(e.prepared.demand_model()), Arc::as_ptr(model))
         }) {
             return Arc::clone(&e.prepared);
         }
@@ -195,9 +172,6 @@ pub struct Placement {
     pub comm_cost: f64,
     /// Resource demand of the placed task at the served quality.
     pub demand: ResourceVector,
-    /// Per-task eq. 1 reward at the served levels, under the serving
-    /// node's reward model (what reserve-price components threshold).
-    pub reward: f64,
 }
 
 /// Result of an allocation policy.
@@ -254,123 +228,29 @@ impl Allocation {
 
 /// Jointly formulates the given tasks on `node` (§5 heuristic) and prices
 /// the outcome: returns per-task `(levels, distance, comm_cost, demand)`,
-/// or `None` if even fully degraded the set does not fit.
+/// or `None` if even fully degraded the set does not fit, a task id is
+/// unknown, or the node has no demand model for a task's spec.
 pub fn formulate_on_node(
     instance: &Instance,
     node: &OfflineNode,
     task_ids: &[TaskId],
 ) -> Option<Vec<(TaskId, Placement)>> {
-    formulate_on_node_with_capacity(instance, node, &node.capacity, task_ids)
-}
-
-/// [`formulate_on_node`] against an explicit remaining capacity — used by
-/// multi-round policies that track what earlier rounds already committed.
-pub fn formulate_on_node_with_capacity(
-    instance: &Instance,
-    node: &OfflineNode,
-    capacity: &ResourceVector,
-    task_ids: &[TaskId],
-) -> Option<Vec<(TaskId, Placement)>> {
     if task_ids.is_empty() {
         return Some(Vec::new());
     }
-    let tasks = lookup_tasks(instance, task_ids)?;
-    let prepared = prepare_tasks(node, &tasks)?;
-    if prepared.len() < tasks.len() {
-        return None; // some task's demand model is unknown on this node
-    }
+    let reward = node.reward.as_ref().unwrap_or_else(|| default_reward());
+    let lookup = |id: &TaskId| instance.tasks.iter().find(|t| t.id == *id);
+    let tasks: Vec<&OfflineTask> = task_ids.iter().map(lookup).collect::<Option<_>>()?;
+    let prepare = |t: &&OfflineTask| Some(t.prepared(reward, node.models.get(t.spec.name())?));
+    let prepared: Vec<Arc<PreparedTask>> = tasks.iter().map(prepare).collect::<Option<_>>()?;
     let refs: Vec<&PreparedTask> = prepared.iter().map(|p| p.as_ref()).collect();
-    let admission = AdmissionControl::new(node.policy, *capacity);
+    let admission = AdmissionControl::new(node.policy, node.capacity);
     let out = qosc_core::formulate_prepared(&refs, &admission).ok()?;
-    Some(price_outcome(instance, node, &tasks, &out))
-}
-
-/// Joint formulation with prefix-feasibility shedding: formulates the
-/// largest feasible prefix of `task_ids` on `node` (unknown task ids and
-/// tasks whose demand model the node lacks truncate the prefix, exactly
-/// like the old shed-one-retry loop did). Returns the priced placements
-/// of that prefix — empty when not even one task fits. This is the
-/// offline mirror of the joint provider's CFP path (F-series emulation).
-pub fn formulate_subset_on_node(
-    instance: &Instance,
-    node: &OfflineNode,
-    capacity: &ResourceVector,
-    task_ids: &[TaskId],
-) -> Vec<(TaskId, Placement)> {
-    if task_ids.is_empty() {
-        return Vec::new();
-    }
-    // Truncate (not bail) at the first unknown id: the old loop shed its
-    // way down to the prefix before it.
-    let by_id = task_index(instance);
-    let tasks: Vec<&OfflineTask> = task_ids
-        .iter()
-        .map_while(|id| by_id.get(id).copied())
-        .collect();
-    if tasks.is_empty() {
-        return Vec::new();
-    }
-    let Some(prepared) = prepare_tasks(node, &tasks) else {
-        return Vec::new();
-    };
-    let refs: Vec<&PreparedTask> = prepared.iter().map(|p| p.as_ref()).collect();
-    let admission = AdmissionControl::new(node.policy, *capacity);
-    let Some((count, out)) = qosc_core::formulate_shedding(&refs, &admission) else {
-        return Vec::new();
-    };
-    price_outcome(instance, node, &tasks[..count], &out)
-}
-
-/// One id→task index pass instead of a linear scan per id: joint
-/// formulation over large open sets (256-node sweeps announce every
-/// task to every node, every round) would otherwise go quadratic.
-fn task_index(instance: &Instance) -> HashMap<TaskId, &OfflineTask> {
-    instance.tasks.iter().map(|t| (t.id, t)).collect()
-}
-
-/// All of `task_ids` resolved against the instance, or `None` if any is
-/// unknown.
-fn lookup_tasks<'a>(instance: &'a Instance, task_ids: &[TaskId]) -> Option<Vec<&'a OfflineTask>> {
-    let by_id = task_index(instance);
-    task_ids
-        .iter()
-        .map(|id| by_id.get(id).copied())
-        .collect::<Option<Vec<_>>>()
-}
-
-/// Compiles (or serves from each task's cache) the prefix of `tasks` the
-/// node can price: stops at the first task whose spec has no demand model
-/// here. `None` when the very first task is already unknown.
-fn prepare_tasks(node: &OfflineNode, tasks: &[&OfflineTask]) -> Option<Vec<Arc<PreparedTask>>> {
-    let reward = match node.reward.as_ref() {
-        Some(r) => r,
-        None => default_reward(),
-    };
-    let mut out = Vec::with_capacity(tasks.len());
-    for t in tasks {
-        let Some(model) = node.model_for(&t.spec) else {
-            break;
-        };
-        out.push(t.prepared(reward, model));
-    }
-    if out.is_empty() {
-        return None;
-    }
-    Some(out)
-}
-
-/// Prices a formulation outcome into per-task placements.
-fn price_outcome(
-    instance: &Instance,
-    node: &OfflineNode,
-    tasks: &[&OfflineTask],
-    out: &qosc_core::Formulated,
-) -> Vec<(TaskId, Placement)> {
-    let mut placements = Vec::with_capacity(tasks.len());
-    for (i, t) in tasks.iter().enumerate() {
+    let priced = tasks.iter().zip(out.levels).zip(out.demands);
+    let placements = priced.map(|((t, levels), demand)| {
         let distance = t
             .compiled(instance.eval)
-            .distance_of_levels(&out.levels[i])
+            .distance_of_levels(&levels)
             .expect("formulated levels are in range");
         let comm_cost = if node.id == instance.requester {
             0.0
@@ -379,20 +259,16 @@ fn price_outcome(
         } else {
             f64::INFINITY
         };
-        let reward = local_reward(&t.request, &out.levels[i], node.reward_model());
-        placements.push((
-            t.id,
-            Placement {
-                node: node.id,
-                levels: out.levels[i].clone(),
-                distance,
-                comm_cost,
-                demand: out.demands[i],
-                reward,
-            },
-        ));
-    }
-    placements
+        let placement = Placement {
+            node: node.id,
+            levels,
+            distance,
+            comm_cost,
+            demand,
+        };
+        (t.id, placement)
+    });
+    Some(placements.collect())
 }
 
 #[cfg(test)]
@@ -468,7 +344,6 @@ mod tests {
                 distance: 0.2,
                 comm_cost: 1.0,
                 demand: ResourceVector::ZERO,
-                reward: 0.0,
             },
         );
         a.placements.insert(
@@ -479,7 +354,6 @@ mod tests {
                 distance: 0.4,
                 comm_cost: 0.5,
                 demand: ResourceVector::ZERO,
-                reward: 0.0,
             },
         );
         a.unassigned.push(TaskId(2));

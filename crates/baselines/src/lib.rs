@@ -9,7 +9,7 @@
 //! | [`single_node`] | no cooperation: everything on the requester |
 //! | [`random_alloc`] | cooperation without evaluation |
 //! | [`greedy_least_loaded`] | classic load balancing, QoS-blind |
-//! | [`protocol_emulation`] | the paper's §4–§6 protocol, offline |
+//! | [`protocol_emulation`] | the paper's §4–§6 protocol: the engines on `DirectRuntime`, unbounded rounds |
 //! | [`exhaustive_optimal`] | the lexicographic optimum (small instances) |
 //!
 //! All policies run on a common [`Instance`] snapshot and share the §5
@@ -25,7 +25,7 @@ mod engines;
 mod instance;
 mod policies;
 
-pub use engines::{instance_runtime, instance_service, protocol_run};
+pub use engines::{instance_runtime, instance_service, run_on_engines};
 pub use instance::{
     formulate_on_node, Allocation, Instance, OfflineNode, OfflineTask, Pid, Placement,
 };

@@ -5,8 +5,8 @@
 //! * [`random_alloc`] — each task on a uniformly random capable node.
 //! * [`greedy_least_loaded`] — classic load balancing: tasks go to the
 //!   node with the most remaining CPU, ignoring QoS preferences.
-//! * [`protocol_emulation`] — the paper's negotiation outcome computed
-//!   offline: every node formulates jointly for the whole task set (§5),
+//! * [`protocol_emulation`] — the paper's negotiation itself, the
+//!   engines on `DirectRuntime`, unbounded rounds: nodes formulate (§5),
 //!   the organizer evaluates (§6) and applies the §4.2 tie-break.
 //!
 //! All policies degrade quality via the same §5 heuristic, so differences
@@ -17,11 +17,10 @@ use std::collections::BTreeMap;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use qosc_core::strategy::{AwardContext, CandidateContext, CfpContext, RetryContext, TaskOffer};
-use qosc_core::{local_reward, Candidate, ProposalStrategy, TieBreak};
-use qosc_resources::ResourceVector;
+use qosc_core::{ProposalStrategy, TieBreak};
 use qosc_spec::TaskId;
 
+use crate::engines::run_on_engines;
 use crate::instance::{formulate_on_node, Allocation, Instance, OfflineNode, Pid};
 
 /// Everything runs on the requester node; if the full set does not fit
@@ -152,160 +151,16 @@ pub fn protocol_emulation(instance: &Instance, tiebreak: &TieBreak) -> Allocatio
     protocol_emulation_with(instance, tiebreak, ProposalStrategy::Joint)
 }
 
-/// The paper's protocol computed offline on the snapshot, including the
-/// organizer's retry rounds: each round every node formulates proposals
-/// for the still-open tasks against its *remaining* capacity (earlier
-/// rounds' awards stay committed), candidates are evaluated and the §4.2
-/// tie-break selects winners; the loop ends when every task is placed or
-/// a round makes no progress.
+/// The paper's protocol on the snapshot: the engines negotiate on a
+/// zero-latency `DirectRuntime` under the nodes' and the instance's
+/// chains, providers pricing bundles by `strategy`, re-announcing what is
+/// still open until every task is placed or a round makes no progress.
 pub fn protocol_emulation_with(
     instance: &Instance,
     tiebreak: &TieBreak,
     strategy: ProposalStrategy,
 ) -> Allocation {
-    use crate::instance::{formulate_on_node_with_capacity, formulate_subset_on_node, OfflineTask};
-    let by_id: std::collections::HashMap<TaskId, &OfflineTask> =
-        instance.tasks.iter().map(|t| (t.id, t)).collect();
-    let mut remaining: Vec<TaskId> = instance.tasks.iter().map(|t| t.id).collect();
-    let mut capacities: BTreeMap<Pid, ResourceVector> =
-        instance.nodes.iter().map(|n| (n.id, n.capacity)).collect();
-    let mut alloc = Allocation::default();
-    let mut round: u32 = 0;
-    while !remaining.is_empty() {
-        let mut candidates: BTreeMap<TaskId, Vec<Candidate>> = BTreeMap::new();
-        let mut offers: BTreeMap<(Pid, TaskId), crate::instance::Placement> = BTreeMap::new();
-        for t in &remaining {
-            candidates.insert(*t, Vec::new());
-        }
-        for node in &instance.nodes {
-            let cap = capacities[&node.id];
-            // Provider-side participation gate (battery-style components);
-            // the empty chain always participates.
-            let cfp = CfpContext {
-                node: node.id,
-                round,
-                task_count: remaining.len(),
-                available: cap,
-                capacity: node.capacity,
-            };
-            if !node.chain.participates(&cfp) {
-                continue;
-            }
-            let placements = match strategy {
-                // Mirror the joint provider: one formulation over the open
-                // set, the engine's prefix-feasibility pre-check shedding
-                // from the tail when it cannot fit.
-                ProposalStrategy::Joint => {
-                    formulate_subset_on_node(instance, node, &cap, &remaining)
-                }
-                // Sequential provider: each task priced alone against what
-                // is left after the offers already in this bundle (the
-                // reservation ledger serialises holds the same way).
-                ProposalStrategy::Sequential => {
-                    let mut left = cap;
-                    let mut out = Vec::new();
-                    for t in &remaining {
-                        if let Some(mut p) =
-                            formulate_on_node_with_capacity(instance, node, &left, &[*t])
-                        {
-                            let (id, placement) = p.pop().expect("one task in, one out");
-                            left -= placement.demand;
-                            out.push((id, placement));
-                        }
-                    }
-                    out
-                }
-            };
-            for (id, mut p) in placements {
-                let task = by_id[&id];
-                // Provider-side offer review: components may withhold the
-                // offer (reserve price) or degrade/mark it up (selfish).
-                let mut offer = TaskOffer {
-                    task: id,
-                    levels: p.levels.clone(),
-                    ladder: task.request.ladder_lengths(),
-                    demand: p.demand,
-                    reward: p.reward,
-                    task_reward: p.reward,
-                };
-                if !node.chain.review_offer(&cfp, &mut offer) {
-                    continue; // withheld
-                }
-                if offer.levels != p.levels {
-                    // A component re-levelled the offer: clamp to the
-                    // ladders and re-price distance and reward at what
-                    // will actually be served.
-                    let levels: Vec<usize> = offer
-                        .levels
-                        .iter()
-                        .zip(offer.ladder.iter())
-                        .map(|(&l, &len)| l.min(len.saturating_sub(1)))
-                        .collect();
-                    p.distance = task
-                        .compiled(instance.eval)
-                        .distance_of_levels(&levels)
-                        .expect("clamped levels are in range");
-                    p.reward = local_reward(&task.request, &levels, node.reward_model());
-                    p.levels = levels;
-                }
-                // Organizer-side candidate review: rescoring (reputation)
-                // affects selection only; the placement keeps the true
-                // eq. 2 distance of the served quality.
-                let mut candidate = Candidate {
-                    node: node.id,
-                    distance: p.distance,
-                    comm_cost: p.comm_cost,
-                };
-                let cctx = CandidateContext {
-                    organizer: instance.requester,
-                    task: id,
-                    round,
-                };
-                if !instance.chain.review_candidate(&cctx, &mut candidate) {
-                    continue; // rejected
-                }
-                candidates.entry(id).or_default().push(candidate);
-                offers.insert((node.id, id), p);
-            }
-        }
-        let selection = instance.chain.select(&candidates, tiebreak);
-        let mut placed_any = false;
-        for (task, node) in selection.assignments {
-            let p = offers
-                .remove(&(node, task))
-                .expect("winner came from an offer");
-            let winner = instance
-                .nodes
-                .iter()
-                .find(|n| n.id == node)
-                .expect("winner is a known node");
-            if !winner.chain.accepts_award(&AwardContext { node, task }) {
-                continue; // provider declined the award; task stays open
-            }
-            let cap = capacities.get_mut(&node).expect("winner is a known node");
-            *cap -= p.demand;
-            alloc.placements.insert(task, p);
-            remaining.retain(|t| *t != task);
-            placed_any = true;
-        }
-        if !placed_any {
-            break; // no node can serve anything still open
-        }
-        // Organizer-side retry decision; offline rounds are unbounded, so
-        // the default fold keeps looping until a round makes no progress.
-        if !remaining.is_empty()
-            && !instance.chain.retries(&RetryContext {
-                round,
-                max_rounds: u32::MAX,
-                open_tasks: remaining.len(),
-            })
-        {
-            break;
-        }
-        round = round.saturating_add(1);
-    }
-    alloc.unassigned = remaining;
-    alloc
+    run_on_engines(instance, tiebreak, strategy).0
 }
 
 /// The exhaustive optimum: minimises `(Σ distance, Σ comm, distinct
@@ -407,6 +262,7 @@ pub fn aggregate_cpu(instance: &Instance) -> f64 {
 mod tests {
     use super::*;
     use crate::builders::{conference_instance, small_instance};
+    use qosc_resources::ResourceVector;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

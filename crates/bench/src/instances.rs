@@ -13,6 +13,7 @@ use qosc_core::{
 use qosc_resources::{ResourceKind, SchedulingPolicy};
 use qosc_spec::TaskId;
 use qosc_workloads::{AppTemplate, PopulationConfig};
+use std::sync::Arc as StdArc;
 
 /// Builds an offline instance: `n_nodes` drawn from `population` (node 0
 /// is the requester), `n_tasks` instances of `template`.
@@ -27,10 +28,6 @@ pub fn population_instance(
     let profiles = population.sample_many(n_nodes, &mut rng);
     let spec = template.spec();
     let model = template.demand_model();
-    // One `Arc` per policy, so the nodes that share a policy share its
-    // compiled formulation tables.
-    let linear: Arc<dyn RewardModel> = Arc::new(LinearPenalty::default());
-    let quadratic: Arc<dyn RewardModel> = Arc::new(QuadraticPenalty::default());
     let nodes = profiles
         .iter()
         .enumerate()
@@ -41,14 +38,18 @@ pub fn population_instance(
             // be defined according to user's own criteria"): odd nodes
             // degrade quadratically, which shapes their offers differently
             // and exercises cross-dimension trade-offs in evaluation.
-            let reward = if i % 2 == 1 { &quadratic } else { &linear };
+            let reward: StdArc<dyn RewardModel> = if i % 2 == 1 {
+                StdArc::new(QuadraticPenalty::default())
+            } else {
+                StdArc::new(LinearPenalty::default())
+            };
             OfflineNode {
                 id: i as u32,
                 capacity: p.capacity,
                 link_kbps: p.capacity.get(ResourceKind::NetBandwidth),
                 policy: SchedulingPolicy::Edf,
                 models,
-                reward: Some(Arc::clone(reward)),
+                reward: Some(reward),
                 chain: ProviderStrategy::default(),
             }
         })

@@ -369,18 +369,6 @@ impl PreparedTask {
     pub fn ladder(&self) -> &[usize] {
         &self.ladder
     }
-
-    /// Demand with every attribute fully degraded — the smallest demand
-    /// any degradation can reach (demand models are monotone).
-    pub fn fully_degraded_demand(&self) -> ResourceVector {
-        self.full_demand
-    }
-
-    /// Whether the fully-degraded configuration satisfies the spec's
-    /// inter-attribute dependencies.
-    pub fn fully_degraded_deps_ok(&self) -> bool {
-        self.full_deps_ok
-    }
 }
 
 /// One degradation candidate: degrade `task`'s attribute `flat` from

@@ -119,19 +119,9 @@ impl CoalitionNode {
         self.provider.as_ref()
     }
 
-    /// Mutable organizer access (fault injectors, model checking).
-    pub fn organizer_mut(&mut self) -> Option<&mut OrganizerEngine> {
-        self.organizer.as_mut()
-    }
-
     /// Mutable provider access (fault injectors, model checking).
     pub fn provider_mut(&mut self) -> Option<&mut ProviderEngine> {
         self.provider.as_mut()
-    }
-
-    /// Services still queued for kickoff, in kickoff order.
-    pub fn pending_services(&self) -> &[(SimTime, ServiceDef)] {
-        &self.pending
     }
 
     /// Queues a service to be started by the kickoff timer armed for

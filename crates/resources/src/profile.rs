@@ -75,14 +75,6 @@ pub struct NodeProfile {
 }
 
 impl NodeProfile {
-    /// Profile with the class's canonical capacity.
-    pub fn of_class(class: DeviceClass) -> Self {
-        Self {
-            class,
-            capacity: class.capacity(),
-        }
-    }
-
     /// Profile with the class capacity uniformly scaled by `factor`
     /// (e.g. 0.7 for a congested node — §1: "more powerful (or less
     /// congested) devices").

@@ -371,14 +371,6 @@ impl ResolvedRequest {
         })
     }
 
-    /// Looks up the preference entry for an attribute path.
-    pub fn attr_pref(&self, path: AttrPath) -> Option<&ResolvedAttrPref> {
-        self.dimensions
-            .iter()
-            .flat_map(|d| d.attributes.iter())
-            .find(|a| a.path == path)
-    }
-
     /// The user's most-preferred choice for every requested attribute, as
     /// `(path, value)` pairs — the §5 heuristic's starting point ("start by
     /// selecting user's preferred values for all QoS dimensions").

@@ -326,11 +326,6 @@ impl QualityVector {
         self.values.get(spec.flat_index(path)?)
     }
 
-    /// Value at a flat index.
-    pub fn get_flat(&self, idx: usize) -> Option<&Value> {
-        self.values.get(idx)
-    }
-
     /// Replaces the value at `path`. Returns false if out of bounds or the
     /// new value is outside the attribute's domain.
     pub fn set(&mut self, spec: &QosSpec, path: AttrPath, v: Value) -> bool {

@@ -36,11 +36,6 @@ pub fn av_provider_with(id: u32, cpu: f64, config: ProviderConfig) -> ProviderEn
     p
 }
 
-/// [`av_provider_with`] using the default [`ProviderConfig`].
-pub fn av_provider(id: u32, cpu: f64) -> ProviderEngine {
-    av_provider_with(id, cpu, ProviderConfig::default())
-}
-
 /// A provider whose heartbeat is pushed out of any reasonable test
 /// window (1 h), for tests that do exact message accounting.
 pub fn quiet_provider(id: u32, cpu: f64) -> ProviderEngine {
@@ -74,12 +69,6 @@ pub fn surveillance_service_sized(
             })
             .collect(),
     )
-}
-
-/// A surveillance service with the default light transfer sizes
-/// (50 kB in, 5 kB out per task).
-pub fn surveillance_service(name: &str, tasks: usize) -> ServiceDef {
-    surveillance_service_sized(name, tasks, 50_000, 5_000)
 }
 
 /// A simulator whose `n` static nodes sit on a 3 m-spaced line inside a

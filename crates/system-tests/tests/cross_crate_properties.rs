@@ -6,12 +6,13 @@ use proptest::prelude::*;
 
 use qosc_baselines::{
     builders::small_instance, exhaustive_optimal, protocol_emulation, protocol_emulation_with,
-    single_node, ProposalStrategy,
+    run_on_engines, single_node, ProposalStrategy,
 };
 use qosc_core::{
     formulate, formulate_prepared, formulate_shedding, Evaluator, LinearPenalty, PreparedTask,
     TaskInput, TieBreak,
 };
+use qosc_mc::{default_invariants, verify_runtime};
 use qosc_resources::{
     av_demand_model, AdmissionControl, ResourceKind, ResourceVector, SchedulingPolicy,
 };
@@ -75,36 +76,56 @@ proptest! {
     }
 
     /// Allocation policies never invent placements: every placed node is a
-    /// real node, every distance finite and non-negative, every placed
-    /// task's demand fits the node's capacity in aggregate.
+    /// real node, every distance finite and non-negative, and no node is
+    /// overcommitted: the protocol's legs hold the checker's invariants on
+    /// the runtime they ran on, the single node's demand fits in aggregate.
     #[test]
     fn allocations_are_structurally_sound(cpus in cpu_vec(), tasks in 1usize..5) {
         let inst = small_instance(&cpus, tasks);
-        for alloc in [
-            protocol_emulation(&inst, &TieBreak::default()),
-            protocol_emulation_with(&inst, &TieBreak::default(), ProposalStrategy::Sequential),
-            single_node(&inst),
-        ] {
-            let mut per_node: std::collections::BTreeMap<u32, ResourceVector> =
-                Default::default();
+        let ids: Vec<u32> = inst.nodes.iter().map(|n| n.id).collect();
+        let mut allocs = Vec::new();
+        for strategy in [ProposalStrategy::Joint, ProposalStrategy::Sequential] {
+            let (alloc, rt) = run_on_engines(&inst, &TieBreak::default(), strategy);
+            prop_assert_eq!(verify_runtime(&rt, &ids, &default_invariants(), true), Ok(()));
+            allocs.push(alloc);
+        }
+        let single = single_node(&inst);
+        let carried = single.placements.values().map(|p| p.demand.get(ResourceKind::Cpu));
+        prop_assert!(carried.sum::<f64>() <= cpus[0] + 1e-6, "the single node is overcommitted");
+        allocs.push(single);
+        for alloc in allocs {
             for (task, p) in &alloc.placements {
                 prop_assert!((p.node as usize) < cpus.len());
                 prop_assert!(p.distance.is_finite() && p.distance >= 0.0);
                 prop_assert!(p.comm_cost.is_finite() && p.comm_cost >= 0.0);
                 prop_assert!(inst.tasks.iter().any(|t| t.id == *task));
-                *per_node.entry(p.node).or_default() += p.demand;
-            }
-            for (node, total) in per_node {
-                let cap = inst.nodes[node as usize].capacity;
-                prop_assert!(
-                    total.get(ResourceKind::Cpu) <= cap.get(ResourceKind::Cpu) + 1e-6,
-                    "node {node} overcommitted"
-                );
             }
             // No task both placed and unassigned, and the counts add up.
             for t in &alloc.unassigned {
                 prop_assert!(!alloc.placements.contains_key(t));
             }
+            prop_assert_eq!(alloc.placements.len() + alloc.unassigned.len(), tasks);
+        }
+    }
+
+    /// NaN, infinite and zero CPU capacities and zero, negative, NaN and
+    /// infinite bandwidths on random nodes never panic the protocol
+    /// baseline, and every task is accounted for.
+    #[test]
+    fn protocol_baseline_survives_hostile_nodes(
+        cpus in cpu_vec(),
+        tasks in 1usize..5,
+        poison in proptest::collection::vec((0usize..5, 0usize..5), 6),
+    ) {
+        let mut inst = small_instance(&cpus, tasks);
+        for (node, (cpu, link)) in inst.nodes.iter_mut().zip(poison) {
+            let sane = node.capacity.get(ResourceKind::Cpu);
+            let cpu = [sane, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0][cpu];
+            node.capacity = ResourceVector::new(cpu, 512.0, 10_000.0, 60.0, 10_000.0);
+            node.link_kbps = [node.link_kbps, 0.0, -1.0, f64::NAN, f64::INFINITY][link];
+        }
+        for strategy in [ProposalStrategy::Joint, ProposalStrategy::Sequential] {
+            let alloc = protocol_emulation_with(&inst, &TieBreak::default(), strategy);
             prop_assert_eq!(alloc.placements.len() + alloc.unassigned.len(), tasks);
         }
     }
