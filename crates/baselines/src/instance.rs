@@ -9,8 +9,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use qosc_core::{
-    CompiledRequest, EvalConfig, LinearPenalty, OrganizerStrategy, PreparedTask, ProviderStrategy,
-    RewardModel,
+    CompiledRequest, EvalConfig, Formulator, LinearPenalty, OrganizerStrategy, PreparedTask,
+    ProviderStrategy, RewardModel,
 };
 use qosc_resources::{AdmissionControl, DemandModel, ResourceVector, SchedulingPolicy};
 use qosc_spec::{QosSpec, ResolvedRequest, ServiceRequest, SpecError, TaskId};
@@ -245,7 +245,9 @@ pub fn formulate_on_node(
     let prepared: Vec<Arc<PreparedTask>> = tasks.iter().map(prepare).collect::<Option<_>>()?;
     let refs: Vec<&PreparedTask> = prepared.iter().map(|p| p.as_ref()).collect();
     let admission = AdmissionControl::new(node.policy, node.capacity);
-    let out = qosc_core::formulate_prepared(&refs, &admission).ok()?;
+    let out = Formulator::new(Arc::clone(reward))
+        .formulate(&refs, &admission)
+        .ok()?;
     let priced = tasks.iter().zip(out.levels).zip(out.demands);
     let placements = priced.map(|((t, levels), demand)| {
         let distance = t

@@ -16,6 +16,11 @@
 //! degradation heuristic, isolating *placement policy* as the only
 //! variable. The `builders` module provides ready-made instances for
 //! benches and tests.
+//!
+//! The crate also holds the reference oracles of §5 and §6 that the
+//! engines' compiled paths are proven against: [`Evaluator`] (eqs. 2–5,
+//! per proposal) and [`formulate_reference`] (the §5 degradation as a
+//! per-step argmin scan).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,12 +28,14 @@
 pub mod builders;
 mod engines;
 mod instance;
+mod oracle;
 mod policies;
 
 pub use engines::{instance_runtime, instance_service, run_on_engines};
 pub use instance::{
     formulate_on_node, Allocation, Instance, OfflineNode, OfflineTask, Pid, Placement,
 };
+pub use oracle::{formulate_reference, Evaluator};
 pub use policies::{
     aggregate_cpu, exhaustive_optimal, greedy_least_loaded, protocol_emulation,
     protocol_emulation_with, random_alloc, single_node,

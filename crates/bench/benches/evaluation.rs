@@ -5,7 +5,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use qosc_core::{CompiledRequest, EvalConfig, Evaluator};
+use qosc_baselines::Evaluator;
+use qosc_core::{CompiledRequest, EvalConfig};
 use qosc_spec::{catalog, Value};
 
 fn offers(n: usize) -> Vec<Vec<Value>> {

@@ -3,10 +3,11 @@
 //!
 //! Two legs per joint-bundle point: `engine` is the heap-driven
 //! [`Formulator`] over tasks compiled once (the cold §5 loop a
-//! `Sequential` provider runs per task), `reference` is the retained
-//! pre-engine path ([`formulate_reference`]: penalty tables rebuilt per
-//! call, per-step argmin scan, quality vector rebuilt per step). Their
-//! ratio is the engine speedup tracked by CI's BENCH_JSON artifact.
+//! `Sequential` provider runs per task), `reference` is the
+//! `qosc_baselines` oracle ([`formulate_reference`]: penalties asked of
+//! the reward model per probe, per-step argmin scan, quality vector
+//! rebuilt per step). Their ratio is the engine speedup tracked by CI's
+//! BENCH_JSON artifact.
 //!
 //! The cold-start legs price one CFP of a 4-task Surveillance service at
 //! the providers of one world, which share a book of bundle plans:
@@ -23,15 +24,16 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use qosc_baselines::formulate_reference;
 use qosc_core::{
-    formulate, formulate_reference, Formulator, LinearPenalty, Msg, NegoId, ProviderConfig,
-    ProviderEngine, TaskAnnouncement, TaskInput,
+    Formulator, LinearPenalty, Msg, NegoId, PreparedTask, ProviderConfig, ProviderEngine,
+    TaskAnnouncement,
 };
 use qosc_netsim::SimTime;
 use qosc_resources::{
     av_demand_model, AdmissionControl, DemandModel, ResourceKind, ResourceVector, SchedulingPolicy,
 };
-use qosc_spec::{catalog, TaskId};
+use qosc_spec::{catalog, QosSpec, ResolvedRequest, TaskId};
 
 fn admission(cpu: f64) -> AdmissionControl {
     AdmissionControl::new(
@@ -45,8 +47,14 @@ fn bench_formulation(c: &mut Criterion) {
     let request = catalog::video_conference_request()
         .resolve(&spec)
         .expect("catalog request matches catalog spec");
-    let model = av_demand_model(&spec);
+    let model: Arc<dyn DemandModel> = Arc::new(av_demand_model(&spec));
     let reward = LinearPenalty::default();
+    // The cold engine: the task compiled once through the book, then one
+    // heap-driven pass per call.
+    let mut engine = Formulator::new(Arc::new(LinearPenalty::default()));
+    let task = engine
+        .prepare(&spec, &catalog::video_conference_request(), &model)
+        .expect("catalog request resolves");
 
     let mut g = c.benchmark_group("formulation");
     // Scarcity sweep: fewer MIPS = more degradation steps.
@@ -55,33 +63,15 @@ fn bench_formulation(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("single_task_cpu", cpu as u64),
             &cpu,
-            |b, _| {
-                b.iter(|| {
-                    formulate(
-                        &[TaskInput {
-                            spec: black_box(&spec),
-                            request: black_box(&request),
-                            demand: &model,
-                        }],
-                        &admission,
-                        &reward,
-                    )
-                })
-            },
+            |b, _| b.iter(|| engine.formulate(black_box(&[task.as_ref()]), &admission)),
         );
     }
     // Joint task-set sweep at fixed capacity.
     for tasks in [1usize, 4, 16] {
         let admission = admission(120.0);
-        let inputs: Vec<TaskInput<'_>> = (0..tasks)
-            .map(|_| TaskInput {
-                spec: &spec,
-                request: &request,
-                demand: &model,
-            })
-            .collect();
+        let refs: Vec<&PreparedTask> = vec![task.as_ref(); tasks];
         g.bench_with_input(BenchmarkId::new("joint_tasks", tasks), &tasks, |b, _| {
-            b.iter(|| formulate(black_box(&inputs), &admission, &reward))
+            b.iter(|| engine.formulate(black_box(&refs), &admission))
         });
     }
 
@@ -103,21 +93,14 @@ fn bench_formulation(c: &mut Criterion) {
             .expect("floor levels are in-domain");
         model.demand(&spec, &qv).get(ResourceKind::Cpu)
     };
-    let shared_model: Arc<dyn DemandModel> = Arc::new(av_demand_model(&spec));
-    let announced = catalog::video_conference_request();
     for tasks in [8usize, 32, 64] {
         for (label, per_task) in [
             ("rich", preferred_cpu * 1.05),
             ("scarce", degraded_cpu * 1.02),
         ] {
             let admission = admission(per_task * tasks as f64);
-            let inputs: Vec<TaskInput<'_>> = (0..tasks)
-                .map(|_| TaskInput {
-                    spec: &spec,
-                    request: &request,
-                    demand: &model,
-                })
-                .collect();
+            let inputs: Vec<(&QosSpec, &ResolvedRequest, &dyn DemandModel)> =
+                vec![(&spec, &request, model.as_ref()); tasks];
             // Sanity: both capacity points formulate successfully (the
             // scarce one after deep degradation).
             formulate_reference(&inputs, &admission, &reward).expect("bundle must fit");
@@ -126,17 +109,7 @@ fn bench_formulation(c: &mut Criterion) {
                 &tasks,
                 |b, _| b.iter(|| formulate_reference(black_box(&inputs), &admission, &reward)),
             );
-            // The cold engine: tasks compiled once through the book, then
-            // one heap-driven pass per call.
-            let mut engine = Formulator::new(Arc::new(LinearPenalty::default()));
-            let prepared: Vec<_> = (0..tasks)
-                .map(|_| {
-                    engine
-                        .prepare(&spec, &announced, &shared_model)
-                        .expect("catalog request resolves")
-                })
-                .collect();
-            let refs: Vec<&qosc_core::PreparedTask> = prepared.iter().map(|p| p.as_ref()).collect();
+            let refs: Vec<&PreparedTask> = vec![task.as_ref(); tasks];
             g.bench_with_input(
                 BenchmarkId::new(format!("joint_{label}_engine"), tasks),
                 &tasks,

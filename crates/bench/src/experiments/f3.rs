@@ -6,7 +6,10 @@
 //! request and record the reward, the user-side distance (eq. 2) of the
 //! resulting configuration, and how many degradation steps were needed.
 
-use qosc_core::{formulate, Evaluator, LinearPenalty, QuadraticPenalty, RewardModel, TaskInput};
+use std::sync::Arc;
+
+use qosc_baselines::Evaluator;
+use qosc_core::{Formulator, LinearPenalty, QuadraticPenalty, RewardModel};
 use qosc_resources::{AdmissionControl, ResourceKind, ResourceVector, SchedulingPolicy};
 use qosc_workloads::AppTemplate;
 
@@ -34,6 +37,20 @@ pub fn run() -> Table {
         .expect("template request matches its spec");
     let model = t.demand_model();
     let evaluator = Evaluator::default();
+    // One engine and one compilation of the task per penalty.
+    let mut engines: Vec<_> = [
+        Arc::new(LinearPenalty::default()) as Arc<dyn RewardModel>,
+        Arc::new(QuadraticPenalty::default()),
+    ]
+    .into_iter()
+    .map(|reward| {
+        let mut engine = Formulator::new(reward);
+        let task = engine
+            .prepare(&spec, &t.request(), &model)
+            .expect("template request matches its spec");
+        (engine, task)
+    })
+    .collect();
     // Preferred-level CPU demand = the 100 % point.
     let qv = req
         .quality_vector(&spec, &vec![0; req.attr_count()])
@@ -47,16 +64,8 @@ pub fn run() -> Table {
             ResourceVector::new(cpu, 512.0, 10_000.0, 60.0, 10_000.0),
         );
         let mut cells = vec![f(pct as f64 / 100.0)];
-        for reward_model in [
-            &LinearPenalty::default() as &dyn RewardModel,
-            &QuadraticPenalty::default() as &dyn RewardModel,
-        ] {
-            let input = TaskInput {
-                spec: &spec,
-                request: &req,
-                demand: model.as_ref(),
-            };
-            match formulate(&[input], &admission, reward_model) {
+        for (engine, task) in &mut engines {
+            match engine.formulate(&[task.as_ref()], &admission) {
                 Ok(out) => {
                     let d = evaluator
                         .distance_of_levels(&spec, &req, &out.levels[0])

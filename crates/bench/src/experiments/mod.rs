@@ -1,4 +1,5 @@
-//! The canonical experiment suite (see DESIGN.md §3 and EXPERIMENTS.md).
+//! The canonical experiment suite (the `experiments` binary runs it; the
+//! README's quick start shows how).
 //!
 //! The paper has no empirical tables/figures; every experiment here
 //! operationalises one of its quantitative claims. Each module's `run()`

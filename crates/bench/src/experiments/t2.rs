@@ -7,8 +7,8 @@
 //! numbers are comparable: how often does the alternative pick different
 //! winners, and how much user-side distance does it cost or save?
 
-use qosc_baselines::{protocol_emulation, Allocation, Instance};
-use qosc_core::{DifMode, EvalConfig, Evaluator, TieBreak, WeightScheme};
+use qosc_baselines::{protocol_emulation, Allocation, Evaluator, Instance};
+use qosc_core::{DifMode, EvalConfig, TieBreak, WeightScheme};
 use qosc_workloads::{AppTemplate, PopulationConfig};
 
 use crate::instances::population_instance;

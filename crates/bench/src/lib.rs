@@ -1,7 +1,6 @@
 //! # qosc-bench — experiment harness & benchmarks
 //!
-//! Regenerates every table/figure of the canonical evaluation suite
-//! (DESIGN.md §3, EXPERIMENTS.md):
+//! Regenerates every table of the canonical evaluation suite:
 //!
 //! ```text
 //! cargo run -p qosc-bench --bin experiments --release          # all

@@ -1,6 +1,6 @@
 //! Result tables: aligned stdout rendering plus CSV files under
-//! `results/`, so every figure/table of EXPERIMENTS.md can be regenerated
-//! and re-plotted from the same run.
+//! `results/`, so every experiment table can be regenerated and
+//! re-plotted from the same run.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -126,18 +126,9 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation (0 when < 2 samples).
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Runs `reps` seeded replications of `job` across threads (one batch per
-/// available core) and collects results in seed order — the harness-side
-/// parallelism noted in DESIGN.md §5.
+/// available core) and collects results in seed order, so tables do not
+/// depend on the core count.
 pub fn replicate<T: Send>(reps: u64, job: impl Fn(u64) -> T + Sync) -> Vec<T> {
     let mut out: Vec<Option<T>> = (0..reps).map(|_| None).collect();
     let chunk = out
@@ -195,8 +186,6 @@ mod tests {
     fn stats_helpers() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((stddev(&[2.0, 4.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
-        assert_eq!(stddev(&[1.0]), 0.0);
         assert_eq!(f(f64::INFINITY), "inf");
         assert_eq!(f(0.12345), "0.1235");
     }

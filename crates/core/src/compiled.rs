@@ -1,11 +1,11 @@
 //! Compiled, batched proposal evaluation (§6 on the hot path).
 //!
-//! [`Evaluator`](crate::Evaluator) recomputes, for every proposal, the
-//! eq. 3 weight products, the per-domain normalizers and the Quality-Index
-//! positions by walking the spec. All of those are functions of the
-//! *(spec, request, config)* triple alone, and the negotiation fixes that
-//! triple once per resolved request — so a [`CompiledRequest`] hoists them
-//! out of the per-proposal loop:
+//! Scoring a proposal straight from the formulas recomputes, for every
+//! proposal, the eq. 3 weight products, the per-domain normalizers and
+//! the Quality-Index positions by walking the spec. All of those are
+//! functions of the *(spec, request, config)* triple alone, and the
+//! negotiation fixes that triple once per resolved request — so a
+//! [`CompiledRequest`] hoists them out of the per-proposal loop:
 //!
 //! * the flat per-attribute weight products `w_k·w_i` (eq. 3 applied at
 //!   both ranks);
@@ -19,9 +19,10 @@
 //!
 //! [`CompiledRequest::evaluate_batch`] scores a whole slate of proposals
 //! against the tables and returns the §6 winner in one call. The
-//! per-proposal [`Evaluator`](crate::Evaluator) remains the reference
-//! implementation; the `compiled_props` integration test pins the two to
-//! each other within 1e-12 across random specs, requests and proposals.
+//! per-proposal evaluator that walks the spec is kept as an oracle in
+//! `qosc_baselines`; its `compiled_props` integration test pins the two
+//! to each other within 1e-12 across random specs, requests and
+//! proposals.
 
 use qosc_spec::{Domain, QosSpec, ResolvedRequest, Value};
 
@@ -170,7 +171,7 @@ impl CompiledRequest {
 
     /// Admissibility (§6): the proposal must offer, for every requested
     /// attribute in `iter_attrs` order, a value from the user's acceptable
-    /// ladder. Mirrors [`Evaluator::admissible`](crate::Evaluator::admissible).
+    /// ladder. Mirrors the `qosc_baselines::Evaluator` oracle.
     pub fn admissible(&self, offered: &[Value]) -> Result<(), Inadmissible> {
         if offered.len() != self.attrs.len() {
             return Err(Inadmissible::WrongShape);
@@ -187,8 +188,8 @@ impl CompiledRequest {
     }
 
     /// Eq. 2 distance of one proposal against the compiled tables.
-    /// Assumes shape validity (same contract as
-    /// [`Evaluator::distance`](crate::Evaluator::distance)).
+    /// Assumes shape validity (the same contract as the
+    /// `qosc_baselines::Evaluator` oracle).
     pub fn distance(&self, offered: &[Value]) -> f64 {
         debug_assert_eq!(offered.len(), self.attrs.len(), "proposal shape");
         self.attrs
@@ -280,8 +281,9 @@ impl CompiledAttr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluation::{Evaluator, WeightScheme};
-    use qosc_spec::{catalog, Value};
+    use crate::evaluation::WeightScheme;
+    use crate::oracle::Evaluator;
+    use qosc_spec::catalog;
 
     fn setup() -> (QosSpec, ResolvedRequest) {
         let spec = catalog::av_spec();
@@ -323,9 +325,16 @@ mod tests {
         let ev = Evaluator::default();
         let compiled = CompiledRequest::compile(&spec, &req, EvalConfig::default());
         for levels in [[0, 0, 0, 0], [3, 1, 0, 0], [9, 1, 0, 0]] {
+            let offered: Vec<Value> = req
+                .iter_attrs()
+                .zip(levels)
+                .map(|((_, a), i)| a.levels[i].clone())
+                .collect();
             let d_ref = ev.distance_of_levels(&spec, &req, &levels).unwrap();
-            let d_new = compiled.distance_of_levels(&levels).unwrap();
-            assert!((d_ref - d_new).abs() < 1e-12);
+            let d_values = compiled.distance(&offered);
+            let d_levels = compiled.distance_of_levels(&levels).unwrap();
+            assert!((d_ref - d_levels).abs() < 1e-12);
+            assert!((d_values - d_levels).abs() < 1e-12);
         }
         assert!(compiled.distance_of_levels(&[99, 0, 0, 0]).is_none());
         assert!(compiled.distance_of_levels(&[0, 0]).is_none());

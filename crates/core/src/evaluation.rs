@@ -33,8 +33,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use qosc_spec::{QosSpec, ResolvedRequest, Value};
-
 /// Rank-to-weight map for dimensions and attributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum WeightScheme {
@@ -97,128 +95,20 @@ pub enum Inadmissible {
     },
 }
 
-/// The distance evaluator (stateless; all inputs passed per call).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Evaluator {
-    /// Configuration knobs.
-    pub config: EvalConfig,
-}
-
-impl Evaluator {
-    /// Creates an evaluator with the paper's defaults (absolute dif).
-    pub fn new(config: EvalConfig) -> Self {
-        Self { config }
-    }
-
-    /// Checks admissibility: the proposal must offer, for every requested
-    /// attribute (in [`ResolvedRequest::iter_attrs`] order), a value from
-    /// the user's acceptable ladder.
-    pub fn admissible(
-        &self,
-        request: &ResolvedRequest,
-        offered: &[Value],
-    ) -> Result<(), Inadmissible> {
-        if offered.len() != request.attr_count() {
-            return Err(Inadmissible::WrongShape);
-        }
-        for (((k, _i), pref), v) in request.iter_attrs().zip(offered.iter()) {
-            if !pref.levels.contains(v) {
-                return Err(Inadmissible::UnacceptableValue {
-                    dimension: request.dimensions[k].name.clone(),
-                    attribute: pref.name.clone(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Eq. 5 for one attribute.
-    fn dif(&self, spec: &QosSpec, pref: &qosc_spec::ResolvedAttrPref, offered: &Value) -> f64 {
-        let attr = spec
-            .attribute_at(pref.path)
-            .expect("resolved request paths are in-bounds");
-        let preferred = &pref.levels[0];
-        let raw = if attr.domain.is_discrete() {
-            let len = attr.domain.len().unwrap_or(1);
-            if len <= 1 {
-                0.0
-            } else {
-                let pp = attr.domain.position(offered).unwrap_or(0) as f64;
-                let pr = attr.domain.position(preferred).unwrap_or(0) as f64;
-                (pp - pr) / (len - 1) as f64
-            }
-        } else {
-            let span = attr.domain.span().unwrap_or(0.0);
-            if span <= 0.0 {
-                0.0
-            } else {
-                let pv = offered.as_f64().unwrap_or(0.0);
-                let rv = preferred.as_f64().unwrap_or(0.0);
-                (pv - rv) / span
-            }
-        };
-        match self.config.dif {
-            DifMode::Absolute => raw.abs(),
-            DifMode::SignedPaperLiteral => raw,
-        }
-    }
-
-    /// Eq. 2: the full weighted distance of an *admissible* proposal.
-    /// `offered` is one value per requested attribute in
-    /// [`ResolvedRequest::iter_attrs`] order.
-    ///
-    /// Call [`Evaluator::admissible`] first; this method assumes shape
-    /// validity (it will still compute a score for unacceptable values,
-    /// which the organizer never does).
-    pub fn distance(&self, spec: &QosSpec, request: &ResolvedRequest, offered: &[Value]) -> f64 {
-        let n = request.dim_count();
-        let mut total = 0.0;
-        let mut flat = 0usize;
-        for (k, dim) in request.dimensions.iter().enumerate() {
-            let wk = self.config.weights.weight(k, n);
-            let attrk = dim.attributes.len();
-            let mut dist_k = 0.0;
-            for (i, pref) in dim.attributes.iter().enumerate() {
-                let wi = self.config.weights.weight(i, attrk);
-                let offered_v = &offered[flat];
-                dist_k += wi * self.dif(spec, pref, offered_v);
-                flat += 1;
-            }
-            total += wk * dist_k;
-        }
-        total
-    }
-
-    /// Convenience: distance of the proposal expressed as level indexes
-    /// into the request's ladders.
-    pub fn distance_of_levels(
-        &self,
-        spec: &QosSpec,
-        request: &ResolvedRequest,
-        level_indexes: &[usize],
-    ) -> Option<f64> {
-        let offered: Option<Vec<Value>> = request
-            .iter_attrs()
-            .zip(level_indexes.iter())
-            .map(|((_, a), &i)| a.levels.get(i).cloned())
-            .collect();
-        let offered = offered?;
-        if offered.len() != request.attr_count() {
-            return None;
-        }
-        Some(self.distance(spec, request, &offered))
-    }
-}
-
+/// Eqs. 2–5 worked by hand, through the compiled evaluator the engines
+/// run.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qosc_spec::{catalog, Value};
+    use crate::CompiledRequest;
+    use qosc_spec::{catalog, ResolvedRequest, Value};
 
-    fn setup() -> (qosc_spec::QosSpec, ResolvedRequest, Evaluator) {
+    /// The surveillance request and its compilation under `config`.
+    fn setup(config: EvalConfig) -> (ResolvedRequest, CompiledRequest) {
         let spec = catalog::av_spec();
         let req = catalog::surveillance_request().resolve(&spec).unwrap();
-        (spec, req, Evaluator::default())
+        let ev = CompiledRequest::compile(&spec, &req, config);
+        (req, ev)
     }
 
     #[test]
@@ -235,33 +125,33 @@ mod tests {
 
     #[test]
     fn preferred_everywhere_scores_zero() {
-        let (spec, req, ev) = setup();
+        let (req, ev) = setup(EvalConfig::default());
         let offered: Vec<Value> = req
             .preferred_choices()
             .into_iter()
             .map(|(_, v)| v)
             .collect();
-        assert!(ev.admissible(&req, &offered).is_ok());
-        assert_eq!(ev.distance(&spec, &req, &offered), 0.0);
+        assert!(ev.admissible(&offered).is_ok());
+        assert_eq!(ev.distance(&offered), 0.0);
     }
 
     #[test]
     fn continuous_dif_normalises_by_domain_span() {
-        let (spec, req, ev) = setup();
+        let (_, ev) = setup(EvalConfig::default());
         // frame_rate preferred 10, offer 5: |5-10| / (30-1) = 5/29.
         // frame_rate is (k=1, i=1): wk = 1, wi = 1 => contribution 5/29.
         let offered = vec![Value::Int(5), Value::Int(3), Value::Int(8), Value::Int(8)];
-        let d = ev.distance(&spec, &req, &offered);
+        let d = ev.distance(&offered);
         assert!((d - 5.0 / 29.0).abs() < 1e-12, "d = {d}");
     }
 
     #[test]
     fn discrete_dif_uses_quality_index_positions() {
-        let (spec, req, ev) = setup();
+        let (_, ev) = setup(EvalConfig::default());
         // color_depth domain {1,3,8,16,24}: pos(1)=0, pos(3)=1 => |0-1|/4.
         // color_depth is (k=1 video, i=2 of 2): wk=1, wi=1/2 => 1/8.
         let offered = vec![Value::Int(10), Value::Int(1), Value::Int(8), Value::Int(8)];
-        let d = ev.distance(&spec, &req, &offered);
+        let d = ev.distance(&offered);
         assert!((d - 0.125).abs() < 1e-12, "d = {d}");
     }
 
@@ -271,7 +161,7 @@ mod tests {
         // cost less than in the video dimension (video ranks first).
         let spec = catalog::av_spec();
         let req = catalog::video_conference_request().resolve(&spec).unwrap();
-        let ev = Evaluator::default();
+        let ev = CompiledRequest::compile(&spec, &req, EvalConfig::default());
         let pref: Vec<Value> = req
             .preferred_choices()
             .into_iter()
@@ -283,8 +173,8 @@ mod tests {
         // Degrade sampling_rate one ladder step (44 -> 24).
         let mut audio_deg = pref.clone();
         audio_deg[2] = Value::Int(24);
-        let dv = ev.distance(&spec, &req, &video_deg);
-        let da = ev.distance(&spec, &req, &audio_deg);
+        let dv = ev.distance(&video_deg);
+        let da = ev.distance(&audio_deg);
         // Identical positional magnitude (one domain step), same in-dimension
         // rank (i=2? no: color_depth i=2/2 wi=0.5; sampling_rate i=1/2 wi=1).
         // Compute explicitly instead: dv = 1*0.5*(1/4), da = 0.5*1*(1/3).
@@ -295,11 +185,11 @@ mod tests {
 
     #[test]
     fn admissibility_rejects_values_outside_ladders() {
-        let (_spec, req, ev) = setup();
+        let (_, ev) = setup(EvalConfig::default());
         // frame_rate 20 is inside the domain but outside the user's
         // acceptable ladder [10..1].
         let offered = vec![Value::Int(20), Value::Int(3), Value::Int(8), Value::Int(8)];
-        match ev.admissible(&req, &offered) {
+        match ev.admissible(&offered) {
             Err(Inadmissible::UnacceptableValue {
                 dimension,
                 attribute,
@@ -311,47 +201,47 @@ mod tests {
         }
         // Wrong shape.
         assert_eq!(
-            ev.admissible(&req, &[Value::Int(10)]),
+            ev.admissible(&[Value::Int(10)]),
             Err(Inadmissible::WrongShape)
         );
     }
 
     #[test]
     fn lower_distance_means_closer_to_preferences() {
-        let (spec, req, ev) = setup();
+        let (_, ev) = setup(EvalConfig::default());
         let best = vec![Value::Int(10), Value::Int(3), Value::Int(8), Value::Int(8)];
         let mid = vec![Value::Int(8), Value::Int(3), Value::Int(8), Value::Int(8)];
         let worst = vec![Value::Int(1), Value::Int(1), Value::Int(8), Value::Int(8)];
-        let db = ev.distance(&spec, &req, &best);
-        let dm = ev.distance(&spec, &req, &mid);
-        let dw = ev.distance(&spec, &req, &worst);
+        let db = ev.distance(&best);
+        let dm = ev.distance(&mid);
+        let dw = ev.distance(&worst);
         assert!(db < dm && dm < dw);
     }
 
     #[test]
     fn signed_mode_reproduces_paper_literal_formula() {
-        let (spec, req, _) = setup();
-        let ev = Evaluator::new(EvalConfig {
+        let (_, ev) = setup(EvalConfig {
             weights: WeightScheme::PaperLinear,
             dif: DifMode::SignedPaperLiteral,
         });
         // Offering frame_rate 5 when preferring 10: signed dif is negative.
         let offered = vec![Value::Int(5), Value::Int(3), Value::Int(8), Value::Int(8)];
-        let d = ev.distance(&spec, &req, &offered);
+        let d = ev.distance(&offered);
         assert!(d < 0.0, "signed literal mode rewards undershooting: {d}");
     }
 
     #[test]
     fn distance_of_levels_agrees_with_values() {
-        let (spec, req, ev) = setup();
-        let d_levels = ev.distance_of_levels(&spec, &req, &[3, 1, 0, 0]).unwrap();
+        let (_, ev) = setup(EvalConfig::default());
+        let d_levels = ev.distance_of_levels(&[3, 1, 0, 0]).unwrap();
         // Level 3 of frame_rate ladder [10,9,8,7,...] = 7; level 1 of
         // color_depth [3,1] = 1.
         let offered = vec![Value::Int(7), Value::Int(1), Value::Int(8), Value::Int(8)];
-        let d_vals = ev.distance(&spec, &req, &offered);
+        let d_vals = ev.distance(&offered);
         assert!((d_levels - d_vals).abs() < 1e-12);
-        assert!(ev.distance_of_levels(&spec, &req, &[99, 0, 0, 0]).is_none());
-        assert!(ev.distance_of_levels(&spec, &req, &[0, 0]).is_none());
+        assert!(ev.distance_of_levels(&[99, 0, 0, 0]).is_none());
+        assert!(ev.distance_of_levels(&[0, 0]).is_none());
+        assert!(ev.distance_of_levels(&[0, 0, 0, 0, 0]).is_none());
     }
 
     #[test]
@@ -371,7 +261,7 @@ mod tests {
             .build()
             .resolve(&spec)
             .unwrap();
-        let ev = Evaluator::default();
-        assert_eq!(ev.distance(&spec, &req, &[Value::Int(5)]), 0.0);
+        let ev = CompiledRequest::compile(&spec, &req, EvalConfig::default());
+        assert_eq!(ev.distance(&[Value::Int(5)]), 0.0);
     }
 }

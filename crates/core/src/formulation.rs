@@ -34,9 +34,9 @@
 //! The heuristic runs thousands of times per sweep — once per CFP round,
 //! per provider, per negotiation — so this module is built around a
 //! reusable [`Formulator`] engine with three exact-equivalent
-//! optimisations over the naive loop (retained as
-//! [`formulate_reference`] and pinned by the `formulation_props`
-//! property tests):
+//! optimisations over the naive loop (retained as the
+//! `qosc_baselines::formulate_reference` oracle, to which the
+//! `formulation_props` property tests pin it):
 //!
 //! * **Heap-driven degradation** — each step pops the cheapest
 //!   `(decrease, task, attr)` candidate from a lazy min-heap in O(log A)
@@ -46,11 +46,11 @@
 //!   The served quality vector and demand are maintained incrementally:
 //!   a step mutates the one changed attribute instead of rebuilding the
 //!   whole vector.
-//! * **Prefix-feasibility shedding** ([`formulate_shedding`]) — instead
-//!   of re-running the entire degradation once per shed task, each
-//!   task's fully-degraded demand and dependency status are prefix-summed
-//!   to find the largest feasible prefix *before* a single degradation
-//!   pass runs. Exact because a prefix is infeasible iff its fully
+//! * **Prefix-feasibility shedding** ([`Formulator::formulate_shedding`])
+//!   — instead of re-running the entire degradation once per shed task,
+//!   each task's fully-degraded demand and dependency status are
+//!   prefix-summed to find the largest feasible prefix *before* a single
+//!   degradation pass runs. Exact because a prefix is infeasible iff its fully
 //!   degraded configuration is unacceptable (demand models are monotone:
 //!   degrading a level never increases demand — see
 //!   `qosc_resources::LinearDemandModel`); prefixes whose *dependencies*
@@ -76,14 +76,16 @@
 //!   the floor — so a floor the capacity rejects proves every recorded
 //!   state is rejected, and a node with no room is refused in O(1). The
 //!   argument never compares one state's demand with another's, so it
-//!   needs no monotone demand model, and results are bit-identical to the
-//!   cold path. Entries are keyed by the announced handles' content
-//!   hashes and each demand model's address, verified by handle equality
-//!   plus model identity on every hit (nodes with different models for
-//!   one spec name coexist), and bounded by [`Formulator::WARM_CAP`].
+//!   needs no monotone demand model, and results are bit-identical to
+//!   [`Formulator::formulate`]. Entries are keyed by the announced
+//!   handles' content hashes and each demand model's address, verified by
+//!   handle equality plus model identity on every hit (nodes with
+//!   different models for one spec name coexist), and bounded by
+//!   [`Formulator::WARM_CAP`].
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use qosc_resources::{AdmissionControl, DemandModel, ResourceKind, ResourceVector};
@@ -178,30 +180,14 @@ impl RewardModel for QuadraticPenalty {
     }
 }
 
-/// Eq. 1 for one task: `n − Σ penalty`, where `n` is the number of
-/// requested attributes (so `r = n` exactly when everything sits at the
-/// preferred level).
-pub fn local_reward(request: &ResolvedRequest, levels: &[usize], model: &dyn RewardModel) -> f64 {
-    let n = request.attr_count() as f64;
-    let dim_count = request.dim_count();
-    let mut penalty_sum = 0.0;
-    for (((k, i), pref), &lvl) in request.iter_attrs().zip(levels.iter()) {
-        if lvl > 0 {
-            let attr_count = request.dimensions[k].attributes.len();
-            penalty_sum += model.penalty(k, dim_count, i, attr_count, lvl, pref.levels.len());
-        }
-    }
-    n - penalty_sum
-}
-
 /// Per-task compiled penalty ladders: `rows[flat][lvl]` caches
 /// [`RewardModel::penalty`] for every requested attribute and ladder
 /// level. The degradation loop probes candidate steps thousands of times
 /// over the same `(rank, level)` grid; compiling the grid once per task
-/// shares the rank-weight products with the whole run (and, through
-/// [`Formulator::prepare`], with every later run over the same request)
-/// instead of re-deriving them per probed candidate.
-pub struct PenaltyTable {
+/// shares the rank-weight products with the whole run (and, through the
+/// plan book, with every later run over the same request) instead of
+/// re-deriving them per probed candidate.
+struct PenaltyTable {
     /// `rows[flat][lvl]` = penalty of serving attribute `flat` at `lvl`.
     rows: Vec<Vec<f64>>,
     /// Number of requested attributes (eq. 1's `n`).
@@ -210,7 +196,7 @@ pub struct PenaltyTable {
 
 impl PenaltyTable {
     /// Compiles the penalty grid of one resolved request under `model`.
-    pub fn new(request: &ResolvedRequest, model: &dyn RewardModel) -> Self {
+    fn new(request: &ResolvedRequest, model: &dyn RewardModel) -> Self {
         let dim_count = request.dim_count();
         let rows = request
             .iter_attrs()
@@ -228,8 +214,10 @@ impl PenaltyTable {
         }
     }
 
-    /// Eq. 1 over the cached grid — identical to [`local_reward`].
-    pub fn reward(&self, levels: &[usize]) -> f64 {
+    /// Eq. 1 over the cached grid: `n − Σ penalty` over the attributes
+    /// served below their preferred level, so `r = n` exactly when
+    /// everything sits at the preferred level.
+    fn reward(&self, levels: &[usize]) -> f64 {
         let mut penalty_sum = 0.0;
         for (row, &lvl) in self.rows.iter().zip(levels.iter()) {
             if lvl > 0 {
@@ -238,16 +226,6 @@ impl PenaltyTable {
         }
         self.attr_count as f64 - penalty_sum
     }
-}
-
-/// One task to formulate for: its spec, resolved request and demand model.
-pub struct TaskInput<'a> {
-    /// Application QoS spec.
-    pub spec: &'a QosSpec,
-    /// The user's resolved request.
-    pub request: &'a ResolvedRequest,
-    /// The a-priori quality→resource analysis.
-    pub demand: &'a dyn DemandModel,
 }
 
 /// Successful formulation: per-task ladder levels, per-task demands, and
@@ -285,7 +263,7 @@ impl std::fmt::Display for FormulationError {
 impl std::error::Error for FormulationError {}
 
 /// A task compiled for repeated formulation: the resolved request, its
-/// [`PenaltyTable`] under one reward model, the spec-flat index of every
+/// penalty table under one reward model, the spec-flat index of every
 /// requested attribute, and the fully-degraded profile (levels, quality
 /// vector, demand, dependency status) the prefix-shedding pre-check reads.
 ///
@@ -369,6 +347,12 @@ impl PreparedTask {
     pub fn ladder(&self) -> &[usize] {
         &self.ladder
     }
+
+    /// Eq. 1 of this task served at `levels`, under the reward model it
+    /// was compiled against.
+    pub(crate) fn reward(&self, levels: &[usize]) -> f64 {
+        self.table.reward(levels)
+    }
 }
 
 /// One degradation candidate: degrade `task`'s attribute `flat` from
@@ -410,37 +394,12 @@ impl Ord for Step {
     }
 }
 
-/// Borrowed view of one task as the degradation engine consumes it; built
-/// from either a [`TaskInput`] (compiling tables on the fly) or a
-/// [`PreparedTask`] (tables served from cache).
-#[derive(Clone, Copy)]
-struct EngineTask<'a> {
-    spec: &'a QosSpec,
-    request: &'a ResolvedRequest,
-    table: &'a PenaltyTable,
-    flat_spec: &'a [usize],
-    demand: &'a dyn DemandModel,
-}
-
-impl<'a> EngineTask<'a> {
-    fn of_prepared(p: &'a PreparedTask) -> Self {
-        Self {
-            spec: &p.spec,
-            request: &p.request,
-            table: &p.table,
-            flat_spec: &p.flat_spec,
-            demand: p.demand.as_ref(),
-        }
-    }
-}
-
 /// The state one §5 degradation run steps through: per-task levels,
 /// quality vectors, demands and dependency flags, plus the running total
 /// and the count of dependency-violating tasks. The candidate heap lives
 /// outside (a reused scratch for [`degrade`], a local of [`Trajectory::record`])
-/// and the tasks are handed in per call (`task(i)` views the `i`-th), so
-/// the cold loop and the recording are the same arithmetic in the same
-/// order.
+/// and the tasks are handed in per call, so the cold loop and the
+/// recording are the same arithmetic in the same order.
 struct Stepper {
     levels: Vec<Vec<usize>>,
     qvs: Vec<QualityVector>,
@@ -454,27 +413,23 @@ impl Stepper {
     /// Step 1 — preferred values everywhere — and the heap seeding: one
     /// live entry per degradable attribute; popping an entry pushes its
     /// successor, so the heap never exceeds tasks × attrs.
-    fn new<'a>(
-        n: usize,
-        task: impl Fn(usize) -> EngineTask<'a>,
-        heap: &mut BinaryHeap<Step>,
-    ) -> Self {
+    fn new<T: Deref<Target = PreparedTask>>(tasks: &[T], heap: &mut BinaryHeap<Step>) -> Self {
         heap.clear();
+        let n = tasks.len();
         let mut levels = Vec::with_capacity(n);
         let mut qvs = Vec::with_capacity(n);
         let mut demands = Vec::with_capacity(n);
         let mut deps_ok_v = Vec::with_capacity(n);
         let mut deps_bad = 0usize;
         let mut total = ResourceVector::ZERO;
-        for ti in 0..n {
-            let t = task(ti);
+        for (ti, t) in tasks.iter().enumerate() {
             let lv = vec![0usize; t.request.attr_count()];
             let qv = t
                 .request
-                .quality_vector(t.spec, &lv)
+                .quality_vector(&t.spec, &lv)
                 .expect("levels are kept within ladder bounds");
-            let d = t.demand.demand(t.spec, &qv);
-            let ok = qv.satisfies_dependencies(t.spec);
+            let d = t.demand.demand(&t.spec, &qv);
+            let ok = qv.satisfies_dependencies(&t.spec);
             total += d;
             levels.push(lv);
             qvs.push(qv);
@@ -510,10 +465,10 @@ impl Stepper {
     /// attribute)` it degraded, or `None` when the heap is dry. Entries
     /// whose recorded level no longer matches are stale (their live
     /// successor is elsewhere in the heap) and are dropped on pop.
-    fn advance<'a>(
+    fn advance<T: Deref<Target = PreparedTask>>(
         &mut self,
         heap: &mut BinaryHeap<Step>,
-        task: impl Fn(usize) -> EngineTask<'a>,
+        tasks: &[T],
     ) -> Option<(usize, usize)> {
         let (ti, flat) = loop {
             let step = heap.pop()?;
@@ -522,7 +477,7 @@ impl Stepper {
                 break (ti, flat);
             }
         };
-        let t = task(ti);
+        let t = &*tasks[ti];
         let lvl = self.levels[ti][flat] + 1;
         self.levels[ti][flat] = lvl;
         let row = &t.table.rows[flat];
@@ -547,8 +502,8 @@ impl Stepper {
         let wrote = self.qvs[ti].set_flat_unchecked(t.flat_spec[flat], pref.levels[lvl].clone());
         debug_assert!(wrote, "flat index out of range for the quality vector");
         self.total -= self.demands[ti];
-        let d = t.demand.demand(t.spec, &self.qvs[ti]);
-        let ok = self.qvs[ti].satisfies_dependencies(t.spec);
+        let d = t.demand.demand(&t.spec, &self.qvs[ti]);
+        let ok = self.qvs[ti].satisfies_dependencies(&t.spec);
         self.total += d;
         self.demands[ti] = d;
         if ok != self.deps_ok_v[ti] {
@@ -575,35 +530,31 @@ fn acceptable(
 }
 
 /// Sum of the tasks' rewards at `levels`.
-fn total_reward<'a>(task: impl Fn(usize) -> EngineTask<'a>, levels: &[Vec<usize>]) -> f64 {
-    levels
-        .iter()
-        .enumerate()
-        .map(|(ti, lv)| task(ti).table.reward(lv))
-        .sum()
+fn total_reward<T: Deref<Target = PreparedTask>>(tasks: &[T], levels: &[Vec<usize>]) -> f64 {
+    tasks.iter().zip(levels).map(|(t, lv)| t.reward(lv)).sum()
 }
 
-/// Heap-driven §5 degradation over `tasks`. Exact-equivalent to
-/// [`formulate_reference`]'s per-step argmin scan (pinned by the
-/// `formulation_props` property tests) but each step costs O(log A)
-/// instead of O(tasks × attrs), and the per-task quality vector and
-/// demand are maintained incrementally instead of rebuilt per step.
+/// Heap-driven §5 degradation over `tasks`. Exact-equivalent to the
+/// `qosc_baselines::formulate_reference` oracle's per-step argmin scan
+/// (pinned by the `formulation_props` property tests) but each step
+/// costs O(log A) instead of O(tasks × attrs), and the per-task quality
+/// vector and demand are maintained incrementally instead of rebuilt per
+/// step.
 fn degrade(
-    tasks: &[EngineTask<'_>],
+    tasks: &[&PreparedTask],
     admission: &AdmissionControl,
     heap: &mut BinaryHeap<Step>,
 ) -> Result<Formulated, FormulationError> {
-    let task = |ti: usize| tasks[ti];
-    let mut state = Stepper::new(tasks.len(), task, heap);
+    let mut state = Stepper::new(tasks, heap);
     let mut degradations = 0u32;
     while !state.acceptable(admission) {
         state
-            .advance(heap, task)
+            .advance(heap, tasks)
             .ok_or(FormulationError::Infeasible)?;
         degradations += 1;
     }
     Ok(Formulated {
-        reward: total_reward(task, &state.levels),
+        reward: total_reward(tasks, &state.levels),
         levels: state.levels,
         demands: state.demands,
         degradations,
@@ -620,7 +571,7 @@ struct ShedIndex {
 }
 
 impl ShedIndex {
-    fn of<T: std::ops::Deref<Target = PreparedTask>>(tasks: &[T]) -> Self {
+    fn of<T: Deref<Target = PreparedTask>>(tasks: &[T]) -> Self {
         let k = tasks
             .iter()
             .position(|t| !t.full_deps_ok)
@@ -702,9 +653,8 @@ fn shed_cold(
     admission: &AdmissionControl,
     heap: &mut BinaryHeap<Step>,
 ) -> Option<(usize, Formulated)> {
-    let engine: Vec<EngineTask<'_>> = tasks.iter().map(|p| EngineTask::of_prepared(p)).collect();
     shed(tasks.len(), &ShedIndex::of(tasks), admission, |c| {
-        degrade(&engine[..c], admission, heap)
+        degrade(&tasks[..c], admission, heap)
     })
 }
 
@@ -750,9 +700,8 @@ struct Trajectory {
 
 impl Trajectory {
     fn record(tasks: &[Arc<PreparedTask>]) -> Self {
-        let task = |ti: usize| EngineTask::of_prepared(&tasks[ti]);
         let mut heap = BinaryHeap::new();
-        let mut state = Stepper::new(tasks.len(), task, &mut heap);
+        let mut state = Stepper::new(tasks, &mut heap);
         let mut t = Self {
             demands0: state.demands.clone(),
             total0: state.total,
@@ -761,7 +710,7 @@ impl Trajectory {
             floor: state.total,
             deps_floor: state.deps_bad,
         };
-        while let Some((ti, flat)) = state.advance(&mut heap, task) {
+        while let Some((ti, flat)) = state.advance(&mut heap, tasks) {
             for kind in ResourceKind::ALL {
                 t.floor[kind] = t.floor[kind].min(state.total[kind]);
             }
@@ -801,155 +750,11 @@ impl Trajectory {
             demands[s.task as usize] = s.demand;
         }
         Ok(Formulated {
-            reward: total_reward(|ti| EngineTask::of_prepared(&tasks[ti]), &levels),
+            reward: total_reward(tasks, &levels),
             levels,
             demands,
             degradations: k as u32,
         })
-    }
-}
-
-/// Runs the §5 heuristic over a set of tasks against one node's admission
-/// control. Pure: resource *reservation* is the caller's job (the provider
-/// engine prepares holds for the returned demands).
-///
-/// Compiles penalty tables on the fly; hot paths that price the same
-/// requests repeatedly should go through a [`Formulator`] (or
-/// [`formulate_prepared`]) instead.
-pub fn formulate(
-    tasks: &[TaskInput<'_>],
-    admission: &AdmissionControl,
-    reward_model: &dyn RewardModel,
-) -> Result<Formulated, FormulationError> {
-    let tables: Vec<PenaltyTable> = tasks
-        .iter()
-        .map(|t| PenaltyTable::new(t.request, reward_model))
-        .collect();
-    let flats: Vec<Vec<usize>> = tasks
-        .iter()
-        .map(|t| flat_spec_indexes(t.spec, t.request))
-        .collect();
-    let engine: Vec<EngineTask<'_>> = tasks
-        .iter()
-        .zip(tables.iter())
-        .zip(flats.iter())
-        .map(|((t, table), flat_spec)| EngineTask {
-            spec: t.spec,
-            request: t.request,
-            table,
-            flat_spec,
-            demand: t.demand,
-        })
-        .collect();
-    degrade(&engine, admission, &mut BinaryHeap::new())
-}
-
-/// [`formulate`] over prepared (cached) tasks, with a fresh scratch heap.
-pub fn formulate_prepared(
-    tasks: &[&PreparedTask],
-    admission: &AdmissionControl,
-) -> Result<Formulated, FormulationError> {
-    let engine: Vec<EngineTask<'_>> = tasks.iter().map(|p| EngineTask::of_prepared(p)).collect();
-    degrade(&engine, admission, &mut BinaryHeap::new())
-}
-
-/// Prefix-feasibility shedding over prepared tasks (see
-/// [`Formulator::formulate_shedding`]), with a fresh scratch heap.
-pub fn formulate_shedding(
-    tasks: &[&PreparedTask],
-    admission: &AdmissionControl,
-) -> Option<(usize, Formulated)> {
-    shed_cold(tasks, admission, &mut BinaryHeap::new())
-}
-
-/// The retained pre-engine reference: per-step argmin *scan* over every
-/// task × attribute, quality vector rebuilt from scratch per step.
-///
-/// Kept for the property tests that pin the heap engine bit-for-bit and
-/// as the baseline leg of the B2 bench. The only intended divergence from
-/// the historical code is the candidate comparison: `f64::total_cmp`
-/// (first strict minimum) instead of an epsilon window, so that a NaN
-/// from a custom [`RewardModel`] orders deterministically instead of
-/// silently skipping or retaining candidates.
-pub fn formulate_reference(
-    tasks: &[TaskInput<'_>],
-    admission: &AdmissionControl,
-    reward_model: &dyn RewardModel,
-) -> Result<Formulated, FormulationError> {
-    let mut levels: Vec<Vec<usize>> = tasks
-        .iter()
-        .map(|t| vec![0usize; t.request.attr_count()])
-        .collect();
-    let tables: Vec<PenaltyTable> = tasks
-        .iter()
-        .map(|t| PenaltyTable::new(t.request, reward_model))
-        .collect();
-    let mut degradations = 0u32;
-
-    let eval_task = |ti: usize, lv: &[usize]| {
-        let t = &tasks[ti];
-        let qv = t
-            .request
-            .quality_vector(t.spec, lv)
-            .expect("levels are kept within ladder bounds");
-        let ok = qv.satisfies_dependencies(t.spec);
-        (t.demand.demand(t.spec, &qv), ok)
-    };
-    let mut demands: Vec<ResourceVector> = Vec::with_capacity(tasks.len());
-    let mut deps_ok_v: Vec<bool> = Vec::with_capacity(tasks.len());
-    let mut total = ResourceVector::ZERO;
-    for (ti, lv) in levels.iter().enumerate() {
-        let (d, ok) = eval_task(ti, lv);
-        total += d;
-        demands.push(d);
-        deps_ok_v.push(ok);
-    }
-
-    loop {
-        let deps_ok = deps_ok_v.iter().all(|&x| x);
-        if deps_ok && admission.schedulable_total(&total, tasks.len()) {
-            let reward = tables
-                .iter()
-                .zip(levels.iter())
-                .map(|(t, lv)| t.reward(lv))
-                .sum();
-            return Ok(Formulated {
-                levels,
-                demands,
-                reward,
-                degradations,
-            });
-        }
-
-        let mut best: Option<(usize, usize, f64)> = None; // (task, flat attr, decrease)
-        for (ti, table) in tables.iter().enumerate() {
-            for (flat, row) in table.rows.iter().enumerate() {
-                let lvl = levels[ti][flat];
-                if lvl + 1 >= row.len() {
-                    continue; // already at Q_kn
-                }
-                let decrease = row[lvl + 1] - row[lvl];
-                let better = match best {
-                    None => true,
-                    Some((_, _, d)) => decrease.total_cmp(&d) == Ordering::Less,
-                };
-                if better {
-                    best = Some((ti, flat, decrease));
-                }
-            }
-        }
-        match best {
-            Some((ti, flat, _)) => {
-                levels[ti][flat] += 1;
-                degradations += 1;
-                total -= demands[ti];
-                let (d, ok) = eval_task(ti, &levels[ti]);
-                total += d;
-                demands[ti] = d;
-                deps_ok_v[ti] = ok;
-            }
-            None => return Err(FormulationError::Infeasible),
-        }
     }
 }
 
@@ -1077,7 +882,7 @@ impl BundlePlan {
     }
 
     /// §5 formulation of `tasks()[..c]`, bit-identical to
-    /// [`formulate_prepared`] over them: the prefix's trajectory is
+    /// [`Formulator::formulate`] over them: the prefix's trajectory is
     /// recorded on first use and walked — or refused outright by its
     /// floor — on every call.
     pub fn formulate_prefix(
@@ -1095,7 +900,7 @@ impl BundlePlan {
     }
 
     /// Prefix-feasibility shedding over `tasks()`, bit-identical to
-    /// [`formulate_shedding`] over them.
+    /// [`Formulator::formulate_shedding`] over them.
     pub fn formulate_shedding(&self, admission: &AdmissionControl) -> Option<(usize, Formulated)> {
         shed(self.tasks.len(), &self.index, admission, |c| {
             self.formulate_prefix(c, admission)
@@ -1211,17 +1016,6 @@ impl Formulator {
         Some(Arc::clone(&plan.tasks[0]))
     }
 
-    /// Drops every plan announcing `spec_name` from the book. Never
-    /// needed for correctness — a plan is only served to an asker holding
-    /// the very demand models it was built under — but it frees the plans
-    /// of a model nobody holds any more.
-    pub fn invalidate_spec(&mut self, spec_name: &str) {
-        self.book
-            .write()
-            .expect(BOOK_POISONED)
-            .retain(|_, p| p.announced.iter().all(|a| a.spec.name() != spec_name));
-    }
-
     /// Heap-driven §5 formulation over prepared tasks, reusing the
     /// engine's scratch heap.
     pub fn formulate(
@@ -1229,9 +1023,7 @@ impl Formulator {
         tasks: &[&PreparedTask],
         admission: &AdmissionControl,
     ) -> Result<Formulated, FormulationError> {
-        let engine: Vec<EngineTask<'_>> =
-            tasks.iter().map(|p| EngineTask::of_prepared(p)).collect();
-        degrade(&engine, admission, &mut self.heap)
+        degrade(tasks, admission, &mut self.heap)
     }
 
     /// Prefix-feasibility shedding over prepared tasks, reusing the
@@ -1246,7 +1038,7 @@ impl Formulator {
     }
 }
 
-/// The book's map is only ever inserted into, cleared or filtered, under
+/// The book's map is only ever inserted into or cleared, under
 /// the write lock, by code that cannot panic half-way.
 const BOOK_POISONED: &str = "a thread panicked while holding the plan book";
 
@@ -1256,12 +1048,6 @@ mod tests {
     use qosc_resources::{av_demand_model, ResourceKind, SchedulingPolicy};
     use qosc_spec::catalog;
 
-    fn setup() -> (qosc_spec::QosSpec, ResolvedRequest) {
-        let spec = catalog::av_spec();
-        let req = catalog::video_conference_request().resolve(&spec).unwrap();
-        (spec, req)
-    }
-
     fn admission(cpu: f64) -> AdmissionControl {
         AdmissionControl::new(
             SchedulingPolicy::Edf,
@@ -1269,40 +1055,87 @@ mod tests {
         )
     }
 
+    /// `request` over the AV spec and its demand model, compiled under
+    /// `reward`.
+    fn prepared(request: &ServiceRequest, reward: &dyn RewardModel) -> PreparedTask {
+        let spec = catalog::av_spec();
+        let resolved = request.resolve(&spec).unwrap();
+        let demand = Arc::new(av_demand_model(&spec));
+        PreparedTask::compile(spec, Arc::new(resolved), reward, demand)
+    }
+
+    fn video_conference() -> PreparedTask {
+        prepared(
+            &catalog::video_conference_request(),
+            &LinearPenalty::default(),
+        )
+    }
+
+    /// The cold §5 loop over `tasks` on a node of `cpu` MIPS.
+    fn price(tasks: &[&PreparedTask], cpu: f64) -> Result<Formulated, FormulationError> {
+        degrade(tasks, &admission(cpu), &mut BinaryHeap::new())
+    }
+
     #[test]
     fn reward_is_n_at_preferred_levels() {
-        let (_spec, req) = setup();
-        let model = LinearPenalty::default();
-        let r = local_reward(&req, &[0, 0, 0, 0], &model);
-        assert_eq!(r, 4.0);
+        assert_eq!(video_conference().reward(&[0, 0, 0, 0]), 4.0);
     }
 
     #[test]
     fn reward_decreases_monotonically_with_degradation() {
-        let (_spec, req) = setup();
-        let model = LinearPenalty::default();
-        let mut prev = local_reward(&req, &[0, 0, 0, 0], &model);
-        for lvl in 1..req.ladder_lengths()[0] {
-            let r = local_reward(&req, &[lvl, 0, 0, 0], &model);
+        let p = video_conference();
+        let mut prev = p.reward(&[0, 0, 0, 0]);
+        for lvl in 1..p.ladder()[0] {
+            let r = p.reward(&[lvl, 0, 0, 0]);
             assert!(r < prev);
             prev = r;
         }
     }
 
+    /// The compiled eq. 1 against the formula written out: for every
+    /// level vector of two catalog requests, under both shipped
+    /// penalties, a prepared task's reward is `n − Σ_{lvl>0} penalty`,
+    /// bit for bit.
+    #[test]
+    fn compiled_reward_is_eq1_bit_for_bit() {
+        let models: [&dyn RewardModel; 2] =
+            [&LinearPenalty::default(), &QuadraticPenalty::default()];
+        for request in [
+            catalog::video_conference_request(),
+            catalog::surveillance_request(),
+        ] {
+            for model in models {
+                let p = prepared(&request, model);
+                let req = p.request();
+                let mut levels = vec![0usize; req.attr_count()];
+                let mut seen = 0usize;
+                loop {
+                    let mut penalty = 0.0;
+                    for (((k, i), pref), &lvl) in req.iter_attrs().zip(&levels) {
+                        if lvl > 0 {
+                            let attrs = req.dimensions[k].attributes.len();
+                            let len = pref.levels.len();
+                            penalty += model.penalty(k, req.dim_count(), i, attrs, lvl, len);
+                        }
+                    }
+                    let eq1 = req.attr_count() as f64 - penalty;
+                    assert_eq!(p.reward(&levels).to_bits(), eq1.to_bits(), "{levels:?}");
+                    seen += 1;
+                    // Next level vector, odometer order.
+                    let Some(a) = (0..levels.len()).find(|&a| levels[a] + 1 < p.ladder()[a]) else {
+                        break;
+                    };
+                    levels[a] += 1;
+                    levels[..a].fill(0);
+                }
+                assert_eq!(seen, p.ladder().iter().product::<usize>());
+            }
+        }
+    }
+
     #[test]
     fn rich_node_serves_preferred_levels() {
-        let (spec, req) = setup();
-        let model = av_demand_model(&spec);
-        let out = formulate(
-            &[TaskInput {
-                spec: &spec,
-                request: &req,
-                demand: &model,
-            }],
-            &admission(1000.0),
-            &LinearPenalty::default(),
-        )
-        .unwrap();
+        let out = price(&[&video_conference()], 1000.0).unwrap();
         assert_eq!(out.levels, vec![vec![0, 0, 0, 0]]);
         assert_eq!(out.degradations, 0);
         assert_eq!(out.reward, 4.0);
@@ -1310,45 +1143,25 @@ mod tests {
 
     #[test]
     fn scarce_node_degrades_minimally_and_stays_feasible() {
-        let (spec, req) = setup();
-        let model = av_demand_model(&spec);
-        let out = formulate(
-            &[TaskInput {
-                spec: &spec,
-                request: &req,
-                demand: &model,
-            }],
-            &admission(45.0),
-            &LinearPenalty::default(),
-        )
-        .unwrap();
+        let p = video_conference();
+        let out = price(&[&p], 45.0).unwrap();
         assert!(out.degradations > 0);
         // The outcome must actually be schedulable.
         assert!(admission(45.0).schedulable(&out.demands));
         assert!(out.reward < 4.0);
         // Levels stay within ladders.
-        for (lv, len) in out.levels[0].iter().zip(req.ladder_lengths()) {
-            assert!(*lv < len);
+        for (lv, len) in out.levels[0].iter().zip(p.ladder()) {
+            assert!(lv < len);
         }
     }
 
     #[test]
     fn degradation_prefers_least_important_attribute_first() {
-        let (spec, req) = setup();
-        let model = av_demand_model(&spec);
+        let p = video_conference();
         // Find the smallest capacity that forces exactly one degradation.
         let mut cpu = 120.0;
         let out = loop {
-            let o = formulate(
-                &[TaskInput {
-                    spec: &spec,
-                    request: &req,
-                    demand: &model,
-                }],
-                &admission(cpu),
-                &LinearPenalty::default(),
-            )
-            .unwrap();
+            let o = price(&[&p], cpu).unwrap();
             if o.degradations >= 1 {
                 break o;
             }
@@ -1366,52 +1179,15 @@ mod tests {
 
     #[test]
     fn impossible_demand_is_infeasible() {
-        let (spec, req) = setup();
-        let model = av_demand_model(&spec);
-        let err = formulate(
-            &[TaskInput {
-                spec: &spec,
-                request: &req,
-                demand: &model,
-            }],
-            &admission(0.5),
-            &LinearPenalty::default(),
-        )
-        .unwrap_err();
+        let err = price(&[&video_conference()], 0.5).unwrap_err();
         assert_eq!(err, FormulationError::Infeasible);
     }
 
     #[test]
     fn multi_task_formulation_shares_capacity() {
-        let (spec, req) = setup();
-        let model = av_demand_model(&spec);
-        let one = formulate(
-            &[TaskInput {
-                spec: &spec,
-                request: &req,
-                demand: &model,
-            }],
-            &admission(80.0),
-            &LinearPenalty::default(),
-        )
-        .unwrap();
-        let two = formulate(
-            &[
-                TaskInput {
-                    spec: &spec,
-                    request: &req,
-                    demand: &model,
-                },
-                TaskInput {
-                    spec: &spec,
-                    request: &req,
-                    demand: &model,
-                },
-            ],
-            &admission(80.0),
-            &LinearPenalty::default(),
-        )
-        .unwrap();
+        let p = video_conference();
+        let one = price(&[&p], 80.0).unwrap();
+        let two = price(&[&p, &p], 80.0).unwrap();
         // Two tasks on the same node must degrade more than one.
         assert!(two.degradations > one.degradations);
         let total: f64 = two.demands.iter().map(|d| d.get(ResourceKind::Cpu)).sum();
@@ -1420,28 +1196,9 @@ mod tests {
 
     #[test]
     fn quadratic_penalty_spreads_degradation() {
-        let (spec, req) = setup();
-        let model = av_demand_model(&spec);
-        let lin = formulate(
-            &[TaskInput {
-                spec: &spec,
-                request: &req,
-                demand: &model,
-            }],
-            &admission(35.0),
-            &LinearPenalty::default(),
-        )
-        .unwrap();
-        let quad = formulate(
-            &[TaskInput {
-                spec: &spec,
-                request: &req,
-                demand: &model,
-            }],
-            &admission(35.0),
-            &QuadraticPenalty::default(),
-        )
-        .unwrap();
+        let request = catalog::video_conference_request();
+        let lin = price(&[&prepared(&request, &LinearPenalty::default())], 35.0).unwrap();
+        let quad = price(&[&prepared(&request, &QuadraticPenalty::default())], 35.0).unwrap();
         // Count attributes touched: quadratic should touch at least as many.
         let touched = |o: &Formulated| o.levels[0].iter().filter(|&&l| l > 0).count();
         assert!(touched(&quad) >= touched(&lin));
@@ -1464,42 +1221,42 @@ mod tests {
                 coeff: 2.0,
             }],
         );
-        let out = formulate(
-            &[TaskInput {
-                spec: &spec,
-                request: &req,
-                demand: &model,
-            }],
-            &admission(100.0),
+        let p = PreparedTask::compile(
+            spec.clone(),
+            Arc::new(req.clone()),
             &LinearPenalty::default(),
-        )
-        .unwrap();
+            Arc::new(model),
+        );
+        let out = price(&[&p], 100.0).unwrap();
         let qv = req.quality_vector(&spec, &out.levels[0]).unwrap();
         assert!(qv.satisfies_dependencies(&spec));
     }
 
     #[test]
     fn empty_task_list_is_trivially_formulated() {
-        let out = formulate(&[], &admission(1.0), &LinearPenalty::default()).unwrap();
+        let out = price(&[], 1.0).unwrap();
         assert!(out.levels.is_empty());
         assert_eq!(out.reward, 0.0);
     }
 
+    /// The `formulate_reference` oracle over `count` copies of `p`.
+    fn reference(
+        p: &PreparedTask,
+        count: usize,
+        cpu: f64,
+        reward: &dyn RewardModel,
+    ) -> Result<Formulated, FormulationError> {
+        let task = (&p.spec, &*p.request, p.demand.as_ref());
+        crate::oracle::formulate_reference(&vec![task; count], &admission(cpu), reward)
+    }
+
     #[test]
     fn heap_engine_matches_reference_on_the_catalog() {
-        let (spec, req) = setup();
-        let model = av_demand_model(&spec);
+        let p = video_conference();
         for cpu in [0.5, 10.0, 35.0, 45.0, 80.0, 500.0] {
             for tasks in 1usize..=3 {
-                let inputs: Vec<TaskInput<'_>> = (0..tasks)
-                    .map(|_| TaskInput {
-                        spec: &spec,
-                        request: &req,
-                        demand: &model,
-                    })
-                    .collect();
-                let a = formulate(&inputs, &admission(cpu), &LinearPenalty::default());
-                let b = formulate_reference(&inputs, &admission(cpu), &LinearPenalty::default());
+                let a = price(&vec![&p; tasks], cpu);
+                let b = reference(&p, tasks, cpu, &LinearPenalty::default());
                 assert_eq!(a, b, "cpu {cpu} tasks {tasks}");
             }
         }
@@ -1532,21 +1289,15 @@ mod tests {
 
     #[test]
     fn nan_reward_model_degrades_deterministically() {
-        let (spec, req) = setup();
-        let model = av_demand_model(&spec);
+        let p = prepared(&catalog::video_conference_request(), &NanReward);
         for cpu in [0.5, 10.0, 30.0, 45.0] {
-            let inputs = [TaskInput {
-                spec: &spec,
-                request: &req,
-                demand: &model,
-            }];
             // Terminates (no infinite loop / panic) and both paths agree:
             // total_cmp sorts the NaN steps after every finite decrease,
             // so they are taken last — deterministically. Rewards are
             // compared bitwise because a degradation into a NaN penalty
             // level legitimately makes the summed reward NaN (in both).
-            let a = formulate(&inputs, &admission(cpu), &NanReward);
-            let b = formulate_reference(&inputs, &admission(cpu), &NanReward);
+            let a = price(&[&p], cpu);
+            let b = reference(&p, 1, cpu, &NanReward);
             match (a, b) {
                 (Ok(x), Ok(y)) => {
                     assert_eq!(x.levels, y.levels, "cpu {cpu}");
@@ -1561,48 +1312,23 @@ mod tests {
         }
     }
 
-    fn prepared_for(
-        spec: &QosSpec,
-        req: &ResolvedRequest,
-        model: Arc<dyn DemandModel>,
-    ) -> PreparedTask {
-        PreparedTask::compile(
-            spec.clone(),
-            Arc::new(req.clone()),
-            &LinearPenalty::default(),
-            model,
-        )
-    }
-
     #[test]
     fn shedding_matches_iterative_reference_loop() {
-        let (spec, req) = setup();
-        let model: Arc<dyn DemandModel> = Arc::new(av_demand_model(&spec));
-        let prepared: Vec<PreparedTask> = (0..4)
-            .map(|_| prepared_for(&spec, &req, Arc::clone(&model)))
-            .collect();
-        let refs: Vec<&PreparedTask> = prepared.iter().collect();
+        let p = video_conference();
+        let refs = vec![&p; 4];
         for cpu in [0.5, 7.0, 14.0, 30.0, 60.0, 200.0, 1000.0] {
-            let adm = admission(cpu);
-            // The retained naive loop: shed from the tail on Infeasible.
-            let inputs: Vec<TaskInput<'_>> = (0..4)
-                .map(|_| TaskInput {
-                    spec: &spec,
-                    request: &req,
-                    demand: model.as_ref(),
-                })
-                .collect();
-            let mut count = inputs.len();
+            // The naive loop: shed from the tail on Infeasible.
+            let mut count = refs.len();
             let old = loop {
                 if count == 0 {
                     break None;
                 }
-                match formulate_reference(&inputs[..count], &adm, &LinearPenalty::default()) {
+                match reference(&p, count, cpu, &LinearPenalty::default()) {
                     Ok(f) => break Some((count, f)),
                     Err(FormulationError::Infeasible) => count -= 1,
                 }
             };
-            let new = formulate_shedding(&refs, &adm);
+            let new = shed_cold(&refs, &admission(cpu), &mut BinaryHeap::new());
             assert_eq!(new, old, "cpu {cpu}");
         }
     }
@@ -1632,31 +1358,5 @@ mod tests {
         let again = f.prepare(&spec, &renamed, &model).unwrap();
         assert!(Arc::ptr_eq(&c, &again), "the first model's entry survives");
         assert_eq!(f.cached(), 3);
-        // Explicit invalidation empties the spec's entries.
-        f.invalidate_spec(spec.name());
-        assert_eq!(f.cached(), 0);
-    }
-
-    #[test]
-    fn formulator_formulate_matches_free_function() {
-        let spec = catalog::av_spec();
-        let resolved = catalog::surveillance_request().resolve(&spec).unwrap();
-        let model: Arc<dyn DemandModel> = Arc::new(av_demand_model(&spec));
-        let p = prepared_for(&spec, &resolved, Arc::clone(&model));
-        let mut engine = Formulator::new(Arc::new(LinearPenalty::default()));
-        for cpu in [3.0, 10.0, 60.0] {
-            let adm = admission(cpu);
-            let via_engine = engine.formulate(&[&p], &adm);
-            let via_free = formulate(
-                &[TaskInput {
-                    spec: &spec,
-                    request: &resolved,
-                    demand: model.as_ref(),
-                }],
-                &adm,
-                &LinearPenalty::default(),
-            );
-            assert_eq!(via_engine, via_free, "cpu {cpu}");
-        }
     }
 }

@@ -2,14 +2,13 @@
 //!
 //! The primary contribution of Nogueira & Pinho (2005), as a library:
 //!
-//! * [`Evaluator`] — the multi-attribute proposal evaluation of §6
-//!   (equations 2–5): rank-derived weights, normalised continuous
-//!   differences, Quality-Index positional differences, admissibility.
-//! * [`CompiledRequest`] — the same metric compiled once per resolved
-//!   request (flat `w_k·w_i` weight products, domain normalizers,
-//!   Quality-Index position tables) with batched scoring
-//!   ([`CompiledRequest::evaluate_batch`]) for the hot paths.
-//! * [`formulate`] / [`Formulator`] — the local proposal-formulation
+//! * [`CompiledRequest`] — the multi-attribute proposal evaluation of
+//!   §6 (equations 2–5: rank-derived weights, normalised continuous
+//!   differences, Quality-Index positional differences, admissibility),
+//!   compiled once per resolved request (flat `w_k·w_i` weight products,
+//!   domain normalizers, Quality-Index position tables) with batched
+//!   scoring ([`CompiledRequest::evaluate_batch`]).
+//! * [`Formulator`] / [`BundlePlan`] — the local proposal-formulation
 //!   heuristic of §5 with the eq. 1 reward ([`LinearPenalty`],
 //!   [`QuadraticPenalty`]), built as a reusable engine: heap-driven
 //!   O(log A) degradation steps, prefix-feasibility shedding for
@@ -93,13 +92,23 @@ pub mod runtime;
 pub mod snapshot;
 pub mod strategy;
 
+// The unit tests pin the engines to the `qosc_baselines` reference
+// oracles on catalog inputs. Compiling the oracle source here (rather
+// than depending on `qosc-baselines`, which depends on this crate) keeps
+// one copy of the oracles and lets them run on this crate's own types;
+// the alias resolves the oracle's `qosc_core::` imports to this crate.
+#[cfg(test)]
+extern crate self as qosc_core;
+#[cfg(test)]
+#[path = "../../baselines/src/oracle.rs"]
+mod oracle;
+
 pub use compiled::CompiledRequest;
-pub use evaluation::{DifMode, EvalConfig, Evaluator, Inadmissible, WeightScheme};
+pub use evaluation::{DifMode, EvalConfig, Inadmissible, WeightScheme};
 pub use formation::{select_winners, Candidate, Criterion, Selection, TieBreak};
 pub use formulation::{
-    formulate, formulate_prepared, formulate_reference, formulate_shedding, local_reward,
-    BundlePlan, Formulated, FormulationError, Formulator, LinearPenalty, PenaltyTable,
-    PreparedTask, QuadraticPenalty, RewardModel, TaskInput,
+    BundlePlan, Formulated, FormulationError, Formulator, LinearPenalty, PreparedTask,
+    QuadraticPenalty, RewardModel,
 };
 pub use metrics::{NegoEvent, NegotiationMetrics, TaskOutcome};
 pub use organizer::{NegoPhase, OrganizerConfig, OrganizerEngine, TaskLifecycle};

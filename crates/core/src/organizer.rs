@@ -234,14 +234,6 @@ impl OrganizerEngine {
         self.negotiations.get(&nego).map(|n| &n.assignments)
     }
 
-    /// True once the negotiation reached the operating state.
-    pub fn is_operating(&self, nego: NegoId) -> bool {
-        self.negotiations
-            .get(&nego)
-            .map(|n| n.state == State::Operating)
-            .unwrap_or(false)
-    }
-
     /// Observable phase of a negotiation, if known.
     pub fn phase(&self, nego: NegoId) -> Option<NegoPhase> {
         self.negotiations.get(&nego).map(|n| n.state.into())
@@ -966,7 +958,7 @@ mod tests {
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::Event(NegoEvent::Formed { .. }))));
-        assert!(org.is_operating(nego));
+        assert_eq!(org.phase(nego), Some(NegoPhase::Operating));
         let m = org.metrics(nego).unwrap();
         assert_eq!(m.outcomes[&TaskId(0)].node, 2);
         assert!(m.formed_at.is_some());
@@ -1065,7 +1057,7 @@ mod tests {
                 round: 0,
             },
         );
-        assert!(org.is_operating(nego));
+        assert_eq!(org.phase(nego), Some(NegoPhase::Operating));
         // No heartbeats arrive; check far past the 200 ms timeout.
         let actions = org.on_timer(SimTime(1_000_000), nego, TimerKind::HeartbeatCheck);
         assert!(actions

@@ -21,7 +21,7 @@ use qosc_resources::{
 };
 use qosc_spec::TaskId;
 
-use crate::formulation::{local_reward, BundlePlan, Formulator, LinearPenalty, RewardModel};
+use crate::formulation::{BundlePlan, Formulator, LinearPenalty, RewardModel};
 use crate::protocol::{
     encode_timer, Action, Msg, NegoId, Pid, TaskAnnouncement, TaskProposal, TimerKind,
 };
@@ -444,8 +444,9 @@ impl ProviderEngine {
         // offer exactly as formulated.
         let mut offers: Vec<(usize, TaskOffer)> = Vec::with_capacity(priced.len());
         for (i, levels, demand, reward) in priced {
-            let task_reward =
-                local_reward(bundle[i].request(), &levels, self.config.reward.as_ref());
+            // The plan was compiled under `config.reward`: `new` builds the
+            // formulator from it and `with_formulator` asserts it.
+            let task_reward = bundle[i].reward(&levels);
             let mut offer = TaskOffer {
                 task: tasks[plan.source(i)].task,
                 levels,

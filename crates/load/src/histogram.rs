@@ -52,7 +52,6 @@ pub struct LatencyHistogram {
     count: u64,
     min_us: u64,
     max_us: u64,
-    sum_us: u128,
 }
 
 impl Default for LatencyHistogram {
@@ -81,7 +80,6 @@ impl LatencyHistogram {
             count: 0,
             min_us: u64::MAX,
             max_us: 0,
-            sum_us: 0,
         }
     }
 
@@ -96,7 +94,6 @@ impl LatencyHistogram {
         self.count += 1;
         self.min_us = self.min_us.min(us);
         self.max_us = self.max_us.max(us);
-        self.sum_us += u128::from(us);
     }
 
     /// Number of recorded values.
@@ -119,12 +116,6 @@ impl LatencyHistogram {
         (self.count > 0).then_some(self.max_us)
     }
 
-    /// Exact mean of the recorded values, if any (the sum is tracked
-    /// exactly; only quantiles are sketched).
-    pub fn mean_us(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum_us as f64 / self.count as f64)
-    }
-
     /// Bucket-wise merge: `self` absorbs `other`. Associative and
     /// commutative (u64 addition per bucket, min/max/sum combine).
     pub fn merge(&mut self, other: &LatencyHistogram) {
@@ -134,7 +125,6 @@ impl LatencyHistogram {
         self.count += other.count;
         self.min_us = self.min_us.min(other.min_us);
         self.max_us = self.max_us.max(other.max_us);
-        self.sum_us += other.sum_us;
     }
 
     /// The `q`-quantile (`q` clamped to `[0, 1]`), or `None` when empty.
@@ -200,7 +190,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert_eq!(h.mean_us(), None);
         // Merging empties stays empty.
         let mut a = LatencyHistogram::new();
         a.merge(&h);
@@ -264,7 +253,6 @@ mod tests {
             assert_eq!(h.count(), bulk.count());
             assert_eq!(h.min(), bulk.min());
             assert_eq!(h.max(), bulk.max());
-            assert_eq!(h.mean_us(), bulk.mean_us());
             assert_eq!(&h.counts[..], &bulk.counts[..]);
             for q in [0.25, 0.5, 0.75, 0.99] {
                 assert_eq!(h.quantile(q), bulk.quantile(q));
@@ -281,6 +269,5 @@ mod tests {
             assert_eq!(bucket_index(v), bucket_index(250_000));
             assert!(v >= h.min().unwrap() && v <= h.max().unwrap());
         }
-        assert_eq!(h.mean_us(), Some(250_000.0));
     }
 }

@@ -143,12 +143,6 @@ impl FaultPlan {
         self
     }
 
-    /// Caps the total number of reordered deliveries per sampler stream.
-    pub fn with_max_reorders(mut self, n: u32) -> Self {
-        self.max_reorders = n;
-        self
-    }
-
     /// Sets the crash-restart budget (explored by the model checker).
     pub fn with_crash_restarts(mut self, n: u32) -> Self {
         self.max_crash_restarts = n;
@@ -588,7 +582,11 @@ mod tests {
         let mut s = FaultSampler::new(plan);
         let hits = (0..20).filter(|_| s.reorder().is_some()).count();
         assert_eq!(hits, 4, "max_reorders must cap reordered deliveries");
-        assert!(!FaultPlan::none().with_max_reorders(1).is_none());
+        let budget_only = FaultPlan {
+            max_reorders: 1,
+            ..FaultPlan::none()
+        };
+        assert!(!budget_only.is_none());
         assert!(plan.samples_anything());
         let exhausted = FaultPlan {
             max_reorders: 0,

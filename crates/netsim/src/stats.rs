@@ -64,20 +64,6 @@ impl NetStats {
         self.unicasts_sent + self.broadcasts_sent
     }
 
-    /// Delivery ratio over unicasts (1.0 when none were sent).
-    ///
-    /// Only genuine unicast deliveries count: broadcast copies keep their
-    /// own counters (`broadcast_deliveries`, `broadcasts_lost`,
-    /// `broadcasts_undelivered`), so this ratio is no longer inflated by
-    /// broadcast traffic.
-    pub fn unicast_delivery_ratio(&self) -> f64 {
-        if self.unicasts_sent == 0 {
-            1.0
-        } else {
-            self.unicasts_delivered as f64 / self.unicasts_sent as f64
-        }
-    }
-
     /// Adds `other`'s counters into `self`. Every field is a sum (the
     /// mean latency is carried as sum + sample count), so merging the
     /// per-shard counters of a sharded run yields exactly the stats an
@@ -118,7 +104,6 @@ mod tests {
     fn empty_stats_are_benign() {
         let s = NetStats::default();
         assert_eq!(s.mean_latency(), SimDuration::ZERO);
-        assert_eq!(s.unicast_delivery_ratio(), 1.0);
         assert_eq!(s.messages_sent(), 0);
     }
 
@@ -147,15 +132,5 @@ mod tests {
         assert_eq!(a.broadcasts_undelivered, 2);
         assert_eq!(a.bytes_delivered, 30);
         assert_eq!(a.mean_latency(), SimDuration::millis(3));
-    }
-
-    #[test]
-    fn delivery_ratio() {
-        let s = NetStats {
-            unicasts_sent: 4,
-            unicasts_delivered: 3,
-            ..Default::default()
-        };
-        assert!((s.unicast_delivery_ratio() - 0.75).abs() < 1e-12);
     }
 }

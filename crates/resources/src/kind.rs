@@ -116,25 +116,6 @@ impl ResourceVector {
         out
     }
 
-    /// Largest ratio `self[k] / capacity[k]` over kinds with non-zero
-    /// capacity — the bottleneck utilisation this demand would impose.
-    /// Returns `f64::INFINITY` when demanding a kind with zero capacity.
-    pub fn max_ratio(&self, capacity: &ResourceVector) -> f64 {
-        let mut worst: f64 = 0.0;
-        for k in ResourceKind::ALL {
-            let d = self.get(k);
-            if d <= 0.0 {
-                continue;
-            }
-            let c = capacity.get(k);
-            if c <= 0.0 {
-                return f64::INFINITY;
-            }
-            worst = worst.max(d / c);
-        }
-        worst
-    }
-
     /// True when every component is ≥ 0 and finite.
     pub fn is_valid(&self) -> bool {
         self.0.iter().all(|x| x.is_finite() && *x >= 0.0)
@@ -257,13 +238,17 @@ mod tests {
 
     #[test]
     fn max_ratio_identifies_bottleneck() {
+        // The bottleneck ratio is the smallest capacity scale the demand
+        // fits: memory's 80 of 100 here.
         let cap = ResourceVector::new(100.0, 100.0, 100.0, 100.0, 100.0);
         let d = ResourceVector::new(50.0, 80.0, 10.0, 0.0, 0.0);
-        assert!((d.max_ratio(&cap) - 0.8).abs() < 1e-12);
+        assert!(d.fits_within(&cap.scale(0.8)));
+        assert!(!d.fits_within(&cap.scale(0.79)));
+        // Demanding a kind with no capacity fits at no scale.
         let impossible = ResourceVector::single(ResourceKind::IoBus, 1.0);
         let no_io = ResourceVector::new(100.0, 100.0, 100.0, 0.0, 100.0);
-        assert_eq!(impossible.max_ratio(&no_io), f64::INFINITY);
-        assert_eq!(ResourceVector::ZERO.max_ratio(&cap), 0.0);
+        assert!(!impossible.fits_within(&no_io.scale(1e9)));
+        assert!(ResourceVector::ZERO.fits_within(&cap.scale(0.0)));
     }
 
     #[test]

@@ -99,15 +99,6 @@ impl ResourceManager {
             .sum()
     }
 
-    /// Fraction of capacity currently held (0 when capacity is 0).
-    pub fn utilisation(&self) -> f64 {
-        if self.capacity <= 0.0 {
-            0.0
-        } else {
-            self.held() / self.capacity
-        }
-    }
-
     /// Phase 1: tentatively hold `amount` until `expires_at`.
     pub fn prepare(&mut self, amount: f64, expires_at: u64) -> Result<HoldId, ResourceError> {
         if !(amount.is_finite() && amount >= 0.0) {
@@ -159,11 +150,6 @@ impl ResourceManager {
         self.holds
             .retain(|(_, h)| h.state == HoldState::Committed || h.expires_at > now);
         before - self.holds.len()
-    }
-
-    /// State of a hold, if it exists.
-    pub fn hold_state(&self, id: HoldId) -> Option<HoldState> {
-        self.position(id).ok().map(|at| self.holds[at].1.state)
     }
 
     /// Canonical view of every outstanding hold as
@@ -300,11 +286,6 @@ impl NodeLedger {
     pub fn expire(&mut self, now: u64) -> usize {
         self.managers.iter_mut().map(|m| m.expire(now)).sum()
     }
-
-    /// True if `demand` could be prepared right now.
-    pub fn can_fit(&self, demand: &ResourceVector) -> bool {
-        demand.fits_within(&self.available())
-    }
 }
 
 #[cfg(test)]
@@ -320,9 +301,15 @@ mod tests {
         let mut m = ResourceManager::new(ResourceKind::Cpu, 100.0);
         let h = m.prepare(60.0, 10).unwrap();
         assert_eq!(m.available(), 40.0);
-        assert_eq!(m.hold_state(h), Some(HoldState::Tentative));
+        assert_eq!(
+            m.holds_snapshot(),
+            vec![(h.0, 60.0, HoldState::Tentative, 10)]
+        );
         m.commit(h).unwrap();
-        assert_eq!(m.hold_state(h), Some(HoldState::Committed));
+        assert_eq!(
+            m.holds_snapshot(),
+            vec![(h.0, 60.0, HoldState::Committed, 10)]
+        );
         assert_eq!(m.committed(), 60.0);
         assert_eq!(m.release(h).unwrap(), 60.0);
         assert_eq!(m.available(), 100.0);
@@ -387,7 +374,7 @@ mod tests {
         let h3 = m.prepare(10.0, 5).unwrap();
         m.commit(h3).unwrap();
         assert_eq!(m.expire(5), 1); // only h1: h2 is later, h3 committed
-        assert!(m.hold_state(h1).is_none());
+        assert!(m.holds_snapshot().iter().all(|&(id, ..)| id != h1.0));
         assert_eq!(m.available(), 80.0);
     }
 
@@ -435,20 +422,20 @@ mod tests {
     fn ledger_can_fit_tracks_availability() {
         let mut l = NodeLedger::new(cap());
         let d = ResourceVector::new(90.0, 0.0, 0.0, 0.0, 0.0);
-        assert!(l.can_fit(&d));
+        assert!(d.fits_within(&l.available()));
         let _ = l.prepare(&d, 10).unwrap();
-        assert!(!l.can_fit(&d));
+        assert!(!d.fits_within(&l.available()));
         assert_eq!(l.expire(11), 1);
-        assert!(l.can_fit(&d));
+        assert!(d.fits_within(&l.available()));
     }
 
     #[test]
     fn utilisation_reporting() {
         let mut m = ResourceManager::new(ResourceKind::Cpu, 100.0);
-        assert_eq!(m.utilisation(), 0.0);
+        assert_eq!(m.held(), 0.0);
         let _ = m.prepare(25.0, 10).unwrap();
-        assert!((m.utilisation() - 0.25).abs() < 1e-12);
+        assert_eq!((m.held(), m.capacity()), (25.0, 100.0));
         let zero = ResourceManager::new(ResourceKind::IoBus, 0.0);
-        assert_eq!(zero.utilisation(), 0.0);
+        assert_eq!((zero.held(), zero.capacity()), (0.0, 0.0));
     }
 }

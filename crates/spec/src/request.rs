@@ -77,11 +77,6 @@ impl LevelSpec {
         LevelSpec::IntRange { from, to }
     }
 
-    /// Float run in preference order (`from` preferred).
-    pub fn float_range(from: f64, to: f64, steps: usize) -> Self {
-        LevelSpec::FloatRange { from, to, steps }
-    }
-
     /// Expands the block into explicit values, preserving preference order.
     pub fn expand(&self) -> Vec<Value> {
         match self {
@@ -434,7 +429,12 @@ mod tests {
             vec![Value::Int(1), Value::Int(2), Value::Int(3)]
         );
         assert_eq!(LevelSpec::value(7i64).expand(), vec![Value::Int(7)]);
-        let f = LevelSpec::float_range(1.0, 0.0, 3).expand();
+        let f = LevelSpec::FloatRange {
+            from: 1.0,
+            to: 0.0,
+            steps: 3,
+        }
+        .expand();
         assert_eq!(
             f,
             vec![Value::float(1.0), Value::float(0.5), Value::float(0.0)]

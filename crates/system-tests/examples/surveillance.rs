@@ -12,9 +12,9 @@
 
 use std::sync::Arc;
 
+use qosc_baselines::Evaluator;
 use qosc_core::{
-    single_organizer_scenario, Evaluator, NegoEvent, OrganizerConfig, ProviderConfig,
-    ProviderEngine, Runtime,
+    single_organizer_scenario, NegoEvent, OrganizerConfig, ProviderConfig, ProviderEngine, Runtime,
 };
 use qosc_netsim::{Mobility, Point, SimConfig, SimDuration, SimTime, Simulator};
 use qosc_resources::{av_demand_model, ResourceVector};

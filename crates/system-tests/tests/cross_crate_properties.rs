@@ -2,21 +2,31 @@
 //! random preferences, random capacities — the invariants that must hold
 //! regardless.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use qosc_baselines::{
     builders::small_instance, exhaustive_optimal, protocol_emulation, protocol_emulation_with,
-    run_on_engines, single_node, ProposalStrategy,
+    run_on_engines, single_node, Evaluator, ProposalStrategy,
 };
-use qosc_core::{
-    formulate, formulate_prepared, formulate_shedding, Evaluator, LinearPenalty, PreparedTask,
-    TaskInput, TieBreak,
-};
+use qosc_core::{Formulator, LinearPenalty, PreparedTask, TieBreak};
 use qosc_mc::{default_invariants, verify_runtime};
 use qosc_resources::{
-    av_demand_model, AdmissionControl, ResourceKind, ResourceVector, SchedulingPolicy,
+    av_demand_model, AdmissionControl, DemandModel, ResourceKind, ResourceVector, SchedulingPolicy,
 };
 use qosc_spec::catalog;
+
+/// A formulation engine and the catalog's surveillance task prepared on it.
+fn surveillance_engine() -> (Formulator, Arc<PreparedTask>) {
+    let spec = catalog::av_spec();
+    let model: Arc<dyn DemandModel> = Arc::new(av_demand_model(&spec));
+    let mut engine = Formulator::new(Arc::new(LinearPenalty::default()));
+    let task = engine
+        .prepare(&spec, &catalog::surveillance_request(), &model)
+        .expect("catalog request resolves");
+    (engine, task)
+}
 
 fn cpu_vec() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(5.0f64..300.0, 2..6)
@@ -31,25 +41,19 @@ proptest! {
     /// attribute count.
     #[test]
     fn formulation_outcomes_are_always_feasible(cpu in 6.0f64..500.0, tasks in 1usize..4) {
-        let spec = catalog::av_spec();
-        let req = catalog::surveillance_request().resolve(&spec).unwrap();
-        let model = av_demand_model(&spec);
+        let (mut engine, task) = surveillance_engine();
         let admission = AdmissionControl::new(
             SchedulingPolicy::Edf,
             ResourceVector::new(cpu, 512.0, 10_000.0, 60.0, 10_000.0),
         );
-        let inputs: Vec<TaskInput<'_>> = (0..tasks)
-            .map(|_| TaskInput { spec: &spec, request: &req, demand: &model })
-            .collect();
-        if let Ok(out) = formulate(&inputs, &admission, &LinearPenalty::default()) {
+        if let Ok(out) = engine.formulate(&vec![task.as_ref(); tasks], &admission) {
             prop_assert!(admission.schedulable(&out.demands));
-            let ladders = req.ladder_lengths();
             for lv in &out.levels {
-                for (l, len) in lv.iter().zip(ladders.iter()) {
+                for (l, len) in lv.iter().zip(task.ladder()) {
                     prop_assert!(l < len);
                 }
             }
-            prop_assert!(out.reward <= (tasks * req.attr_count()) as f64 + 1e-9);
+            prop_assert!(out.reward <= (tasks * task.request().attr_count()) as f64 + 1e-9);
         }
     }
 
@@ -135,37 +139,24 @@ proptest! {
     /// longer prefix of the same bundle is infeasible.
     #[test]
     fn shedding_prefix_is_maximal_and_feasible(cpu in 1.0f64..200.0, tasks in 1usize..6) {
-        use std::sync::Arc;
-        let spec = catalog::av_spec();
-        let resolved = catalog::surveillance_request().resolve(&spec).unwrap();
-        let model: Arc<dyn qosc_resources::DemandModel> = Arc::new(av_demand_model(&spec));
-        let prepared: Vec<PreparedTask> = (0..tasks)
-            .map(|_| PreparedTask::compile(
-                spec.clone(),
-                Arc::new(resolved.clone()),
-                &LinearPenalty::default(),
-                Arc::clone(&model),
-            ))
-            .collect();
-        let refs: Vec<&PreparedTask> = prepared.iter().collect();
+        let (mut engine, task) = surveillance_engine();
+        let refs = vec![task.as_ref(); tasks];
         let admission = AdmissionControl::new(
             SchedulingPolicy::Edf,
             ResourceVector::new(cpu, 512.0, 10_000.0, 60.0, 10_000.0),
         );
-        match formulate_shedding(&refs, &admission) {
+        match engine.formulate_shedding(&refs, &admission) {
             Some((count, out)) => {
                 prop_assert!(count >= 1 && count <= tasks);
                 prop_assert_eq!(out.levels.len(), count);
                 prop_assert!(admission.schedulable(&out.demands));
-                prop_assert_eq!(
-                    &formulate_prepared(&refs[..count], &admission), &Ok(out)
-                );
+                prop_assert_eq!(&engine.formulate(&refs[..count], &admission), &Ok(out));
                 for longer in (count + 1)..=tasks {
-                    prop_assert!(formulate_prepared(&refs[..longer], &admission).is_err());
+                    prop_assert!(engine.formulate(&refs[..longer], &admission).is_err());
                 }
             }
             None => {
-                prop_assert!(formulate_prepared(&refs[..1], &admission).is_err());
+                prop_assert!(engine.formulate(&refs[..1], &admission).is_err());
             }
         }
     }

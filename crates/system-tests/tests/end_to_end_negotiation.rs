@@ -74,7 +74,7 @@ fn multi_task_service_spreads_across_nodes_with_sequential_pricing() {
     // pricing offers only what genuinely fits, so each retry round places
     // one task per node and the service spreads at full quality. (The
     // joint §5-literal strategy instead consolidates everything, degraded,
-    // on the requester — covered by F4/EXPERIMENTS.md.)
+    // on the requester — covered by F4.)
     let providers = (0..n)
         .map(|i| {
             av_provider_with(
