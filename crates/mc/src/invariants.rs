@@ -106,7 +106,11 @@ impl<'a> SystemView<'a> {
 }
 
 /// A checkable property: `Ok(())` when the state is fine, a [`Violation`]
-/// when it is not. Plain closures work:
+/// when it is not. An invariant must be a pure function of its view — no
+/// captured counters, clocks or randomness — and must not read what a
+/// node's state digest leaves out (metrics, caches, raw hold ids): the
+/// model checker computes each verdict once per walk and reuses it for
+/// every view with the same node digests and flags. Plain closures work:
 ///
 /// ```
 /// use qosc_mc::{Invariant, Violation};

@@ -52,11 +52,11 @@
 //! hosting *both* an organizer and a provider, each submitting one
 //! single-task service — two concurrent single-round CFPs contending
 //! for the same two providers. With a one-drop + one-duplicate fault
-//! budget the graph is 5 993 012 transitions / 1 223 731 distinct states;
-//! an optimised build exhausts it in about 5 s on a 2-core host (the
-//! `MC_SMOKE` CI step runs exactly this check in release, with the
-//! counts pinned), so the snippet below is compiled but not executed as
-//! a doctest:
+//! budget the walk applies 2 914 411 transitions to reach 1 223 731
+//! distinct states; an optimised build exhausts it in about 2 s on a
+//! 2-core host (the `MC_SMOKE` CI step runs exactly this check in
+//! release, with the counts pinned), so the snippet below is compiled but
+//! not executed as a doctest:
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -105,7 +105,7 @@
 //! ```
 //!
 //! Dropping the `set_fault_plan` line shrinks the same scenario to
-//! ~100 k transitions — small enough that the ordinary test suite
+//! ~56 k transitions — small enough that the ordinary test suite
 //! exhausts it on every run, in debug, alongside its one-drop variant
 //! and fully faulted 1-organizer × 2-provider rounds.
 //!
@@ -121,11 +121,38 @@
 //! stimulus)` — the stimulus being start, a message by sender and
 //! payload digest, a timer token, or a crash — storing the successor and
 //! the messages and timers it emitted, tap applied, payloads digested.
-//! The one-drop 2×2 proof applies 302 836 transitions and runs 798
+//! The one-drop 2×2 proof applies 148 762 transitions and runs 798
 //! engine callbacks ([`CheckReport::engine_calls`]); debug builds
 //! recompute every hit and assert it agrees. System states are never
-//! cached: each is digested, deduplicated and checked against every
-//! invariant as before.
+//! cached: each is digested and deduplicated.
+//!
+//! The same argument covers the properties. Everything a [`SystemView`]
+//! exposes is each node's state, which its digest stands for, plus the
+//! quiescent and partitioned flags. So every distinct state is checked,
+//! but each *verdict* is computed once per walk, under the node digests
+//! and the two flags; a hit skips [`check_all`], and debug builds
+//! recompute it and assert it still passes. The 73 229 distinct states
+//! of the one-drop proof share 3 515 views. This is why an
+//! [`Invariant`] must be a pure function of its view.
+//!
+//! Finally, the walk skips transitions it can prove redundant, with
+//! *sleep sets* (Godefroid, *Partial-Order Methods for the Verification
+//! of Concurrent Systems*, LNCS 1032, 1996, ch. 5). Two choices are
+//! independent when they step different nodes, consume different
+//! messages and spend different fault budgets, and neither cuts nor
+//! heals the network: from any state, each stays enabled after the
+//! other and both orders reach the same state. Each DFS frame keeps a
+//! sleep set. A child inherits the sleep-set entries that are independent
+//! of the choice it was reached by, and every choice a frame has explored
+//! joins that frame's set; a choice found asleep is neither applied nor
+//! counted. That loses no state: a choice `t` asleep at `s` was explored
+//! from an ancestor `p`, and every step from `p` to `s` commutes with
+//! it, so `t` taken at `s` leads where `t` taken at `p` followed by those
+//! same steps leads — into the subtree already walked from `p`. Sleep
+//! sets prune transitions, never states: the dedup set holds plain
+//! digests, the pinned distinct-state, quiescent and depth counts are
+//! those of the unreduced walk, and on the one-drop proof about half of
+//! the transitions that walk would apply are asleep.
 //!
 //! An interned node keeps the fields no digest covers — metrics, caches,
 //! raw hold ids — from whichever path reached it first, so whatever a
@@ -144,15 +171,15 @@
 //! ```text
 //! invariant `no-orphaned-winner` violated: organizer 0: nego(0/0) task
 //! TaskId(0) assigned to node 1 without a backing committed grant (after
-//! 7 step(s), 26 state(s) explored)
+//! 7 step(s), 21 state(s) explored)
 //! schedule:
 //!     1. timer     n0    Kickoff nego(0/0) @0µs
 //!     2. deliver   0→1  CallForProposals nego(0/0) round 0 (1 task(s))
 //!     3. deliver   1→0  Proposal nego(0/0) from 1 (1 offer(s))
 //!     4. timer     n0    ProposalDeadline nego(0/0) @0µs
 //!     5. timer     n1    HoldExpiry nego(0/0) @0µs
-//!     6. deliver   0→1  Award nego(0/0) TaskId(0)
-//!     7. deliver   1→0  Accept nego(0/0) TaskId(0) from 1
+//!     6. deliver   0→1  Award nego(0/0) TaskId(0) round 0
+//!     7. deliver   1→0  Accept nego(0/0) TaskId(0) round 0 from 1
 //! replay: ModelCheckedRuntime::replay(&counterexample.schedule)
 //! ```
 //!

@@ -9,6 +9,15 @@
 //! distinct state. The first violation stops the search and yields a
 //! [`Counterexample`] whose schedule [`ModelCheckedRuntime::replay`]
 //! re-executes deterministically.
+//!
+//! Two things keep the walk from repeating work the graph does not need.
+//! Each DFS frame carries a *sleep set*: choices explored from an
+//! ancestor that commute with every step taken since, which would only
+//! reach states already reached, so they are skipped, not applied and
+//! not counted (see the crate docs for why no state is lost). And the
+//! invariants are judged once per distinct view — node digests plus the
+//! quiescent and partitioned flags — in a [`Verdicts`] memo that, like
+//! the node table, lives and dies inside one exploration.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -16,13 +25,16 @@ use std::hash::{BuildHasherDefault, Hasher};
 use qosc_core::runtime::NodeEngine;
 use qosc_core::snapshot::digest_of;
 use qosc_core::{
-    dissolve_token, kickoff_token, CoalitionNode, LoggedEvent, NegoId, Pid, Runtime, RuntimeError,
+    dissolve_token, kickoff_token, CoalitionNode, LoggedEvent, Msg, NegoId, Pid, Runtime,
+    RuntimeError,
 };
 use qosc_netsim::{FaultPlan, SimTime};
 use qosc_spec::ServiceDef;
 
 use crate::invariants::{check_all, default_invariants, Invariant, SystemView, Violation};
-use crate::state::{ActionTap, Choice, McState, NodeTable, StepLog, Stepper, Stimulus};
+use crate::state::{
+    ActionTap, Choice, McState, MsgKey, NodeTable, StepLog, Stepper, Stimulus, WordBuild,
+};
 use crate::trace::{Counterexample, TraceStep};
 
 /// Exploration budgets and the properties to prove.
@@ -66,6 +78,10 @@ impl std::fmt::Debug for CheckConfig {
 #[derive(Debug, Clone, Default)]
 pub struct CheckReport {
     /// Transitions applied (counting revisits of deduplicated states).
+    /// Choices the walk's sleep sets skip are not applied and not
+    /// counted: each one commutes with every step since an ancestor
+    /// that already explored it, so it could only reach a state that is
+    /// reached anyway.
     pub states_explored: u64,
     /// Distinct states by canonical digest (including the initial one).
     pub distinct_states: u64,
@@ -113,16 +129,54 @@ struct Reference {
     log: StepLog,
 }
 
-/// DFS frame: a state, the step that produced it, and the cursor over
-/// its enabled choices.
+/// DFS frame: a state, the step that produced it, the cursor over its
+/// enabled choices, and its sleep set — the choices not to take from
+/// here: those inherited from the parent that commute with the step
+/// that led here, plus every choice already explored from this frame.
 struct Frame {
     state: McState,
     step: Option<TraceStep>,
     choices: Vec<Choice>,
     next: usize,
+    sleep: Vec<Choice>,
 }
 
-/// The walk's dedup set. Its keys are already 64-bit FNV digests, so
+/// One walk's invariant verdicts, keyed by [`McState::view_key`]:
+/// everything a [`SystemView`] exposes. Only passing views are stored —
+/// the first failure ends the walk. Lives and dies inside one
+/// exploration, like the [`NodeTable`].
+#[derive(Default)]
+struct Verdicts {
+    passed: HashSet<Box<[u64]>, WordBuild>,
+    key: Vec<u64>,
+}
+
+impl Verdicts {
+    /// [`ModelCheckedRuntime::check_state`], run once per distinct view.
+    /// Debug builds re-run every hit and require it still passes.
+    fn check(
+        &mut self,
+        state: &McState,
+        quiescent: bool,
+        invariants: &[Invariant],
+    ) -> Result<(), Violation> {
+        state.view_key(quiescent, &mut self.key);
+        if self.passed.contains(&*self.key) {
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                ModelCheckedRuntime::check_state(state, quiescent, invariants),
+                Ok(()),
+                "memoized verdict diverged"
+            );
+            return Ok(());
+        }
+        ModelCheckedRuntime::check_state(state, quiescent, invariants)?;
+        self.passed.insert(self.key.as_slice().into());
+        Ok(())
+    }
+}
+
+/// The walk's dedup set. Its keys are already well-mixed 64-bit digests, so
 /// they are used as their own hash, and the set is split 256 ways by
 /// bits 48..56 — clear of the low bits the tables index by and of the
 /// top seven they tag slots with — so growing rehashes 1/256 of the
@@ -281,12 +335,13 @@ impl ModelCheckedRuntime {
         let mut first_quiescent: Option<Vec<TraceStep>> = None;
         let mut seen = SeenSet::new();
         let mut table = NodeTable::default();
+        let mut verdicts = Verdicts::default();
 
         let root = self.root_state(&mut StepLog::default());
         seen.insert(root.digest());
         report.distinct_states = 1;
         let quiescent = root.quiescent();
-        if let Err(violation) = Self::check_state(&root, quiescent, &self.config.invariants) {
+        if let Err(violation) = verdicts.check(&root, quiescent, &self.config.invariants) {
             report.counterexample = Some(Counterexample {
                 violation,
                 schedule: Vec::new(),
@@ -303,6 +358,7 @@ impl ModelCheckedRuntime {
             state: root,
             step: None,
             next: 0,
+            sleep: Vec::new(),
         }];
         // The schedule from the root through `last`, the step just
         // applied on top of `stack`.
@@ -322,6 +378,10 @@ impl ModelCheckedRuntime {
             }
             let choice = frame.choices[frame.next];
             frame.next += 1;
+            if frame.sleep.contains(&choice) {
+                continue; // explored from an ancestor, commuting since
+            }
+            frame.sleep.push(choice);
             let mut state = frame.state.clone();
             let step = state.apply(choice, self.tap.as_ref(), &mut Stepper::Walk(&mut table));
             report.states_explored += 1;
@@ -330,7 +390,7 @@ impl ModelCheckedRuntime {
             }
             report.distinct_states += 1;
             let quiescent = state.quiescent();
-            if let Err(violation) = Self::check_state(&state, quiescent, &self.config.invariants) {
+            if let Err(violation) = verdicts.check(&state, quiescent, &self.config.invariants) {
                 report.counterexample = Some(Counterexample {
                     violation,
                     schedule: path(&stack, &step),
@@ -350,11 +410,14 @@ impl ModelCheckedRuntime {
                 continue;
             }
             report.max_depth_reached = report.max_depth_reached.max(stack.len());
+            let parent = stack.last().expect("the frame just stepped").sleep.iter();
+            let sleep = parent.copied().filter(|z| z.independent(choice)).collect();
             stack.push(Frame {
                 choices: state.enabled(&plan),
                 state,
                 step: Some(step),
                 next: 0,
+                sleep,
             });
         }
         report.node_states = table.node_states();
@@ -385,8 +448,10 @@ impl ModelCheckedRuntime {
     /// [`Counterexample::schedule`]) against the registered scenario.
     /// Messages are matched by content (sender, receiver, payload
     /// digest); timers fire in their canonical per-node order, so a
-    /// schedule the explorer produced always matches. Errors describe the
-    /// first step that does not correspond to an enabled transition.
+    /// schedule the explorer produced always matches. A step replays only
+    /// if the explorer would enable it at that point — its message in
+    /// flight and not behind the cut, its fault budget not spent, its cut
+    /// mask canonical — and errors describe the first step that does not.
     pub fn replay(&self, schedule: &[TraceStep]) -> Result<Replay, String> {
         let mut violation = None;
         let (_, log) = self.run_plain(schedule, |state| {
@@ -401,36 +466,27 @@ impl ModelCheckedRuntime {
         })
     }
 
-    /// Maps a trace step back onto an enabled [`Choice`] of `state`.
+    /// Maps a trace step back onto a [`Choice`] of `state`, if that
+    /// choice is one the explorer would enable there.
     fn choice_for(&self, state: &McState, step: &TraceStep) -> Option<Choice> {
-        let find = |from: Pid, to: Pid, digest: u64| {
-            state
-                .in_flight
-                .iter()
-                .position(|m| m.from == from && m.to == to && m.digest == digest)
+        let key = |from: &Pid, to: &Pid, msg: &Msg| MsgKey {
+            from: *from,
+            to: *to,
+            digest: digest_of(msg),
         };
-        match step {
-            TraceStep::Deliver { from, to, msg } => {
-                find(*from, *to, digest_of(&**msg)).map(Choice::Deliver)
-            }
-            TraceStep::Drop { from, to, msg } => {
-                find(*from, *to, digest_of(&**msg)).map(Choice::Drop)
-            }
-            TraceStep::Duplicate { from, to, msg } => {
-                find(*from, *to, digest_of(&**msg)).map(Choice::Duplicate)
-            }
-            TraceStep::Fire { node, .. } => state.has_timer(*node).then_some(Choice::Fire(*node)),
-            TraceStep::Crash { node } => state
-                .node(*node)
-                .filter(|n| n.organizer().is_none() && n.provider().is_some())
-                .map(|_| Choice::Crash(*node)),
-            TraceStep::Partition { mask } => {
-                let budget = self.config.fault_plan.max_partitions;
-                (!state.partitioned() && state.partitions_used < budget)
-                    .then_some(Choice::Partition(*mask))
-            }
-            TraceStep::Heal => state.partitioned().then_some(Choice::Heal),
-        }
+        let choice = match step {
+            TraceStep::Deliver { from, to, msg } => Choice::Deliver(key(from, to, msg)),
+            TraceStep::Drop { from, to, msg } => Choice::Drop(key(from, to, msg)),
+            TraceStep::Duplicate { from, to, msg } => Choice::Duplicate(key(from, to, msg)),
+            TraceStep::Fire { node, .. } => Choice::Fire(*node),
+            TraceStep::Crash { node } => Choice::Crash(*node),
+            TraceStep::Partition { mask } => Choice::Partition(*mask),
+            TraceStep::Heal => Choice::Heal,
+        };
+        state
+            .enabled(&self.config.fault_plan)
+            .contains(&choice)
+            .then_some(choice)
     }
 }
 

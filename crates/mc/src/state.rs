@@ -51,7 +51,17 @@
 //!   and clock sit in one id-ordered `Vec`, timers in one `Vec` ordered
 //!   by `(node, deadline, arming order)`, in-flight messages in arrival
 //!   order, so the clone every transition starts with is three `memcpy`s
-//!   and a handful of refcount bumps.
+//!   and a handful of refcount bumps. Its digest is a [`WordHasher`]
+//!   pass over a few dozen words: one multiply per word.
+//!
+//! A [`Choice`] names its transition by content — a message by sender,
+//! receiver and payload digest, a timer or crash by node, a cut by its
+//! mask — so the same choice is recognisable in every state that enables
+//! it, however the in-flight list has shifted. That is what the walk's
+//! sleep sets compare, under [`Choice::independent`]: a conservative
+//! relation (choices on different nodes, messages and fault budgets,
+//! neither touching the cut) that the tests check against the real
+//! engines, state by state, on a faulted crash-restarting round.
 //!
 //! An interned node also carries the fields no digest covers (metrics,
 //! formulator caches, raw hold ids) as left by whichever path reached
@@ -62,14 +72,69 @@
 //! callback run on the path's own nodes.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use qosc_core::runtime::NodeEngine;
-use qosc_core::snapshot::{digest_of, StableHasher};
+use qosc_core::snapshot::digest_of;
 use qosc_core::{decode_timer, Action, CoalitionNode, LoggedEvent, Msg, Pid};
 use qosc_netsim::{FaultPlan, SimDuration, SimTime};
 
 use crate::trace::TraceStep;
+
+/// The explorer's own hasher: one folded 64×64→128-bit multiply per
+/// word, finished with murmur3's `fmix64`. Everything it hashes is
+/// already a handful of 64-bit words (digests, pids, clocks), so it
+/// costs a multiply where byte-wise FNV-1a costs eight. Its values never
+/// leave one process — the dedup set, the node table and the verdict
+/// memo all live and die inside one walk — so unlike
+/// `qosc_core::snapshot::StableHasher` it carries no stability promise.
+#[derive(Clone, Copy)]
+pub(crate) struct WordHasher(u64);
+
+/// The hasher for maps keyed by the explorer's own words.
+pub(crate) type WordBuild = BuildHasherDefault<WordHasher>;
+
+impl Default for WordHasher {
+    fn default() -> Self {
+        Self(0x243f_6a88_85a3_08d3) // the first 64 fraction bits of π
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        // The length keeps a short tail distinct from its zero padding.
+        self.write_u64(u64::from_le_bytes(tail) ^ ((bytes.len() as u64) << 56));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let m = u128::from(self.0 ^ word) * u128::from(0x9e37_79b9_7f4a_7c15u64);
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
 
 /// Hook applied to every action batch an engine emits, before the batch
 /// is executed. Exists for mutation self-tests: a tap that rewrites a
@@ -89,6 +154,16 @@ pub(crate) struct InFlight {
     pub digest: u64,
 }
 
+impl InFlight {
+    pub fn key(&self) -> MsgKey {
+        MsgKey {
+            from: self.from,
+            to: self.to,
+            digest: self.digest,
+        }
+    }
+}
+
 /// One armed timer. `seq` breaks deadline ties in arming order, exactly
 /// like the DES and Direct backends' `(time, sequence)` total order.
 #[derive(Clone, Copy)]
@@ -99,13 +174,25 @@ pub(crate) struct PendingTimer {
     pub token: u64,
 }
 
-/// One enabled transition out of a state. Indices refer to the state's
-/// `in_flight` list at enumeration time.
+/// A message named by content: sender, receiver and payload digest.
+/// Identical copies in flight share one key, and a key names the same
+/// message in every state that holds it, however the in-flight list
+/// has shifted around it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct MsgKey {
+    pub from: Pid,
+    pub to: Pid,
+    pub digest: u64,
+}
+
+/// One enabled transition out of a state, named by content so that the
+/// same choice can be recognised in a sibling or descendant state (the
+/// sleep sets of the walk compare choices across states).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Choice {
-    Deliver(usize),
-    Drop(usize),
-    Duplicate(usize),
+    Deliver(MsgKey),
+    Drop(MsgKey),
+    Duplicate(MsgKey),
     Fire(Pid),
     Crash(Pid),
     /// Split the network: bit `i` of the mask names the side of the node
@@ -113,6 +200,52 @@ pub(crate) enum Choice {
     Partition(u64),
     /// Restore all links.
     Heal,
+}
+
+impl Choice {
+    /// The in-flight message this choice consumes, if any.
+    fn message(self) -> Option<MsgKey> {
+        match self {
+            Choice::Deliver(m) | Choice::Drop(m) | Choice::Duplicate(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    /// The node whose engine this choice steps (a drop steps none).
+    fn stepped(self) -> Option<Pid> {
+        match self {
+            Choice::Deliver(m) | Choice::Duplicate(m) => Some(m.to),
+            Choice::Fire(pid) | Choice::Crash(pid) => Some(pid),
+            _ => None,
+        }
+    }
+
+    /// Conservative independence: `true` only when, from any state where
+    /// both are enabled, each stays enabled after the other and both
+    /// orders reach the same state. Choices that cut or heal the network
+    /// change what every delivery may do; two choices that consume the
+    /// same message, step the same engine or spend the same fault budget
+    /// can disable or reorder each other. Anything else touches disjoint
+    /// parts of the state: different nodes (with their own clocks and
+    /// timer queues), different in-flight messages, and additions to a
+    /// multiset whose order the digest does not see.
+    pub fn independent(self, other: Choice) -> bool {
+        fn same<T: PartialEq>(a: Option<T>, b: Option<T>) -> bool {
+            a.is_some() && a == b
+        }
+        let global = |c| matches!(c, Choice::Partition(_) | Choice::Heal);
+        let budget = |c| match c {
+            Choice::Drop(_) => Some(0),
+            Choice::Duplicate(_) => Some(1),
+            Choice::Crash(_) => Some(2),
+            _ => None,
+        };
+        !(global(self)
+            || global(other)
+            || same(self.message(), other.message())
+            || same(self.stepped(), other.stepped())
+            || same(budget(self), budget(other)))
+    }
 }
 
 /// What a plainly stepped path produced besides the state change: the
@@ -148,8 +281,8 @@ struct Transition {
 /// between two checks can never meet the other's entries.
 #[derive(Default)]
 pub(crate) struct NodeTable {
-    nodes: HashMap<u64, Arc<CoalitionNode>>,
-    memo: HashMap<(u64, SimTime, Stimulus), Transition>,
+    nodes: HashMap<u64, Arc<CoalitionNode>, WordBuild>,
+    memo: HashMap<(u64, SimTime, Stimulus), Transition, WordBuild>,
 }
 
 impl NodeTable {
@@ -188,17 +321,18 @@ struct Slot {
 pub(crate) struct McState {
     /// Ordered by `pid`; a node's index here is its *rank*.
     slots: Vec<Slot>,
-    /// In arrival order, which fixes the [`Choice`] indices.
-    pub in_flight: Vec<InFlight>,
+    /// In arrival order, which fixes the order [`McState::enabled`]
+    /// lists choices in; the digest hashes them as a multiset.
+    in_flight: Vec<InFlight>,
     /// Ordered by `(node, fire_at, seq)`: each node's firing order.
     timers: Vec<PendingTimer>,
-    pub drops_used: u32,
-    pub duplicates_used: u32,
-    pub crashes_used: u32,
+    drops_used: u32,
+    duplicates_used: u32,
+    crashes_used: u32,
     /// Active cut, if any: bit `i` names the side of the node of rank
     /// `i`. `None` when the network is whole.
-    pub partition: Option<u64>,
-    pub partitions_used: u32,
+    partition: Option<u64>,
+    partitions_used: u32,
     next_timer_seq: u64,
 }
 
@@ -298,11 +432,6 @@ impl McState {
         self.timers.insert(idx, timer);
     }
 
-    /// True iff `node` has a timer armed.
-    pub fn has_timer(&self, node: Pid) -> bool {
-        self.timers.iter().any(|t| t.node == node)
-    }
-
     /// No messages to deliver and no timers to fire: the protocol can
     /// make no further progress on its own. A partitioned state is never
     /// quiescent — a heal transition is always enabled, and declaring
@@ -319,7 +448,7 @@ impl McState {
     /// history lives outside the state entirely (it does not constrain
     /// future behaviour).
     pub fn digest(&self) -> u64 {
-        let mut h = StableHasher::new();
+        let mut h = WordHasher::default();
         h.write_usize(self.slots.len());
         for slot in &self.slots {
             h.write_u64(slot.pid as u64);
@@ -367,6 +496,18 @@ impl McState {
         h.finish()
     }
 
+    /// Writes everything a `SystemView` of this state exposes into `key`
+    /// as words: each node's pid and digest in id order, then the
+    /// quiescent and partitioned flags. Equal keys mean equal verdicts
+    /// from any invariant that is a function of its view.
+    pub fn view_key(&self, quiescent: bool, key: &mut Vec<u64>) {
+        key.clear();
+        for slot in &self.slots {
+            key.extend([u64::from(slot.pid), slot.digest]);
+        }
+        key.push(u64::from(quiescent) | (u64::from(self.partitioned()) << 1));
+    }
+
     /// Enumerates every transition enabled in this state under `plan`'s
     /// remaining fault budgets. Deterministic: iteration follows the
     /// in-flight list and the node id order.
@@ -376,16 +517,16 @@ impl McState {
             if self.cuts(m.from, m.to) {
                 continue; // blocked behind the cut until a heal
             }
-            let same = |e: &InFlight| (e.from, e.to, e.digest) == (m.from, m.to, m.digest);
-            if self.in_flight[..i].iter().any(same) {
+            let key = m.key();
+            if self.in_flight[..i].iter().any(|e| e.key() == key) {
                 continue; // identical copy: same successor states
             }
-            choices.push(Choice::Deliver(i));
+            choices.push(Choice::Deliver(key));
             if self.drops_used < plan.max_drops {
-                choices.push(Choice::Drop(i));
+                choices.push(Choice::Drop(key));
             }
             if self.duplicates_used < plan.max_duplicates {
-                choices.push(Choice::Duplicate(i));
+                choices.push(Choice::Duplicate(key));
             }
         }
         for queue in self.timers.chunk_by(|a, b| a.node == b.node) {
@@ -428,8 +569,8 @@ impl McState {
         stepper: &mut Stepper<'_>,
     ) -> TraceStep {
         match choice {
-            Choice::Deliver(i) => {
-                let m = self.in_flight.remove(i);
+            Choice::Deliver(key) => {
+                let m = self.take(key);
                 self.deliver(&m, tap, stepper);
                 TraceStep::Deliver {
                     from: m.from,
@@ -437,8 +578,8 @@ impl McState {
                     msg: m.msg,
                 }
             }
-            Choice::Drop(i) => {
-                let m = self.in_flight.remove(i);
+            Choice::Drop(key) => {
+                let m = self.take(key);
                 self.drops_used += 1;
                 TraceStep::Drop {
                     from: m.from,
@@ -446,11 +587,11 @@ impl McState {
                     msg: m.msg,
                 }
             }
-            Choice::Duplicate(i) => {
+            Choice::Duplicate(key) => {
                 // Deliver one copy now, leave a second in flight: the
                 // duplicate's own delivery point is explored on later
                 // transitions, covering "duplicate arrives late" too.
-                let m = self.in_flight.remove(i);
+                let m = self.take(key);
                 self.duplicates_used += 1;
                 self.in_flight.push(m.clone());
                 self.deliver(&m, tap, stepper);
@@ -495,6 +636,14 @@ impl McState {
                 TraceStep::Crash { node: pid }
             }
         }
+    }
+
+    /// Removes the first in-flight copy of `key` (any copy would do:
+    /// identical copies are indistinguishable).
+    fn take(&mut self, key: MsgKey) -> InFlight {
+        let i = self.in_flight.iter().position(|m| m.key() == key);
+        self.in_flight
+            .remove(i.expect("a message choice names an in-flight message"))
     }
 
     fn deliver(&mut self, m: &InFlight, tap: Option<&ActionTap>, stepper: &mut Stepper<'_>) {
@@ -653,6 +802,8 @@ impl Transition {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use qosc_core::{
         kickoff_token, OrganizerConfig, OrganizerEngine, ProviderConfig, ProviderEngine,
@@ -660,33 +811,140 @@ mod tests {
     use qosc_resources::{av_demand_model, ResourceVector};
     use qosc_spec::{catalog, ServiceDef, TaskDef};
 
-    /// Cut masks address nodes by rank in id order, not by raw pid: with
-    /// pids {3, 70} — 70 used to wrap a 64-bit shift — setting bit 1
-    /// isolates node 70, which blocks the CFP 3→70 until the heal.
-    #[test]
-    fn a_cut_between_pids_3_and_70_blocks_the_cfp_until_the_heal() {
+    fn provider(id: Pid, cpu: f64) -> CoalitionNode {
         let spec = catalog::av_spec();
         let mut provider = ProviderEngine::new(
-            70,
-            ResourceVector::new(400.0, 512.0, 10_000.0, 60.0, 10_000.0),
+            id,
+            ResourceVector::new(cpu, 512.0, 10_000.0, 60.0, 10_000.0),
             ProviderConfig::for_model_checking(),
         );
         provider.register_demand_model(spec.name(), Arc::new(av_demand_model(&spec)));
-        let organizer = OrganizerEngine::new(3, OrganizerConfig::for_model_checking());
-        let mut origin = CoalitionNode::new(3).with_organizer(organizer);
+        CoalitionNode::new(id).with_provider(provider)
+    }
+
+    /// An organizer with one single-task service queued, and the state
+    /// holding it and `providers` with its kickoff armed.
+    fn scenario(organizer: Pid, providers: impl IntoIterator<Item = CoalitionNode>) -> McState {
+        let engine = OrganizerEngine::new(organizer, OrganizerConfig::for_model_checking());
+        let mut origin = CoalitionNode::new(organizer).with_organizer(engine);
         let task = TaskDef {
             name: "sense".into(),
-            spec,
+            spec: catalog::av_spec(),
             request: catalog::surveillance_request(),
             input_bytes: 50_000,
             output_bytes: 5_000,
         };
         origin.queue_service_at(SimTime::ZERO, ServiceDef::new("svc", vec![task]));
-
         let mut state = McState::default();
-        state.insert_node(CoalitionNode::new(70).with_provider(provider));
+        providers.into_iter().for_each(|p| state.insert_node(p));
         state.insert_node(origin);
-        state.arm_timer_at(3, SimTime::ZERO, kickoff_token(3));
+        state.arm_timer_at(organizer, SimTime::ZERO, kickoff_token(organizer));
+        state
+    }
+
+    /// Every dependent case of the relation, both ways round, against
+    /// independent pairs that differ from them in one respect only.
+    #[test]
+    fn independence_is_refused_on_cuts_shared_nodes_messages_and_budgets() {
+        let key = |from, to, digest| MsgKey { from, to, digest };
+        let (to_1, to_2, also_to_1) = (key(0, 1, 7), key(0, 2, 8), key(2, 1, 9));
+        let every = [
+            Choice::Deliver(to_1),
+            Choice::Drop(to_1),
+            Choice::Duplicate(to_1),
+            Choice::Fire(1),
+            Choice::Crash(1),
+            Choice::Partition(0b10),
+            Choice::Heal,
+        ];
+        let check = |a: Choice, b: Choice, independent: bool| {
+            assert_eq!(a.independent(b), independent, "{a:?} vs {b:?}");
+            assert_eq!(b.independent(a), independent, "{b:?} vs {a:?}");
+        };
+        for c in every {
+            check(c, Choice::Partition(0b110), false);
+            check(c, Choice::Heal, false);
+        }
+        // The same node.
+        check(Choice::Deliver(to_1), Choice::Deliver(also_to_1), false);
+        check(Choice::Deliver(to_1), Choice::Fire(1), false);
+        check(Choice::Duplicate(to_1), Choice::Crash(1), false);
+        check(Choice::Fire(1), Choice::Crash(1), false);
+        // The same message.
+        check(Choice::Deliver(to_1), Choice::Drop(to_1), false);
+        check(Choice::Drop(to_1), Choice::Duplicate(to_1), false);
+        check(Choice::Deliver(to_1), Choice::Duplicate(to_1), false);
+        // The same budget.
+        check(Choice::Drop(to_1), Choice::Drop(to_2), false);
+        check(Choice::Duplicate(to_1), Choice::Duplicate(to_2), false);
+        check(Choice::Crash(1), Choice::Crash(2), false);
+        // Independent: other nodes, other messages, other budgets, and a
+        // drop, which steps no node.
+        check(Choice::Deliver(to_1), Choice::Deliver(to_2), true);
+        check(Choice::Deliver(to_1), Choice::Fire(2), true);
+        check(Choice::Duplicate(to_1), Choice::Crash(2), true);
+        check(Choice::Drop(to_1), Choice::Duplicate(to_2), true);
+        check(Choice::Drop(to_1), Choice::Deliver(also_to_1), true);
+        check(Choice::Drop(to_1), Choice::Fire(1), true);
+        check(Choice::Drop(to_1), Choice::Crash(1), true);
+    }
+
+    /// The relation holds on the real engines: at every state of the
+    /// faulted, crash-restarting 1-organizer × 2-provider round, every
+    /// pair of enabled choices it calls independent stays enabled in
+    /// either order and both orders reach the same digest.
+    #[test]
+    fn independent_choices_commute_on_the_engines() {
+        let plan = FaultPlan::exhaustive(1, 1).with_crash_restarts(1);
+        let mut root = scenario(0, [provider(1, 400.0), provider(2, 300.0)]);
+        let mut log = StepLog::default();
+        for pid in root.node_ids() {
+            root.step_node(
+                pid,
+                Stimulus::Start,
+                None,
+                None,
+                &mut Stepper::Plain(&mut log),
+            );
+        }
+        let mut table = NodeTable::default();
+        let mut then = |state: &McState, choice| {
+            let mut next = state.clone();
+            next.apply(choice, None, &mut Stepper::Walk(&mut table));
+            next
+        };
+        let mut seen = HashSet::from([root.digest()]);
+        let (mut todo, mut pairs) = (vec![root], 0);
+        while let Some(state) = todo.pop() {
+            let choices = state.enabled(&plan);
+            let successors: Vec<McState> = choices.iter().map(|&c| then(&state, c)).collect();
+            for (i, (&a, after_a)) in choices.iter().zip(&successors).enumerate() {
+                for (&b, after_b) in choices.iter().zip(&successors).skip(i + 1) {
+                    if !a.independent(b) {
+                        continue;
+                    }
+                    assert!(after_a.enabled(&plan).contains(&b), "{a:?} disables {b:?}");
+                    assert!(after_b.enabled(&plan).contains(&a), "{b:?} disables {a:?}");
+                    let (ab, ba) = (then(after_a, b), then(after_b, a));
+                    assert_eq!(ab.digest(), ba.digest(), "{a:?} and {b:?} do not commute");
+                    pairs += 1;
+                }
+            }
+            for next in successors {
+                if seen.insert(next.digest()) {
+                    todo.push(next);
+                }
+            }
+        }
+        assert!(pairs > 100_000, "only {pairs} independent pairs checked");
+    }
+
+    /// Cut masks address nodes by rank in id order, not by raw pid: with
+    /// pids {3, 70} — 70 used to wrap a 64-bit shift — setting bit 1
+    /// isolates node 70, which blocks the CFP 3→70 until the heal.
+    #[test]
+    fn a_cut_between_pids_3_and_70_blocks_the_cfp_until_the_heal() {
+        let mut state = scenario(3, [provider(70, 400.0)]);
         let plan = FaultPlan::none().with_partitions(1);
         assert_eq!(
             state.enabled(&plan),
@@ -700,9 +958,13 @@ mod tests {
         let cfp = &state.in_flight[0];
         assert!(matches!(*cfp.msg, Msg::CallForProposals { .. }));
         assert_eq!((cfp.from, cfp.to, state.in_flight.len()), (3, 70, 1));
+        let cfp = cfp.key();
         // Blocked: only the organizer's deadline and the heal are enabled.
         assert_eq!(state.enabled(&plan), [Choice::Fire(3), Choice::Heal]);
         state.apply(Choice::Heal, None, &mut plain);
-        assert_eq!(state.enabled(&plan), [Choice::Deliver(0), Choice::Fire(3)]);
+        assert_eq!(
+            state.enabled(&plan),
+            [Choice::Deliver(cfp), Choice::Fire(3)]
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! The acceptance scenario follows the paper's ad-hoc-grid setting: two
 //! peer nodes, each hosting *both* an organizer and a provider, each
 //! submitting one single-task service — two concurrent CFP rounds
-//! contending for the same two providers. Its faulted graph is ~6 M
+//! contending for the same two providers. Its faulted walk is ~2.9 M
 //! transitions, which an optimised build walks in seconds but a debug
 //! build (where every memo hit is recomputed and compared) cannot, so
 //! the full faulted check is `#[ignore]`d here and executed on every PR
@@ -23,7 +23,9 @@ use qosc_core::{
     Action, CoalitionNode, Msg, NegoEvent, NegoId, OrganizerConfig, OrganizerEngine, Pid,
     ProviderConfig, ProviderEngine, Runtime,
 };
-use qosc_mc::{partition_invariants, CheckConfig, ModelCheckedRuntime, TraceStep};
+use qosc_mc::{
+    partition_invariants, ActionTap, CheckConfig, Counterexample, ModelCheckedRuntime, TraceStep,
+};
 use qosc_netsim::{FaultPlan, SimDuration, SimTime};
 use qosc_resources::{av_demand_model, ResourceVector};
 use qosc_spec::{catalog, ServiceDef, TaskDef};
@@ -197,12 +199,12 @@ fn proven_counts(rt: &mut ModelCheckedRuntime) -> (u64, u64, u64, usize) {
 /// (`NegotiationMetrics`) must come out as a plain execution leaves them.
 #[test]
 fn graphs_and_reference_path_are_pinned() {
-    assert_eq!(proven_counts(&mut two_by_two()), (96_262, 26_056, 36, 20));
+    assert_eq!(proven_counts(&mut two_by_two()), (55_603, 26_056, 36, 20));
 
     let mut dropped = two_by_two();
     dropped.set_fault_plan(FaultPlan::exhaustive(1, 0));
-    assert_eq!(proven_counts(&mut dropped), (302_836, 73_229, 120, 20));
-    // What the table did: 302 836 transitions, 798 engine callbacks. A
+    assert_eq!(proven_counts(&mut dropped), (148_762, 73_229, 120, 20));
+    // What the table did: 148 762 transitions, 798 engine callbacks. A
     // table that stops hitting moves these, not just the wall clock.
     let report = dropped.check();
     assert_eq!((report.node_states, report.engine_calls), (234, 798));
@@ -233,34 +235,34 @@ fn graphs_and_reference_path_are_pinned() {
 
     let mut faulted = one_by_two();
     faulted.set_fault_plan(FaultPlan::exhaustive(1, 1));
-    assert_eq!(proven_counts(&mut faulted), (27_299, 7_631, 101, 14));
+    assert_eq!(proven_counts(&mut faulted), (10_728, 7_631, 101, 14));
 
     let mut crashed = one_by_two();
     crashed.set_fault_plan(FaultPlan::none().with_crash_restarts(1));
-    assert_eq!(proven_counts(&mut crashed), (2_249, 745, 33, 12));
+    assert_eq!(proven_counts(&mut crashed), (1_144, 745, 33, 12));
 
     let mut cut = one_by_two();
     cut.set_fault_plan(FaultPlan::none().with_partitions(1));
-    assert_eq!(proven_counts(&mut cut), (4_503, 1_445, 22, 13));
+    assert_eq!(proven_counts(&mut cut), (4_147, 1_445, 22, 13));
 }
 
 /// The 2×2 round under one duplicate: the middle rung between the
 /// tier-1 pins and the `MC_SMOKE` walk below.
 #[test]
-#[ignore = "exhaustive faulted graph (~1.9M transitions): run in release via MC_SMOKE"]
+#[ignore = "exhaustive faulted graph (~1.1M transitions): run in release via MC_SMOKE"]
 fn exhaustive_2x2_round_with_one_duplicate_is_pinned() {
     let mut rt = two_by_two();
     rt.set_fault_plan(FaultPlan::exhaustive(0, 1));
-    assert_eq!(proven_counts(&mut rt), (1_904_818, 443_340, 132, 23));
+    assert_eq!(proven_counts(&mut rt), (1_102_883, 443_340, 132, 23));
 }
 
-/// The PR's headline acceptance check, exhaustively: ~6 M transitions,
+/// The headline acceptance check, exhaustively: ~2.9 M transitions,
 /// run in release by the `MC_SMOKE` CI step (`cargo test --release -p
 /// qosc-mc -- --ignored`).
 #[test]
-#[ignore = "exhaustive faulted graph (~6M transitions): run in release via MC_SMOKE"]
+#[ignore = "exhaustive faulted graph (~2.9M transitions): run in release via MC_SMOKE"]
 fn exhaustive_2x2_round_with_drop_and_duplicate_verifies() {
-    // The faulted graph is ~6 M transitions — above the default
+    // The faulted walk is ~2.9 M transitions — above the default
     // 2 M exploration budget, deliberately: the default should stop a
     // runaway scenario quickly, and exhausting a graph this size is an
     // explicit choice.
@@ -270,7 +272,7 @@ fn exhaustive_2x2_round_with_drop_and_duplicate_verifies() {
     });
     rt.set_fault_plan(FaultPlan::exhaustive(1, 1));
     rt.run(SimTime::ZERO); // deadline is ignored on this backend
-    assert_eq!(proven_counts(&mut rt), (5_993_012, 1_223_731, 399, 23));
+    assert_eq!(proven_counts(&mut rt), (2_914_411, 1_223_731, 399, 23));
     // The reference schedule (first fully-settled path) reads like any
     // other backend's run: both negotiations concluded.
     assert_settled(&rt, 2);
@@ -278,7 +280,7 @@ fn exhaustive_2x2_round_with_drop_and_duplicate_verifies() {
 }
 
 /// The same 2 × 2 × 2 scenario without fault branches: small enough
-/// (~100 k transitions) to exhaust in every tier-1 run.
+/// (~56 k transitions) to exhaust in every tier-1 run.
 #[test]
 fn exhaustive_2x2_round_fault_free_verifies() {
     let mut rt = two_by_two();
@@ -359,8 +361,9 @@ fn partition_branches_enlarge_the_graph_and_verify() {
     assert_settled(&cut, 1);
 }
 
-/// A partition/heal pair replays like any other schedule prefix, and a
-/// heal with no active cut is rejected as an impossible step.
+/// A partition/heal pair replays like any other schedule prefix; a heal
+/// with no active cut, and every cut mask the explorer never enables,
+/// are rejected as impossible steps.
 #[test]
 fn partition_steps_replay_and_bogus_heal_is_rejected() {
     let mut rt = retrying_one_by_one();
@@ -375,13 +378,21 @@ fn partition_steps_replay_and_bogus_heal_is_rejected() {
         .replay(&[TraceStep::Heal])
         .expect_err("no cut to heal at the root");
     assert!(err.contains("step 1"), "{err}");
+    // Of two nodes, 0b10 is the one canonical cut. Not enabled: no cut
+    // (0), its mirror image (0b1), both nodes on one side (0b11), and a
+    // node that does not exist (0b100).
+    for mask in [0, 0b1, 0b11, 0b100] {
+        let err = rt
+            .replay(&[TraceStep::Partition { mask }])
+            .expect_err("only canonical cut masks are enabled");
+        assert!(err.contains("step 1"), "mask {mask:#b}: {err}");
+    }
 }
 
 /// The partition acceptance check: the 2×2 dual-role round under one
 /// partition branch, with backoff re-announce on organizer 0, proves
 /// no-split-brain-double-award and liveness-after-heal exhaustively.
-/// The graph is far beyond a debug
-/// build (tens of millions of transitions), so the full walk is
+/// The walk (~16 M transitions) is far beyond a debug build, so it is
 /// `#[ignore]`d and double-gated on `MC_PARTITION_SMOKE=1` — the
 /// `MC_SMOKE` CI step also sweeps `--ignored` tests and must not pay
 /// for this one twice.
@@ -397,7 +408,7 @@ fn exhaustive_partitioned_2x2_round_with_backoff_verifies() {
         ..CheckConfig::default()
     });
     rt.run(SimTime::ZERO);
-    assert_eq!(proven_counts(&mut rt), (18_313_978, 3_637_737, 188, 32));
+    assert_eq!(proven_counts(&mut rt), (15_566_336, 3_637_737, 188, 32));
     assert_settled(&rt, 2);
 }
 
@@ -448,38 +459,8 @@ fn mutated_award_acceptance_yields_replayable_counterexample() {
     // mask the planted bug.
     assert!(rt.check().verified());
 
-    rt.set_action_tap(Arc::new(|_pid, actions: &mut Vec<Action>| {
-        for action in actions.iter_mut() {
-            if let Action::Send { msg, .. } = action {
-                if let Msg::Decline {
-                    nego,
-                    task,
-                    from,
-                    round,
-                } = **msg
-                {
-                    // The planted bug: accept awards we cannot back.
-                    *msg = Arc::new(Msg::Accept {
-                        nego,
-                        task,
-                        from,
-                        round,
-                    });
-                }
-            }
-        }
-    }));
-    let report = rt.check().clone();
-    let ce = report
-        .counterexample
-        .expect("the planted bug must produce a counterexample");
-    assert_eq!(
-        ce.violation.invariant,
-        "no-orphaned-winner",
-        "{}",
-        ce.render()
-    );
-    assert!(!ce.schedule.is_empty());
+    rt.set_action_tap(declines_become_accepts());
+    let ce = orphaned_winner_counterexample(&mut rt);
     // The schedule must include the race that exposes the bug: the
     // provider's hold expired (its timer fired) before the award landed.
     assert!(
@@ -493,10 +474,62 @@ fn mutated_award_acceptance_yields_replayable_counterexample() {
     let rendered = ce.render();
     assert!(rendered.contains("no-orphaned-winner"), "{rendered}");
     assert!(rendered.contains("schedule:"), "{rendered}");
+}
 
-    // Replaying the schedule deterministically reproduces the violation.
+/// The same planted bug on the graph the benchmark proves — the dual-role
+/// 2×2 round under one drop, where the walk's sleep sets skip half the
+/// transitions — must still be caught and replayed.
+#[test]
+fn mutated_award_acceptance_is_caught_on_the_reduced_2x2_drop_walk() {
+    let mut rt = two_by_two();
+    rt.set_fault_plan(FaultPlan::exhaustive(1, 0));
+    rt.set_action_tap(declines_become_accepts());
+    orphaned_winner_counterexample(&mut rt);
+}
+
+/// The planted bug: a provider that cannot honour an award *accepts* it
+/// instead of declining.
+fn declines_become_accepts() -> ActionTap {
+    Arc::new(|_pid, actions: &mut Vec<Action>| {
+        for action in actions.iter_mut() {
+            if let Action::Send { msg, .. } = action {
+                if let Msg::Decline {
+                    nego,
+                    task,
+                    from,
+                    round,
+                } = **msg
+                {
+                    *msg = Arc::new(Msg::Accept {
+                        nego,
+                        task,
+                        from,
+                        round,
+                    });
+                }
+            }
+        }
+    })
+}
+
+/// Checks `rt`, requires a `no-orphaned-winner` counterexample, and
+/// requires replaying its schedule to reproduce exactly that violation.
+fn orphaned_winner_counterexample(rt: &mut ModelCheckedRuntime) -> Counterexample {
+    let ce = rt
+        .check()
+        .counterexample
+        .clone()
+        .expect("the planted bug must produce a counterexample");
+    assert_eq!(
+        ce.violation.invariant,
+        "no-orphaned-winner",
+        "{}",
+        ce.render()
+    );
+    assert!(!ce.schedule.is_empty());
     let replay = rt.replay(&ce.schedule).expect("schedule must be enabled");
-    assert_eq!(replay.violation, Some(ce.violation));
+    assert_eq!(replay.violation.as_ref(), Some(&ce.violation));
+    ce
 }
 
 #[test]
