@@ -5,9 +5,7 @@
 //! to all N−1 in-range neighbours: the payload rides the event heap
 //! behind `Arc<Msg>` in one queue entry (one allocation per broadcast,
 //! every delivery borrows it) and the fan-out targets come from the
-//! `NeighbourIndex` grid instead of an O(N) node-table scan. Compare run-over-run `BENCH_JSON` lines
-//! against the pre-zero-copy numbers to see the per-recipient clone and
-//! scan disappear.
+//! `NeighbourIndex` grid instead of an O(N) node-table scan.
 //!
 //! `neighbours_*` isolates the index itself: the dense case (everyone in
 //! one cell block) bounds the constant factor, the sparse case shows the

@@ -6,8 +6,7 @@
 //! `Sequential` provider runs per task), `reference` is the
 //! `qosc_baselines` oracle ([`formulate_reference`]: penalties asked of
 //! the reward model per probe, per-step argmin scan, quality vector
-//! rebuilt per step). Their ratio is the engine speedup tracked by CI's
-//! BENCH_JSON artifact.
+//! rebuilt per step). Their ratio is the engine speedup.
 //!
 //! The cold-start legs price one CFP of a 4-task Surveillance service at
 //! the providers of one world, which share a book of bundle plans:

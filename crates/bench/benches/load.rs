@@ -7,9 +7,7 @@
 //! offered load the harness itself can generate. Three groups:
 //! `arrival_sampler` (homogeneous Poisson, exact piecewise, thinned
 //! diurnal — all sampling a 60 s window at ~1000 arrivals), and
-//! `latency_histogram` record / quantile / merge. Emits one JSON line
-//! per bench via the criterion shim; set `BENCH_JSON=<path>` to append
-//! them for run-over-run diffing.
+//! `latency_histogram` record / quantile / merge.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

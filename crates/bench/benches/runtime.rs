@@ -5,16 +5,12 @@
 //! itself; the protocol work (formulation, evaluation, selection) is
 //! identical on both by the cross-backend equivalence test. Both
 //! backends ride the zero-copy delivery plane (`Arc<Msg>` payloads,
-//! spatial-index fan-out on the DES side) — diff the `BENCH_JSON` lines
-//! run-over-run to track it.
+//! spatial-index fan-out on the DES side).
 //!
 //! The two Direct legs also run at 1024 nodes, where dispatch cost that
 //! grows with the square of the fan-out shows (at 64/256 it hides behind
 //! the protocol work), and the binary fails when CFP batching costs more
 //! than [`BATCHING_CEILING`] × plain dispatch there.
-//!
-//! Emits one JSON line per bench via the criterion shim; set
-//! `BENCH_JSON=<path>` to append them for run-over-run diffing.
 
 use std::time::{Duration, Instant};
 

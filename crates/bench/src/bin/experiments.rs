@@ -1,4 +1,4 @@
-//! Regenerates the canonical experiment suite (F1–F7, T1–T4).
+//! Regenerates the canonical experiment suite (F1–F8, T1–T5, T7).
 //!
 //! Usage: `experiments [ids…]` — no arguments runs everything. Tables go
 //! to stdout and to `results/<id>.csv`.

@@ -22,11 +22,9 @@
 //! Reserve pricing converts degraded assignments into unplaced tasks
 //! (fewer, better placements); the battery gate thins contention and
 //! messages; selfish offers keep the formed ratio but pay for it in
-//! distance; reputation steers placements off half the pool. With
-//! `BENCH_JSON` set, one machine-readable line per cell is appended to
-//! the same file the criterion-shim benches write, so CI diffs strategy
-//! outcomes run-over-run; `F8_SMOKE=1` shrinks the grid to one cheap
-//! cell per chain for pull-request CI.
+//! distance; reputation steers placements off half the pool.
+//! `F8_SMOKE=1` shrinks the grid to one cheap cell per chain for
+//! pull-request CI.
 
 use std::collections::BTreeMap;
 
@@ -37,7 +35,7 @@ use qosc_workloads::{AppTemplate, Backend, PopulationConfig, ScenarioConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::table::{append_bench_json, f, mean, replicate, Table};
+use crate::table::{f, mean, replicate, Table};
 
 /// The compared chains, in presentation order.
 const CHAINS: [&str; 5] = [
@@ -153,15 +151,6 @@ fn run_once(
     )
 }
 
-/// Appends one machine-readable line per cell when `BENCH_JSON` is set.
-fn emit_json(label: &str, formed: f64, dist: f64, unassigned: f64, msgs: f64, samples: u64) {
-    append_bench_json([format!(
-        "{{\"benchmark\":\"{label}\",\"formed_ratio\":{formed:.4},\
-         \"mean_distance\":{dist:.4},\"unassigned_tasks\":{unassigned:.4},\
-         \"messages\":{msgs:.1},\"samples\":{samples}}}"
-    )]);
-}
-
 /// Runs F8 and returns its table.
 pub fn run() -> Table {
     let mut table = Table::new(
@@ -208,14 +197,6 @@ pub fn run() -> Table {
                     let dist = mean(&results.iter().map(|r| r.1).collect::<Vec<_>>());
                     let unassigned = mean(&results.iter().map(|r| r.2).collect::<Vec<_>>());
                     let msgs = mean(&results.iter().map(|r| r.3).collect::<Vec<_>>());
-                    emit_json(
-                        &format!("f8/{variant}/{pool}-t{tasks}-o{organizers}"),
-                        formed,
-                        dist,
-                        unassigned,
-                        msgs,
-                        reps,
-                    );
                     table.row(vec![
                         variant.to_string(),
                         nodes.to_string(),

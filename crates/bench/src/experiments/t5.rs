@@ -26,7 +26,7 @@ use qosc_load::{LoadDriver, LoadPlan, LoadReport, PoissonArrivals, SaturationRep
 use qosc_netsim::SimDuration;
 use qosc_workloads::{AppTemplate, Backend, ScenarioConfig};
 
-use crate::table::{append_bench_json, f, Table};
+use crate::table::{f, Table};
 
 fn smoke() -> bool {
     std::env::var("T5_SMOKE").is_ok_and(|v| v != "0")
@@ -66,29 +66,6 @@ fn cell(
         0x75_EEEE ^ seed ^ (rate * 16.0) as u64,
     );
     LoadDriver::new(&plan).run(rt.as_mut())
-}
-
-/// Appends one machine-readable line per sweep point when `BENCH_JSON`
-/// is set.
-fn emit_json(label: &str, offered: f64, report: &LoadReport) {
-    let ms = |q: f64| {
-        report
-            .latency
-            .quantile(q)
-            .map_or(-1.0, |d| d.as_secs_f64() * 1e3)
-    };
-    append_bench_json([format!(
-        "{{\"benchmark\":\"{label}\",\"offered_per_s\":{offered:.2},\
-         \"submitted\":{},\"formed_ratio\":{:.4},\"sustained_per_s\":{:.3},\
-         \"p50_ms\":{:.3},\"p90_ms\":{:.3},\"p99_ms\":{:.3},\"messages\":{}}}",
-        report.submitted,
-        report.formed_ratio(),
-        report.sustained_per_s(),
-        ms(0.50),
-        ms(0.90),
-        ms(0.99),
-        report.messages,
-    )]);
 }
 
 /// Runs T5 and returns its table.
@@ -153,11 +130,6 @@ pub fn run() -> Table {
             population.clone(),
             window,
             7,
-        );
-        emit_json(
-            &format!("t5/direct_batched-n{nodes}-r{rate}"),
-            rate,
-            &report,
         );
         reports.push((rate, report.clone()));
         report

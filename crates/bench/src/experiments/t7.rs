@@ -19,9 +19,8 @@
 //! settle that happened post-heal), settle time, and message overhead
 //! relative to the same policy's no-partition baseline (the cost of
 //! retrying into a dead network plus re-running the round after it
-//! heals). Set `T7_SMOKE=1` for the small single-replicate CI variant
-//! and `BENCH_JSON=<path>` to append one machine-readable line per
-//! cell.
+//! heals). Set `T7_SMOKE=1` for the small single-replicate CI
+//! variant.
 
 use qosc_core::strategy::{OrganizerStrategy, TimeoutBackoff};
 use qosc_core::{NegoEvent, OrganizerConfig};
@@ -30,7 +29,7 @@ use qosc_workloads::{AppTemplate, PopulationConfig, Scenario, ScenarioConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::table::{append_bench_json, f, mean, replicate, Table};
+use crate::table::{f, mean, replicate, Table};
 
 /// The split lands mid-CFP: the round-0 call (submitted at 1 ms,
 /// ~2 ms latency) has reached the providers, their proposals have not
@@ -135,18 +134,6 @@ fn run_cell(nodes: usize, seed: u64, duration: SimDuration, chain: &OrganizerStr
     }
 }
 
-/// Appends one machine-readable line per cell when `BENCH_JSON` is set.
-fn emit_json(nodes: usize, duration_ms: u64, policy: &str, c: &Cell, overhead: f64) {
-    append_bench_json([format!(
-        "{{\"benchmark\":\"t7/partition-n{nodes}-d{duration_ms}ms-{policy}\",\
-         \"nodes\":{nodes},\"partition_ms\":{duration_ms},\"policy\":\"{policy}\",\
-         \"formed_ratio\":{:.3},\"assigned_tasks\":{:.2},\"recovered_after_heal\":{:.2},\
-         \"settle_ms\":{:.1},\"messages\":{:.0},\"partition_cuts\":{:.0},\
-         \"msg_overhead\":{overhead:.3}}}",
-        c.formed, c.assigned, c.recovered, c.settle_ms, c.msgs, c.cuts,
-    )]);
-}
-
 /// Runs T7 and returns its table.
 pub fn run() -> Table {
     let mut table = Table::new(
@@ -199,7 +186,6 @@ pub fn run() -> Table {
             }
             let overhead = cell.msgs / baseline_msgs.max(1.0);
             let duration_ms = duration.as_micros() / 1_000;
-            emit_json(nodes, duration_ms, policy, &cell, overhead);
             table.row(vec![
                 nodes.to_string(),
                 duration_ms.to_string(),

@@ -87,27 +87,6 @@ impl Table {
     }
 }
 
-/// Appends `lines` to the file `BENCH_JSON` names (created with its parent
-/// directory if missing); a no-op when the variable is unset. Same file
-/// and line discipline as the criterion-shim benches.
-pub(crate) fn append_bench_json(lines: impl IntoIterator<Item = String>) {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    let path = Path::new(&path);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        let _ = fs::create_dir_all(dir);
-    }
-    match fs::OpenOptions::new().create(true).append(true).open(path) {
-        Ok(mut file) => {
-            for line in lines {
-                let _ = writeln!(file, "{line}");
-            }
-        }
-        Err(e) => eprintln!("BENCH_JSON: cannot append to {}: {e}", path.display()),
-    }
-}
-
 /// Formats a float with 4 decimals (table cell helper).
 pub fn f(x: f64) -> String {
     if x.is_infinite() {

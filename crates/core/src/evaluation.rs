@@ -31,10 +31,8 @@
 //!   uniform and harmonic alternatives quantify how much the scheme matters
 //!   (experiment T2).
 
-use serde::{Deserialize, Serialize};
-
 /// Rank-to-weight map for dimensions and attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WeightScheme {
     /// The paper's eq. 3: `w_k = (n − k + 1)/n` (1-based rank `k`).
     #[default]
@@ -59,7 +57,7 @@ impl WeightScheme {
 }
 
 /// Interpretation of eq. 5's difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DifMode {
     /// `|Prop − Pref|`, normalised — deviation in either direction moves
     /// the proposal away from the user's stated preference.
@@ -71,7 +69,7 @@ pub enum DifMode {
 }
 
 /// Evaluator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EvalConfig {
     /// Dimension/attribute rank weighting (eq. 3).
     pub weights: WeightScheme,
@@ -80,7 +78,7 @@ pub struct EvalConfig {
 }
 
 /// Why a proposal was rejected as inadmissible.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Inadmissible {
     /// The proposal does not cover every requested attribute.
     WrongShape,

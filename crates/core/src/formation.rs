@@ -14,8 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use qosc_spec::TaskId;
 
 use crate::protocol::Pid;
@@ -32,7 +30,7 @@ pub struct Candidate {
 }
 
 /// The three §4.2 criteria.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Criterion {
     /// Lowest evaluation value (eq. 2 distance).
     Distance,
@@ -44,7 +42,7 @@ pub enum Criterion {
 }
 
 /// Ordered tie-break configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TieBreak {
     /// Criteria applied lexicographically. The paper's order is
     /// `[Distance, CommCost, Members]`.

@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use qosc_netsim::SimTime;
 use qosc_spec::TaskId;
 
 use crate::protocol::{NegoId, Pid};
 
 /// Outcome of one task's allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskOutcome {
     /// Winning node.
     pub node: Pid,
@@ -21,7 +19,7 @@ pub struct TaskOutcome {
 }
 
 /// Running metrics of one negotiation.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NegotiationMetrics {
     /// When the first CFP went out.
     pub started_at: Option<SimTime>,
@@ -69,7 +67,7 @@ impl NegotiationMetrics {
 }
 
 /// Events engines surface to their host (experiment harness, tests).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NegoEvent {
     /// Every task accepted; the coalition is operating.
     Formed {

@@ -22,8 +22,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use qosc_netsim::SimDuration;
 use qosc_resources::ResourceVector;
 use qosc_spec::{QosSpec, ServiceRequest, TaskId, Value};
@@ -34,7 +32,7 @@ pub type Pid = u32;
 
 /// Globally unique negotiation identifier: the organizer node plus its
 /// per-organizer sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NegoId {
     /// Organizer node.
     pub organizer: Pid,
@@ -51,7 +49,7 @@ impl std::fmt::Display for NegoId {
 /// One task inside a Call-for-Proposals: the full application spec and the
 /// user's preference-ordered request, plus payload sizes (the "relevant
 /// data for task execution" whose shipping cost the tie-break weighs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskAnnouncement {
     /// Task being solicited.
     pub task: TaskId,
@@ -66,7 +64,7 @@ pub struct TaskAnnouncement {
 }
 
 /// One provider's offer for one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskProposal {
     /// Task the offer is for.
     pub task: TaskId,
@@ -90,7 +88,7 @@ pub struct TaskProposal {
 /// cloning the pointer — one payload allocation regardless of recipient
 /// count. (`Clone` is kept for building fixtures and re-announcing tasks,
 /// never used on a delivery path.)
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     /// Step 1: organizer broadcasts service description + preferences.
     CallForProposals {
@@ -191,7 +189,7 @@ impl Msg {
 }
 
 /// Timer kinds multiplexed over the transports' integer timer tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerKind {
     /// Organizer: stop collecting proposals and evaluate.
     ProposalDeadline,

@@ -59,8 +59,6 @@ pub struct ProviderConfig {
     pub hold_ttl: SimDuration,
     /// Heartbeat period while executing tasks.
     pub heartbeat_interval: SimDuration,
-    /// Whether this node volunteers at all (a battery policy may say no).
-    pub participate: bool,
     /// Whether to arm operation-phase heartbeats on award. Disabled by
     /// model-checking scenarios: the periodic self-re-arming timer makes
     /// the reachable state space infinite, and liveness there is judged at
@@ -90,7 +88,6 @@ impl Default for ProviderConfig {
             policy: SchedulingPolicy::Edf,
             hold_ttl: SimDuration::millis(400),
             heartbeat_interval: SimDuration::millis(500),
-            participate: true,
             heartbeats: true,
             commit_ttl: None,
             reward: Arc::new(LinearPenalty::default()),
@@ -126,7 +123,6 @@ impl std::fmt::Debug for ProviderConfig {
             .field("policy", &self.policy)
             .field("hold_ttl", &self.hold_ttl)
             .field("heartbeat_interval", &self.heartbeat_interval)
-            .field("participate", &self.participate)
             .field("heartbeats", &self.heartbeats)
             .field("commit_ttl", &self.commit_ttl)
             .field("reward", &self.reward.name())
@@ -319,19 +315,6 @@ impl ProviderEngine {
         // We conservatively keep entries; the ledger is the truth.
     }
 
-    /// Handles a batch of concurrent deliveries: [`ProviderEngine::on_message`]
-    /// per entry in order, actions concatenated (pinned by the
-    /// `provider_batch` property test). Same-instant CFPs of one bundle
-    /// share its plan through the memo; non-CFP messages are legal in the
-    /// batch.
-    pub fn on_cfp_batch(&mut self, now: SimTime, batch: &[(Pid, &Msg)]) -> Vec<Action> {
-        let mut out = Vec::new();
-        for &(from, msg) in batch {
-            out.extend(self.on_message(now, from, msg));
-        }
-        out
-    }
-
     fn on_cfp(
         &mut self,
         now: SimTime,
@@ -339,7 +322,7 @@ impl ProviderEngine {
         tasks: &[TaskAnnouncement],
         round: u32,
     ) -> Vec<Action> {
-        if !self.config.participate || tasks.is_empty() {
+        if tasks.is_empty() {
             return Vec::new();
         }
         // Partition recovery: the organizer only re-announces tasks it has
@@ -842,7 +825,6 @@ mod tests {
             "policy",
             "hold_ttl",
             "heartbeat_interval",
-            "participate",
             "heartbeats",
             "commit_ttl",
             "reward",
@@ -968,11 +950,21 @@ mod tests {
 
     #[test]
     fn non_participating_node_is_silent() {
+        struct Decline;
+        impl crate::strategy::ProviderComponent for Decline {
+            fn name(&self) -> &'static str {
+                "decline"
+            }
+
+            fn participate(&self, _ctx: &CfpContext) -> bool {
+                false
+            }
+        }
         let mut p = ProviderEngine::new(
             5,
             ResourceVector::new(500.0, 512.0, 10_000.0, 60.0, 10_000.0),
             ProviderConfig {
-                participate: false,
+                chain: ProviderStrategy::new().with(Decline),
                 ..Default::default()
             },
         );

@@ -9,6 +9,7 @@ use qosc_netsim::{FaultPlan, FaultSampler, NetStats, PartitionPlan, PartitionTim
 use qosc_spec::ServiceDef;
 
 use super::host::Host;
+use super::NodeEngine as _;
 use super::{dissolve_token, kickoff_token, CoalitionNode, LoggedEvent, Runtime, RuntimeError};
 use crate::protocol::{Action, Msg, NegoId, Pid};
 
@@ -116,11 +117,10 @@ impl DirectRuntime {
     }
 
     /// Enables (or disables) coalescing of same-instant CFP deliveries to
-    /// one node into a single batched pricing pass
-    /// ([`CoalitionNode::on_message_batch`]) — the open-loop load path:
-    /// when many negotiations kick off in the same instant, every
-    /// provider hears all their CFPs back-to-back, and batching makes
-    /// them one event instead of one per negotiation.
+    /// one node into a single queue event — the open-loop load path: when
+    /// many negotiations kick off in the same instant, every provider
+    /// hears all their CFPs back-to-back, and batching makes them one
+    /// event instead of one per negotiation.
     ///
     /// Coalescing happens when a delivery is enqueued: the first CFP for
     /// an `(arrival instant, node)` pair takes a place in the event queue
@@ -131,10 +131,9 @@ impl DirectRuntime {
     /// delivery, and [`Runtime::run`] counts every coalesced delivery.
     ///
     /// Off by default. Batching preserves each node's own delivery order
-    /// (the engine outcome per node is pinned identical by the
-    /// `provider_batch` property test) but it *does* regroup
-    /// same-timestamp deliveries across nodes, so the event-for-event
-    /// `runtime_equivalence` pin only applies with batching off.
+    /// but regroups same-timestamp deliveries across nodes, so the
+    /// event-for-event `runtime_equivalence` pin only applies with
+    /// batching off.
     ///
     /// The switch governs deliveries enqueued from now on. Mid-run,
     /// batches already filed are still delivered as batches after
@@ -280,16 +279,13 @@ impl Runtime for DirectRuntime {
                 DirectKind::CfpBatch { to } => {
                     let batch = self.cfp_batches.remove(&(ev.at, to)).unwrap_or_default();
                     n += batch.len() as u64;
-                    let actions = match batch.as_slice() {
-                        [(from, msg)] => self.host.message(ev.at, to, *from, msg),
-                        members => match self.host.nodes.get_mut(&to) {
-                            Some(node) => {
-                                let refs: Vec<(Pid, &Msg)> =
-                                    members.iter().map(|(f, m)| (*f, &**m)).collect();
-                                node.on_message_batch(ev.at, &refs)
-                            }
-                            None => Vec::new(),
-                        },
+                    // One lookup per batch, then each member in filing order.
+                    let actions = match self.host.nodes.get_mut(&to) {
+                        Some(node) => batch
+                            .iter()
+                            .flat_map(|(from, msg)| node.on_message(ev.at, *from, msg))
+                            .collect(),
+                        None => Vec::new(),
                     };
                     (to, actions)
                 }

@@ -159,33 +159,6 @@ impl CoalitionNode {
         out
     }
 
-    /// Routes a burst of same-instant deliveries through the provider's
-    /// batched pricing path ([`ProviderEngine::on_cfp_batch`]): exactly
-    /// equivalent to delivering each message in order, with the replies
-    /// absorbed in one pass.
-    /// A burst of one is [`NodeEngine::on_message`] itself; bursts that
-    /// are not all CFPs (or a node without a provider) fall back to
-    /// sequential delivery, so callers may hand over any same-destination
-    /// burst.
-    pub fn on_message_batch(&mut self, now: SimTime, batch: &[(Pid, &Msg)]) -> Vec<Action> {
-        if let [(from, msg)] = *batch {
-            return self.on_message(now, from, msg);
-        }
-        let all_cfps = batch
-            .iter()
-            .all(|(_, m)| matches!(m, Msg::CallForProposals { .. }));
-        if !all_cfps || self.provider.is_none() {
-            let mut out = Vec::new();
-            for &(from, msg) in batch {
-                out.extend(self.on_message(now, from, msg));
-            }
-            return out;
-        }
-        let p = self.provider.as_mut().expect("checked above");
-        let actions = p.on_cfp_batch(now, batch);
-        self.absorb_local(now, actions)
-    }
-
     fn start_next_service(&mut self, now: SimTime) -> Vec<Action> {
         if self.pending.is_empty() {
             return Vec::new();

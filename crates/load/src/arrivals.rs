@@ -14,6 +14,16 @@ use rand_chacha::ChaCha8Rng;
 
 use qosc_netsim::{SimDuration, SimTime};
 
+/// `rate` when finite and positive, else zero: gaps drawn at a NaN or
+/// infinite rate all round to zero and never reach the window's end.
+fn arrival_rate(rate: f64) -> f64 {
+    if rate.is_finite() && rate > 0.0 {
+        rate
+    } else {
+        0.0
+    }
+}
+
 /// A point process generating service-arrival instants.
 ///
 /// Object-safe (takes the workspace's one concrete RNG) so drivers and
@@ -27,7 +37,8 @@ pub trait ArrivalProcess {
     fn expected_arrivals(&self, start: SimTime, end: SimTime) -> f64;
 }
 
-/// Exponential inter-arrival sampler (homogeneous Poisson process).
+/// Exponential inter-arrival sampler (homogeneous Poisson process). A
+/// rate that is not finite and positive samples no arrivals.
 #[derive(Debug, Clone, Copy)]
 pub struct PoissonArrivals {
     /// Mean arrivals per simulated second.
@@ -40,19 +51,20 @@ impl PoissonArrivals {
         Self { rate_per_s }
     }
 
-    /// Samples the next inter-arrival gap; `None` when the rate is zero
-    /// (or negative): no arrival ever comes.
+    /// Samples the next inter-arrival gap; `None` when the rate is not
+    /// finite and positive: no arrival ever comes.
     ///
     /// The explicit `None` replaces the old "huge duration" sentinel
     /// (`SimDuration::secs(u64::MAX / 2_000_000)`), which relied on
     /// saturating `SimTime` addition to behave when added to a late
     /// instant — callers summing gaps themselves had no such safety net.
     pub fn next_gap(&self, rng: &mut impl Rng) -> Option<SimDuration> {
-        if self.rate_per_s <= 0.0 {
+        let rate = arrival_rate(self.rate_per_s);
+        if rate == 0.0 {
             return None;
         }
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        Some(SimDuration::secs_f64(-u.ln() / self.rate_per_s))
+        Some(SimDuration::secs_f64(-u.ln() / rate))
     }
 
     /// Samples arrival instants from `start` until `end` (exclusive).
@@ -76,7 +88,7 @@ impl ArrivalProcess for PoissonArrivals {
     }
 
     fn expected_arrivals(&self, start: SimTime, end: SimTime) -> f64 {
-        self.rate_per_s.max(0.0) * end.since(start).as_secs_f64()
+        arrival_rate(self.rate_per_s) * end.since(start).as_secs_f64()
     }
 }
 
@@ -84,6 +96,7 @@ impl ArrivalProcess for PoissonArrivals {
 /// repeated forever. Sampling is *exact* (a homogeneous Poisson process
 /// per constant-rate stretch — no envelope, no rejection), which makes
 /// this the reference the thinning sampler is property-tested against.
+/// A segment whose rate is not finite and positive counts as zero.
 #[derive(Debug, Clone)]
 pub struct PiecewiseRate {
     segments: Vec<(SimDuration, f64)>,
@@ -143,7 +156,9 @@ impl PiecewiseRate {
 
     /// The curve's maximum rate — a valid thinning envelope.
     pub fn max_rate(&self) -> f64 {
-        self.segments.iter().fold(0.0, |m, &(_, r)| m.max(r))
+        self.segments
+            .iter()
+            .fold(0.0, |m, &(_, r)| m.max(arrival_rate(r)))
     }
 
     /// Integral of the rate over `[SimTime::ZERO, t)`, in expected
@@ -152,7 +167,7 @@ impl PiecewiseRate {
         let per_period: f64 = self
             .segments
             .iter()
-            .map(|(len, r)| len.as_secs_f64() * r)
+            .map(|(len, r)| len.as_secs_f64() * arrival_rate(*r))
             .sum();
         let us = t.as_micros();
         let full = (us / self.period.as_micros()) as f64 * per_period;
@@ -160,7 +175,7 @@ impl PiecewiseRate {
         let mut partial = 0.0;
         for (len, r) in &self.segments {
             let take = off.min(len.as_micros());
-            partial += take as f64 / 1e6 * r;
+            partial += take as f64 / 1e6 * arrival_rate(*r);
             off -= take;
             if off == 0 {
                 break;
@@ -184,14 +199,14 @@ impl ArrivalProcess for PiecewiseRate {
             let mut remaining = 0u64;
             for (len, r) in &self.segments {
                 if off < len.as_micros() {
-                    rate = *r;
+                    rate = arrival_rate(*r);
                     remaining = len.as_micros() - off;
                     break;
                 }
                 off -= len.as_micros();
             }
             let stretch_end = (t + SimDuration::micros(remaining)).min(end);
-            if rate <= 0.0 {
+            if rate == 0.0 {
                 t = stretch_end;
                 continue;
             }
@@ -222,6 +237,8 @@ impl ArrivalProcess for PiecewiseRate {
 /// `rate(t) / envelope_per_s`. Exact for any rate function bounded by the
 /// envelope; rates above the envelope are clipped (the caller must supply
 /// a true upper bound, e.g. [`PiecewiseRate::max_rate`]).
+/// An envelope that is not finite and positive samples no arrivals; a
+/// NaN `rate(t)` accepts nothing.
 pub struct ThinnedProcess<F: Fn(SimTime) -> f64> {
     rate: F,
     envelope_per_s: f64,
@@ -237,9 +254,10 @@ impl<F: Fn(SimTime) -> f64> ThinnedProcess<F> {
     }
 
     /// The instantaneous rate at `t` as the sampler sees it (clipped to
-    /// the envelope).
+    /// the envelope; NaN reads as zero).
     pub fn rate_at(&self, t: SimTime) -> f64 {
-        (self.rate)(t).clamp(0.0, self.envelope_per_s)
+        let envelope = arrival_rate(self.envelope_per_s);
+        (self.rate)(t).max(0.0).min(envelope)
     }
 
     /// Samples both the thinned arrivals and the envelope arrivals they
@@ -253,13 +271,9 @@ impl<F: Fn(SimTime) -> f64> ThinnedProcess<F> {
     ) -> (Vec<SimTime>, Vec<SimTime>) {
         let envelope = PoissonArrivals::new(self.envelope_per_s).sample_until(start, end, rng);
         let mut accepted = Vec::new();
+        // Only a finite positive envelope draws arrivals: p is in [0, 1].
         for &t in &envelope {
-            let p = if self.envelope_per_s > 0.0 {
-                ((self.rate)(t) / self.envelope_per_s).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            if rng.gen_bool(p) {
+            if rng.gen_bool(self.rate_at(t) / self.envelope_per_s) {
                 accepted.push(t);
             }
         }

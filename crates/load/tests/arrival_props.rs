@@ -5,7 +5,8 @@
 //! from) and statistically (on random piecewise-constant curves its
 //! empirical count tracks the exact integral of the rate within a
 //! Poisson-noise tolerance — the same integral the exact per-segment
-//! sampler is held to).
+//! sampler is held to). A rate that is not finite and positive samples
+//! nothing, on every sampler, and returns at once.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -110,5 +111,55 @@ proptest! {
         let expected_env = PoissonArrivals::new(envelope_rate)
             .expected_arrivals(SimTime(3_000_000), SimTime(120_000_000));
         prop_assert!(close_to_poisson_mean(envelope.len(), expected_env));
+    }
+}
+
+/// NaN, ±inf, zero and negative rates sample no arrivals: before, NaN
+/// and +inf rounded every Poisson gap to zero (an endless loop) and a
+/// NaN thinning ratio panicked in `gen_bool`.
+#[test]
+fn hostile_rates_sample_nothing_and_return() {
+    let end = SimTime(30_000_000);
+    let rng = || ChaCha8Rng::seed_from_u64(1);
+    let secs = SimDuration::secs;
+    for rate in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -3.0] {
+        let poisson = PoissonArrivals::new(rate);
+        assert!(poisson.next_gap(&mut rng()).is_none(), "rate {rate}");
+        assert!(poisson
+            .sample_until(SimTime::ZERO, end, &mut rng())
+            .is_empty());
+        assert_eq!(poisson.expected_arrivals(SimTime::ZERO, end), 0.0);
+
+        // The hostile stretch is silent; the sane ones around it sample.
+        let curve = PiecewiseRate::new(vec![(secs(10), 2.0), (secs(10), rate), (secs(10), 2.0)]);
+        let arrivals = ArrivalProcess::sample_until(&curve, SimTime::ZERO, end, &mut rng());
+        assert!(!arrivals.is_empty());
+        assert!(
+            arrivals
+                .iter()
+                .all(|t| !(SimTime(10_000_000)..SimTime(20_000_000)).contains(t)),
+            "rate {rate} sampled inside its stretch"
+        );
+        assert_eq!(curve.max_rate(), 2.0);
+        let expected = curve.expected_arrivals(SimTime::ZERO, end);
+        assert!((expected - 40.0).abs() < 1e-9, "rate {rate}: {expected}");
+        let silent = PiecewiseRate::new(vec![(secs(10), rate)]);
+        assert!(ArrivalProcess::sample_until(&silent, SimTime::ZERO, end, &mut rng()).is_empty());
+
+        // A hostile envelope samples nothing at all.
+        let envelope = ThinnedProcess::new(rate, |_| 5.0);
+        assert!(ArrivalProcess::sample_until(&envelope, SimTime::ZERO, end, &mut rng()).is_empty());
+        assert_eq!(envelope.expected_arrivals(SimTime::ZERO, end), 0.0);
+
+        // A hostile rate under a sane envelope accepts nothing, except
+        // +inf, which is clipped to the envelope and accepts everything.
+        let thinned = ThinnedProcess::new(5.0, move |_| rate);
+        let (accepted, drawn) = thinned.sample_with_envelope(SimTime::ZERO, end, &mut rng());
+        assert!(!drawn.is_empty());
+        if rate == f64::INFINITY {
+            assert_eq!(accepted, drawn);
+        } else {
+            assert!(accepted.is_empty(), "rate {rate} accepted {accepted:?}");
+        }
     }
 }

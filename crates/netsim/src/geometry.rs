@@ -1,9 +1,7 @@
 //! 2-D geometry for node placement and mobility.
 
-use serde::{Deserialize, Serialize};
-
 /// A position in metres on the simulation plane.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// X coordinate (m).
     pub x: f64,
@@ -42,7 +40,7 @@ impl Point {
 }
 
 /// The rectangular simulation area `[0, width] × [0, height]` metres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Area {
     /// Width (m).
     pub width: f64,

@@ -8,13 +8,12 @@
 //! nodes (§1 allows mixing in a wired fixed set).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::geometry::{Area, Point};
 use crate::time::SimDuration;
 
 /// Per-node mobility behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Mobility {
     /// The node never moves.
     Static,
@@ -31,7 +30,7 @@ pub enum Mobility {
 }
 
 /// Mutable walk state of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MobilityState {
     model: Mobility,
     /// Current leg destination (meaningless for `Static`).

@@ -8,12 +8,11 @@
 //! probability (grey zone near the range edge).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimDuration;
 
 /// Radio and medium parameters shared by all nodes of a simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadioModel {
     /// Disc radius in metres.
     pub range_m: f64,

@@ -4,12 +4,10 @@
 //! these counters are maintained by the simulator so harness code never has
 //! to instrument the protocol by hand.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Aggregate counters for one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetStats {
     /// Unicast messages submitted.
     pub unicasts_sent: u64,

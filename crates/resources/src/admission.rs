@@ -10,12 +10,10 @@
 //! Liu & Layland bound `n(2^{1/n} − 1)`). Non-CPU kinds use plain capacity
 //! tests, which is exact for rate-type resources (bandwidth, I/O, power).
 
-use serde::{Deserialize, Serialize};
-
 use crate::kind::{ResourceKind, ResourceVector};
 
 /// The local scheduling policy assumed by the admission test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulingPolicy {
     /// Earliest-deadline-first: utilisation bound 1.0 (optimal on one CPU).
     Edf,
@@ -53,7 +51,7 @@ impl SchedulingPolicy {
 /// Stateless: callers pass the demands they want tested. Stateful tracking
 /// (what is already admitted) lives in the reservation ledger, keeping a
 /// single source of truth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionControl {
     /// CPU scheduling policy used for the utilisation bound.
     pub policy: SchedulingPolicy,

@@ -14,14 +14,12 @@
 //! contributes through its quality-index position, not through arithmetic on
 //! the string.
 
-use serde::{Deserialize, Serialize};
-
 use qosc_spec::{AttrPath, QosSpec, QualityVector};
 
 use crate::kind::{ResourceKind, ResourceVector};
 
 /// How a chosen value is turned into a scalar feature for a demand term.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Feature {
     /// The numeric value itself (frame rate 25 → 25.0). Invalid for string
     /// domains; such terms evaluate to 0 and are caught by `validate`.
@@ -34,7 +32,7 @@ pub enum Feature {
 
 /// One additive term of a [`LinearDemandModel`]:
 /// `demand[kind] += coeff × feature(value at path)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandTerm {
     /// Attribute whose chosen value drives the term.
     pub path: AttrPath,
@@ -68,7 +66,7 @@ pub trait DemandModel: Send + Sync {
 /// long as coefficients are non-negative and domains are declared best
 /// quality first, which is what the degradation heuristic relies on
 /// (degrading a level never increases demand).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearDemandModel {
     /// Fixed cost paid regardless of quality (task bookkeeping, buffers).
     pub base: ResourceVector,

@@ -8,11 +8,9 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// The limited hardware/software quantities a node can supply (paper §4.1,
 /// "Resource" definition).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceKind {
     /// Processing throughput, in MIPS-equivalents.
     Cpu,
@@ -74,7 +72,7 @@ impl fmt::Display for ResourceKind {
 
 /// A quantity of every resource kind at once. Components are non-negative
 /// by convention; arithmetic saturates at zero on subtraction.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceVector([f64; 5]);
 
 impl ResourceVector {

@@ -20,17 +20,15 @@
 //! vector interface; the provider engine owns it, so the sans-IO engines
 //! need no lock around it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ResourceError;
 use crate::kind::{ResourceKind, ResourceVector};
 
 /// Identifier of a reservation hold, unique per manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HoldId(pub u64);
 
 /// Lifecycle state of a hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HoldState {
     /// Phase 1: held for an in-flight proposal, expires at `expires_at`.
     Tentative,
@@ -38,7 +36,7 @@ pub enum HoldState {
     Committed,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Hold {
     amount: f64,
     state: HoldState,
@@ -49,7 +47,7 @@ struct Hold {
 }
 
 /// Manages one resource of one node: a capacity plus outstanding holds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceManager {
     kind: ResourceKind,
     capacity: f64,
@@ -166,7 +164,7 @@ impl ResourceManager {
 
 /// A vector-shaped reservation across several managers: one optional hold
 /// per resource kind (kinds with zero demand get no hold).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorHold {
     ids: [Option<HoldId>; 5],
 }
@@ -183,7 +181,7 @@ impl VectorHold {
 /// This is the object a QoS Provider contacts when formulating a proposal
 /// ("the QoS Provider contacts the required Resource Managers for resource
 /// availability", §5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeLedger {
     managers: [ResourceManager; 5],
 }
@@ -226,8 +224,10 @@ impl NodeLedger {
         &self.managers[kind.index()]
     }
 
-    /// Mutable access to one kind's manager.
-    pub fn manager_mut(&mut self, kind: ResourceKind) -> &mut ResourceManager {
+    /// Mutable access to one kind's manager. Private: a caller holding
+    /// one kind alone could prepare or commit it outside the
+    /// all-or-nothing [`VectorHold`] contract the ledger keeps.
+    fn manager_mut(&mut self, kind: ResourceKind) -> &mut ResourceManager {
         &mut self.managers[kind.index()]
     }
 

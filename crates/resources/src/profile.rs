@@ -5,12 +5,10 @@
 //! capacities (loosely calibrated to 2005-era hardware, which is what the
 //! paper's scenario assumes); [`NodeProfile`] is one concrete node.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kind::ResourceVector;
 
 /// Coarse device classes of the heterogeneous ad-hoc population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClass {
     /// A phone: minimal CPU/memory, tight energy budget.
     Phone,
@@ -65,7 +63,7 @@ impl std::fmt::Display for DeviceClass {
 }
 
 /// One concrete node's hardware description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeProfile {
     /// Device class.
     pub class: DeviceClass,

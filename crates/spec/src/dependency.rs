@@ -14,14 +14,12 @@
 //! * [`DependencyKind::LinearBudget`] — `Σ coeff_i · numeric(attr_i) ≤ max`
 //!   (e.g. a pixel-rate budget coupling frame rate and colour depth).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SpecError;
 use crate::spec::{AttrPath, QosSpec, QualityVector};
 use crate::value::Value;
 
 /// The constraint body of a [`Dependency`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DependencyKind {
     /// If attribute `a` takes a value in `when_in`, attribute `b` must take
     /// a value in `require_in`.
@@ -58,7 +56,7 @@ pub enum DependencyKind {
 }
 
 /// A named inter-attribute dependency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dependency {
     /// Human-readable label, used in diagnostics.
     pub name: String,

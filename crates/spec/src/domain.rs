@@ -7,13 +7,11 @@
 //! metric (paper eq. 5, following Lee et al. [12]) — `pos(v)` is the index
 //! of `v` in this declaration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SpecError;
 use crate::value::{Value, ValueType, F64};
 
 /// The declared set of admissible values for one attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Domain {
     /// A discrete, quality-ordered set of integers, e.g. colour depth
     /// `{1, 3, 8, 16, 24}`.

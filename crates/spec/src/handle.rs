@@ -10,13 +10,10 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// `Arc<(content hash, data)>`: `clone()` bumps a refcount and `==` is
 /// pointer-first with hash-then-structure as the fallback, so two
 /// allocations of equal content are equal and unequal content is told
 /// apart without walking it.
-#[derive(Serialize, Deserialize)]
 pub(crate) struct Handle<T>(Arc<(u64, T)>);
 
 impl<T: fmt::Debug> Handle<T> {

@@ -33,15 +33,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SpecError;
 use crate::handle::Handle;
 use crate::spec::{AttrPath, QosSpec, QualityVector};
 use crate::value::{Value, F64};
 
 /// One block of acceptable values for an attribute, in preference order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LevelSpec {
     /// A single acceptable value.
     Value(Value),
@@ -106,7 +104,7 @@ impl LevelSpec {
 
 /// Preference entry for one attribute: blocks of acceptable values in
 /// decreasing preference order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttrPref {
     /// Attribute name (resolved against the spec's dimension).
     pub attribute: String,
@@ -116,7 +114,7 @@ pub struct AttrPref {
 
 /// Preference entry for one dimension: its attributes in decreasing
 /// importance order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DimPref {
     /// Dimension name (resolved against the spec).
     pub dimension: String,
@@ -132,10 +130,10 @@ pub struct DimPref {
 /// is pointer-first with content hash and then content as the fallback,
 /// and the `Debug` rendering (`ServiceRequest { name, dimensions }`, the
 /// input of the content hash) feeds every state digest.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct ServiceRequest(Handle<RequestData>);
 
-#[derive(PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq)]
 struct RequestData {
     name: String,
     dimensions: Vec<DimPref>,
@@ -309,7 +307,7 @@ impl ServiceRequestBuilder {
 }
 
 /// An attribute preference bound to a spec: explicit ordered levels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedAttrPref {
     /// Location of the attribute in the spec.
     pub path: AttrPath,
@@ -322,7 +320,7 @@ pub struct ResolvedAttrPref {
 }
 
 /// A dimension preference bound to a spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedDimPref {
     /// Index of the dimension in the spec.
     pub dim_index: usize,
@@ -335,7 +333,7 @@ pub struct ResolvedDimPref {
 /// A service request bound to a [`QosSpec`]: every name resolved, every
 /// value validated, every range expanded. This is the object the
 /// negotiation protocol ships and the heuristics consume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedRequest {
     /// Request label.
     pub name: String,

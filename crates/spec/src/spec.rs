@@ -11,8 +11,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::dependency::Dependency;
 use crate::domain::Domain;
 use crate::error::SpecError;
@@ -23,7 +21,7 @@ use crate::value::Value;
 /// `(dimension index, attribute index within the dimension)`.
 ///
 /// Paths are only meaningful relative to the spec that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrPath {
     /// Index of the dimension in declaration order.
     pub dim: u16,
@@ -52,7 +50,7 @@ impl AttrPath {
 }
 
 /// One QoS attribute: a name plus its declared value domain (`AVr`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attribute {
     /// Attribute identifier, unique within its dimension.
     pub name: String,
@@ -71,7 +69,7 @@ impl Attribute {
 }
 
 /// One QoS dimension and the attributes assigned to it (`DAr`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dimension {
     /// Dimension identifier, unique within the spec.
     pub name: String,
@@ -120,10 +118,10 @@ impl Dimension {
 /// without a structural walk. The `Debug` rendering is that of the plain
 /// field tree (`QosSpec { name, dimensions, dependencies }`); the content
 /// hash is computed over it, so it feeds every state digest.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct QosSpec(Handle<SpecData>);
 
-#[derive(PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq)]
 struct SpecData {
     name: String,
     dimensions: Vec<Dimension>,
@@ -292,7 +290,7 @@ impl QosSpecBuilder {
 ///
 /// This is the object proposals carry: "this node offers to run the task at
 /// exactly these quality choices".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QualityVector {
     values: Vec<Value>,
 }

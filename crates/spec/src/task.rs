@@ -6,14 +6,12 @@
 //! [`TaskDef`] inside it is the unit the coalition assigns to exactly one
 //! node.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SpecError;
 use crate::request::{ResolvedRequest, ServiceRequest};
 use crate::spec::QosSpec;
 
 /// Identifier of a task within its service (index order = submission order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
 
 impl std::fmt::Display for TaskId {
@@ -24,7 +22,7 @@ impl std::fmt::Display for TaskId {
 
 /// One independent task of a service: a name, the QoS spec it is an
 /// instance of, and the user's preference-ordered request for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskDef {
     /// Task label.
     pub name: String,
@@ -47,7 +45,7 @@ impl TaskDef {
 }
 
 /// A user-submitted service: an ordered set of independent tasks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceDef {
     /// Service label.
     pub name: String,

@@ -9,15 +9,12 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A finite, non-NaN `f64` with a total order.
 ///
 /// QoS attribute values are user-supplied configuration, not the result of
 /// numeric computation, so rejecting NaN at construction is both safe and
 /// ergonomic: every stored float is totally ordered and hashable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct F64(f64);
 
 impl F64 {
@@ -77,7 +74,7 @@ impl From<f64> for F64 {
 }
 
 /// Type tag of an attribute value (paper §3: `Type`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// Signed integer values (e.g. colour depth in bits).
     Integer,
@@ -105,7 +102,7 @@ impl fmt::Display for ValueType {
 /// assert_eq!(v.ty(), qosc_spec::ValueType::Integer);
 /// assert_eq!(v.as_f64(), Some(24.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// An integer value.
     Int(i64),

@@ -4,19 +4,12 @@
 //! mean/median/stddev/min — no adaptive warm-up tuning, outlier analysis,
 //! or HTML reports.
 //!
-//! Every benchmark additionally emits one machine-readable JSON line of
-//! the form
-//! `{"benchmark":…,"mean_ns":…,"median_ns":…,"stddev_ns":…,"min_ns":…,"samples":…}`
-//! on stdout; set `BENCH_JSON=path/to/BENCH_<suite>.json` to also append
-//! the lines to a file, so bench regressions can be diffed run-over-run.
-//!
 //! Set `BENCH_SMOKE=1` to cap every benchmark at 3 timed samples: CI runs
 //! the suites in this mode on pull requests — enough to keep the benches
-//! compiling, running and emitting comparable JSON without burning
-//! minutes on statistical confidence.
+//! compiling and running without burning minutes on statistical
+//! confidence.
 
 use std::fmt::Display;
-use std::io::Write as _;
 use std::time::Instant;
 
 pub use std::hint::black_box;
@@ -166,7 +159,7 @@ impl Bencher {
 
 fn run_one<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) {
     // Smoke mode (CI on pull requests): a handful of samples proves the
-    // bench runs and produces a JSON line without the full batch count.
+    // bench runs without the full batch count.
     let samples = if std::env::var_os("BENCH_SMOKE").is_some() {
         samples.min(3)
     } else {
@@ -184,24 +177,6 @@ fn run_one<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) {
         "{label:<60} mean {:>10} ns  median {:>10} ns  min {:>10} ns  stddev {:>8.0} ns  ({} samples)",
         stats.mean, stats.median, stats.min, stats.stddev, stats.samples
     );
-    let json = stats.json_line(label);
-    println!("{json}");
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        let path = std::path::Path::new(&path);
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            Ok(mut file) => {
-                let _ = writeln!(file, "{json}");
-            }
-            Err(e) => eprintln!("BENCH_JSON: cannot append to {}: {e}", path.display()),
-        }
-    }
 }
 
 /// Summary statistics over one benchmark's timed samples.
@@ -242,20 +217,6 @@ impl Stats {
             stddev: var.sqrt(),
             samples: samples_ns.len(),
         }
-    }
-
-    fn json_line(&self, label: &str) -> String {
-        let escaped: String = label
-            .chars()
-            .flat_map(|c| match c {
-                '"' | '\\' => vec!['\\', c],
-                _ => vec![c],
-            })
-            .collect();
-        format!(
-            "{{\"benchmark\":\"{escaped}\",\"mean_ns\":{},\"median_ns\":{},\"stddev_ns\":{:.1},\"min_ns\":{},\"samples\":{}}}",
-            self.mean, self.median, self.stddev, self.min, self.samples
-        )
     }
 }
 
