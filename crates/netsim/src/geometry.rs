@@ -40,6 +40,11 @@ impl Point {
 }
 
 /// The rectangular simulation area `[0, width] × [0, height]` metres.
+///
+/// A side that is not finite and ≥ 0 (negative, NaN or infinite) reads
+/// as 0: [`Area::clamp`], [`Area::contains`] and [`Area::sample`] treat
+/// it as a degenerate side, so a hostile area never panics and never
+/// places a node at a non-finite coordinate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Area {
     /// Width (m).
@@ -54,22 +59,30 @@ impl Area {
         Self { width, height }
     }
 
-    /// Clamps a point into the area.
+    /// The usable sides `(width, height)`: each one that is not finite
+    /// and ≥ 0 reads as 0.
+    fn sides(&self) -> (f64, f64) {
+        let side = |v: f64| if v.is_finite() && v >= 0.0 { v } else { 0.0 };
+        (side(self.width), side(self.height))
+    }
+
+    /// Clamps a point into the area; a NaN coordinate clamps to 0.
     pub fn clamp(&self, p: Point) -> Point {
-        Point::new(p.x.clamp(0.0, self.width), p.y.clamp(0.0, self.height))
+        let (w, h) = self.sides();
+        let clamp = |v: f64, hi: f64| if v.is_nan() { 0.0 } else { v.clamp(0.0, hi) };
+        Point::new(clamp(p.x, w), clamp(p.y, h))
     }
 
     /// True if the point lies inside (inclusive).
     pub fn contains(&self, p: &Point) -> bool {
-        (0.0..=self.width).contains(&p.x) && (0.0..=self.height).contains(&p.y)
+        let (w, h) = self.sides();
+        (0.0..=w).contains(&p.x) && (0.0..=h).contains(&p.y)
     }
 
     /// Uniformly random point inside the area.
     pub fn sample(&self, rng: &mut impl rand::Rng) -> Point {
-        Point::new(
-            rng.gen_range(0.0..=self.width),
-            rng.gen_range(0.0..=self.height),
-        )
+        let (w, h) = self.sides();
+        Point::new(rng.gen_range(0.0..=w), rng.gen_range(0.0..=h))
     }
 }
 

@@ -26,21 +26,18 @@
 //! * [`PartitionPlan`] / [`PartitionTimeline`] — link-level partition
 //!   and heal schedules (scripted or sampled), enforced identically at
 //!   delivery time by every backend.
-//! * [`ShardedSimulator`] — the same event loop partitioned into spatial
-//!   shards under a conservative-lookahead horizon protocol. Not a
-//!   protocol backend (it measures slower than [`Simulator`] at every
-//!   worker count): it is the one-event-per-copy oracle that
-//!   [`Simulator`]'s one-entry-per-transmission queue is proven against,
-//!   and the engine behind the repo benchmark's `netsim.shard.*` rows.
+//!
+//! `Simulator::per_copy` builds the same engine with both delivery-plane
+//! shortcuts off: every broadcast queries the grid and every copy is a
+//! queue entry of its own. It is the reference tests prove the batched
+//! queue against, bit for bit, and is hidden from these docs.
 //!
 //! Determinism: every node owns a private `ChaCha8Rng` stream seeded from
 //! `(run seed, node id)` (placement and mobility draw from a separate
-//! control stream), events are totally ordered by `(time, origin shard,
-//! sequence)` with keys assigned at schedule time, and the clock is
-//! integral — equal seeds give bit-identical traces on the sequential
-//! engine and on the sharded engine at any worker count that preserves
-//! the run shape (asserted by tests, including a sequential-vs-sharded
-//! bit-equality pin at one worker).
+//! control stream), events are totally ordered by `(time, sequence)` with
+//! keys assigned at schedule time, and the clock is integral — equal
+//! seeds give bit-identical traces (asserted by tests, including the
+//! batched-vs-per-copy bit-equality pin).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

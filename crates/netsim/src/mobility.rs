@@ -94,6 +94,11 @@ impl MobilityState {
                             min_speed
                         };
                         self.pause_left = pause.as_micros();
+                        if p.distance(&self.target) == 0.0 {
+                            // A one-point area: there is nowhere to walk,
+                            // and re-picking would never consume time.
+                            break;
+                        }
                         continue;
                     }
                     let step_time_s = remaining_us as f64 / 1e6;

@@ -7,10 +7,8 @@
 //! through which they emit unicast/broadcast/timer commands. The simulator
 //! applies the commands after each handler returns, which keeps handlers
 //! free of borrow entanglement and makes every run bit-reproducible for a
-//! given seed. Events are totally ordered by `(time, origin shard,
-//! sequence number)`; the sequential simulator always stamps shard 0, so
-//! its order is the classic `(time, seq)` one, while the sharded engine
-//! ([`crate::ShardedSimulator`]) reuses the same key with real shard ids.
+//! given seed. Events are totally ordered by `(time, sequence number)`,
+//! the sequence number assigned when the event is scheduled.
 //!
 //! Randomness is split into **per-node streams**: every node owns a
 //! `ChaCha8Rng` seeded from `(run seed, node id)`, and all draws made
@@ -18,10 +16,9 @@
 //! `ctx.rng`, radio loss draws for the messages it sends, fault-plan
 //! sampling — come from node *n*'s stream. A node's randomness therefore
 //! depends only on the sequence of events it handles, not on how events
-//! at *other* nodes interleave, which is what lets the sharded engine
-//! run regions concurrently without perturbing any draw. A separate
-//! control RNG (seeded from the run seed) drives placement
-//! ([`Simulator::add_node_random`]) and mobility ticks.
+//! at *other* nodes interleave. A separate control RNG (seeded from the
+//! run seed) drives placement ([`Simulator::add_node_random`]) and
+//! mobility ticks.
 //!
 //! # The delivery plane: one entry per transmission
 //!
@@ -31,11 +28,12 @@
 //! fault-delayed or duplicated copy breaks the run and is an entry of its
 //! own). The entry reserves one sequence number per copy at send time, so
 //! popping it and handing copy `i` to its receiver under `seq + i` is
-//! exactly the order one entry per copy would give — the per-copy
-//! [`crate::ShardedSimulator`] at one worker is the oracle for that, bit
-//! for bit. Every copy borrows the entry's one `Arc<M>` payload (`M`
-//! needs no `Clone` bound at all); receiver lists live beside the heap,
-//! so an entry is 64 bytes whatever it carries.
+//! exactly the order one entry per copy would give. The per-copy
+//! reference, [`Simulator::per_copy`], is the oracle for that, bit for
+//! bit: it queues every copy as an entry of its own and queries the grid
+//! on every send. Every copy borrows the entry's one `Arc<M>` payload
+//! (`M` needs no `Clone` bound at all); receiver lists live beside the
+//! heap, so an entry is 56 bytes whatever it carries.
 //!
 //! Fan-out targets come from a **remembered neighbourhood**: the ids in
 //! range of the sender, computed from the [`NeighbourIndex`] grid (3×3
@@ -121,12 +119,12 @@ pub trait NetApp<M> {
 /// Whether a delivery event originated as a unicast or as one copy of a
 /// broadcast fan-out; drives which [`NetStats`] counters it touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SendKind {
+enum SendKind {
     Unicast,
     Broadcast,
 }
 
-pub(crate) enum EventKind<M> {
+enum EventKind<M> {
     Deliver {
         kind: SendKind,
         src: NodeId,
@@ -157,22 +155,19 @@ pub(crate) enum EventKind<M> {
     Up(NodeId),
 }
 
-/// A heap entry. Events are totally ordered by `(at, shard, seq)`:
-/// `shard` is the shard that *scheduled* the event (always 0 in the
-/// sequential simulator) and `seq` its per-shard sequence number, both
-/// assigned at push time — so the order is a pure function of what was
-/// scheduled, never of heap internals or thread interleaving.
-pub(crate) struct Scheduled<M> {
-    pub(crate) at: SimTime,
-    pub(crate) shard: u32,
-    pub(crate) seq: u64,
-    pub(crate) kind: EventKind<M>,
+/// A heap entry. Events are totally ordered by `(at, seq)`: `seq` is
+/// the sequence number assigned at push time, so the order is a pure
+/// function of what was scheduled, never of heap internals.
+struct Scheduled<M> {
+    at: SimTime,
+    seq: u64,
+    kind: EventKind<M>,
 }
 
 impl<M> Scheduled<M> {
     /// The event's total-order key.
-    pub(crate) fn key(&self) -> (SimTime, u32, u64) {
-        (self.at, self.shard, self.seq)
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
 
@@ -194,10 +189,10 @@ impl<M> Ord for Scheduled<M> {
     }
 }
 
-pub(crate) struct NodeSlot {
-    pub(crate) pos: Point,
-    pub(crate) mobility: MobilityState,
-    pub(crate) up: bool,
+struct NodeSlot {
+    pos: Point,
+    mobility: MobilityState,
+    up: bool,
 }
 
 /// A node's remembered neighbourhood: the ids within radio range of its
@@ -209,7 +204,7 @@ struct Hood {
 }
 
 /// Commands an application handler may emit through [`Ctx`].
-pub(crate) enum Command<M> {
+enum Command<M> {
     Unicast {
         src: NodeId,
         dst: NodeId,
@@ -239,22 +234,20 @@ pub struct Ctx<'a, M> {
     /// destination, timer owner, …), seeded from `(run seed, node id)`.
     /// Draws here depend only on this node's own event sequence.
     pub rng: &'a mut ChaCha8Rng,
-    pub(crate) cmds: Vec<Command<M>>,
-    pub(crate) nodes: &'a [NodeSlot],
-    pub(crate) index: &'a NeighbourIndex,
-    pub(crate) radio: &'a RadioModel,
+    cmds: Vec<Command<M>>,
+    nodes: &'a [NodeSlot],
+    index: &'a NeighbourIndex,
+    radio: &'a RadioModel,
     /// Total-order key of the event being handled.
-    pub(crate) key: (SimTime, u32, u64),
+    key: (SimTime, u64),
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Total-order key `(time, origin shard, sequence)` of the event
-    /// currently being handled. Identical seeds give identical keys, on
-    /// the sequential and the sharded engine alike (the sequential one
-    /// always reports shard 0), so an application can tag what it
-    /// receives with it and compare or merge logs in one deterministic
-    /// order.
-    pub fn order_key(&self) -> (SimTime, u32, u64) {
+    /// Total-order key `(time, sequence)` of the event currently being
+    /// handled. Identical seeds give identical keys, so an application
+    /// can tag what it receives with it and compare or merge logs in one
+    /// deterministic order.
+    pub fn order_key(&self) -> (SimTime, u64) {
         self.key
     }
     /// Sends `msg` from `src` to `dst` (single hop). Delivery, loss and
@@ -324,6 +317,9 @@ pub struct Simulator<M> {
     /// Where a neighbourhood is computed (the grid hands back ~3× the
     /// ids that stay) before an exact-size copy is remembered.
     hood_scratch: Vec<NodeId>,
+    /// The per-copy reference ([`Simulator::per_copy`]): every broadcast
+    /// queries the grid and queues each copy as an entry of its own.
+    per_copy: bool,
     /// Bumped whenever a position appears or changes: `add_node` and the
     /// mobility tick. Starts at 1 so a default `Hood` is stale.
     topo_epoch: u64,
@@ -371,6 +367,7 @@ impl<M> Simulator<M> {
             index,
             hoods: Vec::new(),
             hood_scratch: Vec::new(),
+            per_copy: false,
             topo_epoch: 1,
             fanout: Vec::new(),
             fanout_free: Vec::new(),
@@ -378,6 +375,21 @@ impl<M> Simulator<M> {
             fault_plan: None,
             fault: Vec::new(),
             partition: None,
+        }
+    }
+
+    /// The per-copy reference engine: the same simulator with its two
+    /// delivery-plane shortcuts switched off. Every broadcast queries the
+    /// grid instead of the remembered neighbourhood, and every copy is a
+    /// queue entry of its own under the sequence number it reserves
+    /// instead of one entry per run of same-instant copies. Runs are bit
+    /// for bit those of [`Simulator::new`]; tests use it as the oracle
+    /// for both shortcuts.
+    #[doc(hidden)]
+    pub fn per_copy(config: SimConfig) -> Self {
+        Self {
+            per_copy: true,
+            ..Self::new(config)
         }
     }
 
@@ -514,12 +526,7 @@ impl<M> Simulator<M> {
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            shard: 0,
-            seq,
-            kind,
-        });
+        self.heap.push(Scheduled { at, seq, kind });
     }
 
     /// Applies the commands a handler emitted. `anchor` is the node the
@@ -590,7 +597,9 @@ impl<M> Simulator<M> {
     /// ascending id order — the order the loss/fault draws and sequence
     /// numbers are consumed in — and schedules each maximal run of
     /// copies that share a delivery instant as one [`EventKind::Fanout`]
-    /// entry holding the run's reserved range of sequence numbers.
+    /// entry holding the run's reserved range of sequence numbers. The
+    /// per-copy reference refills the neighbourhood on every send and
+    /// queues each copy as its own [`EventKind::Deliver`].
     fn submit_broadcast(&mut self, anchor: NodeId, src: NodeId, bytes: u64, msg: Arc<M>) {
         self.stats.broadcasts_sent += 1;
         let Some(src_pos) = self
@@ -608,7 +617,7 @@ impl<M> Simulator<M> {
             cuts: self.partition.as_ref(),
         };
         let hood = &mut self.hoods[src.0 as usize];
-        if hood.epoch != self.topo_epoch {
+        if self.per_copy || hood.epoch != self.topo_epoch {
             medium.in_range_ids(src, &mut self.hood_scratch);
             hood.ids.clear();
             hood.ids.extend_from_slice(&self.hood_scratch);
@@ -639,6 +648,18 @@ impl<M> Simulator<M> {
             for at in times.into_iter().flatten() {
                 let seq = self.seq;
                 self.seq += 1;
+                if self.per_copy {
+                    let kind = EventKind::Deliver {
+                        kind: SendKind::Broadcast,
+                        src,
+                        dst,
+                        bytes,
+                        sent_at,
+                        msg: Arc::clone(&msg),
+                    };
+                    self.heap.push(Scheduled { at, seq, kind });
+                    continue;
+                }
                 let targets = match run {
                     Some((run_at, targets)) if run_at == at => targets,
                     _ => {
@@ -650,7 +671,6 @@ impl<M> Simulator<M> {
                         });
                         self.heap.push(Scheduled {
                             at,
-                            shard: 0,
                             seq,
                             kind: EventKind::Fanout {
                                 src,
@@ -676,7 +696,7 @@ impl<M> Simulator<M> {
     /// draw the emitted commands need. The command buffer is reused.
     fn with_ctx(
         &mut self,
-        key: (SimTime, u32, u64),
+        key: (SimTime, u64),
         anchor: NodeId,
         call: impl FnOnce(&mut Ctx<'_, M>),
     ) {
@@ -700,7 +720,7 @@ impl<M> Simulator<M> {
     fn deliver<A: NetApp<M>>(
         &mut self,
         app: &mut A,
-        key: (SimTime, u32, u64),
+        key: (SimTime, u64),
         kind: SendKind,
         src: NodeId,
         dst: NodeId,
@@ -746,7 +766,7 @@ impl<M> Simulator<M> {
                 let mut list = std::mem::take(&mut self.fanout[targets as usize]);
                 let n = if whole { list.len() } else { 1 };
                 for (i, &dst) in list[..n].iter().enumerate() {
-                    let key = (key.0, key.1, key.2 + i as u64);
+                    let key = (key.0, key.1 + i as u64);
                     self.deliver(app, key, SendKind::Broadcast, src, dst, bytes, sent_at, msg);
                 }
                 list.drain(..n);
@@ -828,27 +848,27 @@ impl<M> Simulator<M> {
 }
 
 /// Immutable view of the transmission medium — radio model, node table,
-/// spatial index — shared by the send paths of the sequential and the
-/// sharded engine. Having exactly one implementation of the loss / fault
-/// / fan-out decisions is what makes the workers=1 bit-equality pin
-/// between the two engines meaningful rather than aspirational.
-pub(crate) struct Medium<'a> {
-    pub(crate) radio: &'a RadioModel,
-    pub(crate) nodes: &'a [NodeSlot],
-    pub(crate) index: &'a NeighbourIndex,
+/// spatial index — behind the unicast and broadcast send paths and the
+/// neighbour queries. The per-copy reference plans its sends through the
+/// same loss / fault / partition decisions, so its bit-equality pin
+/// checks the delivery plane alone.
+struct Medium<'a> {
+    radio: &'a RadioModel,
+    nodes: &'a [NodeSlot],
+    index: &'a NeighbourIndex,
     /// Expanded partition schedule, if one is installed. Consulted as a
     /// pure timestamp lookup *after* all loss/fault draws, so installing
     /// a schedule that never cuts is bit-identical to none at all.
-    pub(crate) cuts: Option<&'a PartitionTimeline>,
+    cuts: Option<&'a PartitionTimeline>,
 }
 
 /// Mutable draw state of the node anchoring the current event: its RNG
 /// stream, its fault sampler (if a plan is installed), and the stats
 /// block the engine is accumulating into.
-pub(crate) struct Draws<'a> {
-    pub(crate) rng: &'a mut ChaCha8Rng,
-    pub(crate) fault: Option<&'a mut FaultSampler>,
-    pub(crate) stats: &'a mut NetStats,
+struct Draws<'a> {
+    rng: &'a mut ChaCha8Rng,
+    fault: Option<&'a mut FaultSampler>,
+    stats: &'a mut NetStats,
 }
 
 impl Draws<'_> {
@@ -867,7 +887,7 @@ impl Medium<'_> {
     /// Decides one unicast send at `now`: bumps the sent/unreachable/
     /// lost counters, draws loss and faults from `draws`, and returns
     /// the delivery times to schedule (none when the message dies).
-    pub(crate) fn plan_unicast(
+    fn plan_unicast(
         &self,
         draws: &mut Draws<'_>,
         src: NodeId,
@@ -905,7 +925,7 @@ impl Medium<'_> {
     /// excluded. Positions only — liveness is the caller's to test, which
     /// is what lets the answer be remembered across `Down`/`Up` events.
     /// Scans the 3×3 cell block around the node; empty for an unknown id.
-    pub(crate) fn in_range_ids(&self, node: NodeId, out: &mut Vec<NodeId>) {
+    fn in_range_ids(&self, node: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
         let Some(pos) = self.nodes.get(node.0 as usize).map(|s| s.pos) else {
             return;
@@ -922,7 +942,7 @@ impl Medium<'_> {
 
     /// Clears `out` and fills it with the live single-hop neighbours of
     /// `node` in ascending id order; empty when `node` is down or unknown.
-    pub(crate) fn live_neighbours_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
+    fn live_neighbours_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
         if self.nodes.get(node.0 as usize).is_some_and(|s| s.up) {
             self.in_range_ids(node, out);
@@ -930,37 +950,10 @@ impl Medium<'_> {
         }
     }
 
-    /// Resolves a broadcast's fan-out for the per-copy (sharded) engine:
-    /// bumps `broadcasts_sent`, then fills `targets` with the live
-    /// `(neighbour, distance)` pairs the copies go to, in ascending id
-    /// order (the order the per-target loss draws and sequence numbers
-    /// are consumed in). `ids` is a reused buffer. Leaves `targets` empty
-    /// when `src` is missing or down.
-    pub(crate) fn collect_broadcast_targets(
-        &self,
-        stats: &mut NetStats,
-        src: NodeId,
-        ids: &mut Vec<NodeId>,
-        targets: &mut Vec<(NodeId, f64)>,
-    ) {
-        stats.broadcasts_sent += 1;
-        targets.clear();
-        let Some(s) = self.nodes.get(src.0 as usize).filter(|s| s.up) else {
-            return;
-        };
-        self.in_range_ids(src, ids);
-        targets.extend(
-            ids.iter()
-                .map(|&c| (c, &self.nodes[c.0 as usize]))
-                .filter(|(_, d)| d.up)
-                .map(|(c, d)| (c, s.pos.distance(&d.pos))),
-        );
-    }
-
     /// Decides one broadcast copy from `src` to `dst` at distance `dist`:
     /// draws loss (a lost copy counts as `broadcasts_lost`) and faults,
     /// returning the delivery times to schedule.
-    pub(crate) fn plan_broadcast_copy(
+    fn plan_broadcast_copy(
         &self,
         draws: &mut Draws<'_>,
         src: NodeId,
@@ -979,9 +972,8 @@ impl Medium<'_> {
     /// Applies the partition schedule to planned delivery copies: any
     /// copy whose *delivery* timestamp falls while `src ↔ dst` is cut is
     /// discarded (counted in `partition_cuts`). Runs after every random
-    /// draw and consumes none itself, so the sequential DES, the sharded
-    /// DES, and the direct runtime cut exactly the same links on the
-    /// same draws.
+    /// draw and consumes none itself, so the DES and the direct runtime
+    /// cut exactly the same links on the same draws.
     fn cut_partitioned(
         &self,
         mut times: [Option<SimTime>; 2],
@@ -1290,9 +1282,79 @@ mod tests {
     }
 
     #[test]
-    fn queue_entry_stays_64_bytes_whatever_the_payload() {
-        assert_eq!(Simulator::<u32>::QUEUE_ENTRY_BYTES, 64);
-        assert_eq!(Simulator::<[u64; 512]>::QUEUE_ENTRY_BYTES, 64);
+    fn queue_entry_stays_56_bytes_whatever_the_payload() {
+        assert_eq!(Simulator::<u32>::QUEUE_ENTRY_BYTES, 56);
+        assert_eq!(Simulator::<[u64; 512]>::QUEUE_ENTRY_BYTES, 56);
+    }
+
+    #[test]
+    fn per_copy_queues_one_entry_per_copy_and_hears_the_same() {
+        // A sender ringed by `k` live neighbours, one more that is down.
+        let k = 5;
+        let run = |mut sim: Simulator<u32>| {
+            let a = sim.add_node(Point::new(500.0, 500.0), Mobility::Static);
+            for i in 0..=k {
+                let angle = i as f64;
+                let p = Point::new(500.0 + 20.0 * angle.cos(), 500.0 + 20.0 * angle.sin());
+                sim.add_node(p, Mobility::Static);
+            }
+            let dead = NodeId(k as u32 + 1);
+            sim.schedule_down(dead, SimDuration::ZERO);
+            sim.schedule_timer(a, SimDuration::millis(1), 1);
+            let mut app = Echo {
+                received: vec![],
+                reply: false,
+            };
+            sim.step(&mut app); // the down event
+            sim.step(&mut app); // the timer: one broadcast
+            let queued = sim.heap.len();
+            sim.run_until(&mut app, SimTime(10_000_000));
+            (queued, app.received, sim.stats().clone())
+        };
+        let config = || SimConfig {
+            area: Area::new(1000.0, 1000.0),
+            ..Default::default()
+        };
+        let (batched, batched_heard, batched_stats) = run(Simulator::new(config()));
+        let (per_copy, per_copy_heard, per_copy_stats) = run(Simulator::per_copy(config()));
+        assert_eq!((batched, per_copy), (1, k));
+        assert_eq!(batched_heard.len(), k);
+        assert_eq!(batched_heard, per_copy_heard);
+        assert_eq!(batched_stats, per_copy_stats);
+    }
+
+    #[test]
+    fn hostile_areas_place_nodes_at_finite_positions_inside() {
+        let areas = [
+            Area::new(-5.0, 10.0),
+            Area::new(f64::NAN, 10.0),
+            Area::new(f64::INFINITY, 10.0),
+            Area::new(10.0, f64::NEG_INFINITY),
+            Area::new(0.0, 0.0),
+        ];
+        for area in areas {
+            let mut sim: Simulator<u32> = Simulator::new(SimConfig {
+                area,
+                ..Default::default()
+            });
+            sim.add_node(Point::new(3.0, 4.0), Mobility::Static);
+            sim.add_node(Point::new(-3.0, 1e300), Mobility::Static);
+            sim.add_node(Point::new(f64::NAN, f64::INFINITY), Mobility::Static);
+            for _ in 0..4 {
+                sim.add_node_random(Mobility::Static);
+                sim.add_node_random(Mobility::RandomWaypoint {
+                    min_speed: 1.0,
+                    max_speed: 5.0,
+                    pause: SimDuration::ZERO,
+                });
+            }
+            sim.run_until(&mut Noop, SimTime(2_000_000));
+            for n in 0..sim.node_count() as u32 {
+                let p = sim.position(NodeId(n)).unwrap();
+                assert!(p.x.is_finite() && p.y.is_finite(), "{area:?}: {p:?}");
+                assert!(area.contains(&p), "{area:?}: {p:?}");
+            }
+        }
     }
 
     fn beacon(sim: &mut Simulator<u32>, from: NodeId) -> Vec<NodeId> {

@@ -1,10 +1,10 @@
-//! Delivery-plane equivalence: `Simulator` schedules one queue entry per
-//! radio transmission and fans it out from a remembered neighbourhood,
-//! `ShardedSimulator` schedules one event per copy and queries the grid
-//! on every send. At one worker the two must agree bit for bit — every
-//! receipt with its total-order key, every counter, the clock and the
-//! event count — which is what proves the batching changes nothing a
-//! handler can observe.
+//! Delivery-plane equivalence: `Simulator::new` schedules one queue entry
+//! per radio transmission and fans it out from a remembered
+//! neighbourhood, the per-copy reference `Simulator::per_copy` schedules
+//! one entry per copy and queries the grid on every send. The two must
+//! agree bit for bit — every receipt with its total-order key, every
+//! counter, the clock and the event count — which is what proves the
+//! batching changes nothing a handler can observe.
 //!
 //! The worlds are built to break runs of same-instant copies in every
 //! way the engine allows: grey-zone loss, dropped / duplicated /
@@ -20,15 +20,15 @@
 use proptest::prelude::*;
 
 use qosc_netsim::{
-    Area, Ctx, FaultPlan, Mobility, NetApp, NetStats, NodeId, PartitionPlan, RadioModel,
-    ShardedSimulator, SimConfig, SimDuration, SimTime, Simulator,
+    Area, Ctx, FaultPlan, Mobility, NetApp, NetStats, NodeId, PartitionPlan, RadioModel, SimConfig,
+    SimDuration, SimTime, Simulator,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// One delivered message: total-order key, receiver, sender, payload,
 /// arrival time.
-type Receipt = ((SimTime, u32, u64), NodeId, NodeId, u32, SimTime);
+type Receipt = ((SimTime, u64), NodeId, NodeId, u32, SimTime);
 
 /// A TTL-bounded flood: a timer broadcasts 0, every receipt below the
 /// TTL rebroadcasts `msg + 1`.
@@ -111,39 +111,36 @@ impl World {
     }
 }
 
-/// Populates either engine (they share method names, not a trait): the
+/// Builds either engine, `Simulator::new` or `Simulator::per_copy`: the
 /// nodes, the fault and partition layers, a few kick-off beacons spread
 /// over several mobility ticks, and liveness flips timed to land between
 /// a transmission and its delivery.
-macro_rules! populate {
-    ($sim:expr, $w:expr) => {{
-        let w: &World = $w;
-        for _ in 0..w.nodes {
-            $sim.add_node_random(w.mobility());
-        }
-        $sim.set_fault_plan(w.faults());
-        $sim.set_partition_plan(&w.partitions());
-        let mut rng = ChaCha8Rng::seed_from_u64(w.seed ^ 0x5EED);
-        for _ in 0..4 {
-            let node = NodeId(rng.gen_range(0..w.nodes as u32));
-            let at = SimDuration::micros(rng.gen_range(500..12_000));
-            $sim.schedule_timer(node, at, 0);
-        }
-        for _ in 0..w.nodes / 4 {
-            let node = NodeId(rng.gen_range(0..w.nodes as u32));
-            let down = rng.gen_range(500..15_000u64);
-            $sim.schedule_down(node, SimDuration::micros(down));
-            $sim.schedule_up(
-                node,
-                SimDuration::micros(down + rng.gen_range(200..6_000u64)),
-            );
-        }
-    }};
+fn populate(mut sim: Simulator<u32>, w: &World) -> Simulator<u32> {
+    for _ in 0..w.nodes {
+        sim.add_node_random(w.mobility());
+    }
+    sim.set_fault_plan(w.faults());
+    sim.set_partition_plan(&w.partitions());
+    let mut rng = ChaCha8Rng::seed_from_u64(w.seed ^ 0x5EED);
+    for _ in 0..4 {
+        let node = NodeId(rng.gen_range(0..w.nodes as u32));
+        let at = SimDuration::micros(rng.gen_range(500..12_000));
+        sim.schedule_timer(node, at, 0);
+    }
+    for _ in 0..w.nodes / 4 {
+        let node = NodeId(rng.gen_range(0..w.nodes as u32));
+        let down = rng.gen_range(500..15_000u64);
+        sim.schedule_down(node, SimDuration::micros(down));
+        sim.schedule_up(
+            node,
+            SimDuration::micros(down + rng.gen_range(200..6_000u64)),
+        );
+    }
+    sim
 }
 
 fn sequential(w: &World) -> (Simulator<u32>, Flood) {
-    let mut sim = Simulator::new(w.config());
-    populate!(sim, w);
+    let sim = populate(Simulator::new(w.config()), w);
     let app = Flood {
         ttl: w.ttl,
         ..Default::default()
@@ -174,19 +171,18 @@ proptest! {
 
     /// The per-copy engine is the oracle for the batched one.
     #[test]
-    fn simulator_is_bit_equal_to_one_worker_sharded(w in world()) {
+    fn simulator_is_bit_equal_to_per_copy_reference(w in world()) {
         let (mut seq, mut seq_app) = sequential(&w);
         let seq_n = seq.run_until(&mut seq_app, DEADLINE);
 
-        let mut sh = ShardedSimulator::new(w.config(), 1);
-        populate!(sh, &w);
-        let mut apps = vec![Flood { ttl: w.ttl, ..Default::default() }];
-        let sh_n = sh.run_until(&mut apps, DEADLINE);
+        let mut pc = populate(Simulator::per_copy(w.config()), &w);
+        let mut pc_app = Flood { ttl: w.ttl, ..Default::default() };
+        let pc_n = pc.run_until(&mut pc_app, DEADLINE);
 
-        prop_assert_eq!(&seq_app.received, &apps[0].received, "receipts diverged: {:?}", w);
-        prop_assert_eq!(seq.stats(), &sh.stats(), "counters diverged: {:?}", w);
-        prop_assert_eq!(seq.now(), sh.now());
-        prop_assert_eq!(seq_n, sh_n, "event counts diverged: {:?}", w);
+        prop_assert_eq!(&seq_app.received, &pc_app.received, "receipts diverged: {:?}", w);
+        prop_assert_eq!(seq.stats(), pc.stats(), "counters diverged: {:?}", w);
+        prop_assert_eq!(seq.now(), pc.now());
+        prop_assert_eq!(seq_n, pc_n, "event counts diverged: {:?}", w);
     }
 
     /// However the caller slices the run, it is the same run.
