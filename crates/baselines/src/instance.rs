@@ -102,7 +102,7 @@ impl OfflineTask {
     /// Compiles on first use per distinct pair (matched by `Arc` data
     /// pointer; the stored clones keep the pointers stable) and serves the
     /// cached tables from then on.
-    pub fn prepared(
+    pub(crate) fn prepared(
         &self,
         reward: &Arc<dyn RewardModel>,
         model: &Arc<dyn DemandModel>,
@@ -131,7 +131,7 @@ impl OfflineTask {
     /// first use and whenever the config differs from the cached one —
     /// ablations (T2) legitimately re-price the same instance under
     /// several [`EvalConfig`]s, so the cache is keyed, not write-once.
-    pub fn compiled(&self, eval: EvalConfig) -> Arc<CompiledRequest> {
+    pub(crate) fn compiled(&self, eval: EvalConfig) -> Arc<CompiledRequest> {
         let mut guard = self.compiled.lock().expect("compile cache poisoned");
         match guard.as_ref() {
             Some((cached, compiled)) if *cached == eval => Arc::clone(compiled),
@@ -230,7 +230,7 @@ impl Allocation {
 /// the outcome: returns per-task `(levels, distance, comm_cost, demand)`,
 /// or `None` if even fully degraded the set does not fit, a task id is
 /// unknown, or the node has no demand model for a task's spec.
-pub fn formulate_on_node(
+pub(crate) fn formulate_on_node(
     instance: &Instance,
     node: &OfflineNode,
     task_ids: &[TaskId],

@@ -32,9 +32,7 @@ mod oracle;
 mod policies;
 
 pub use engines::{instance_runtime, instance_service, run_on_engines};
-pub use instance::{
-    formulate_on_node, Allocation, Instance, OfflineNode, OfflineTask, Pid, Placement,
-};
+pub use instance::{Allocation, Instance, OfflineNode, OfflineTask, Pid, Placement};
 pub use oracle::{formulate_reference, Evaluator};
 pub use policies::{
     aggregate_cpu, exhaustive_optimal, greedy_least_loaded, protocol_emulation,

@@ -1,20 +1,17 @@
-//! B8 — load-engine primitives: arrival samplers and the log-bucketed
-//! latency histogram.
+//! B8 — load-engine primitives: the Poisson arrival sampler and the
+//! log-bucketed latency histogram.
 //!
 //! The open-loop driver (T5) calls these on its hot path, once per
 //! arrival and once per formed negotiation at up to thousands of
 //! events per simulated second, so their unit costs bound how much
-//! offered load the harness itself can generate. Three groups:
-//! `arrival_sampler` (homogeneous Poisson, exact piecewise, thinned
-//! diurnal — all sampling a 60 s window at ~1000 arrivals), and
-//! `latency_histogram` record / quantile / merge.
+//! offered load the harness itself can generate. Two groups:
+//! `arrival_sampler` (homogeneous Poisson sampling a 60 s window at
+//! ~1000 arrivals) and `latency_histogram` record / quantile.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use qosc_load::{
-    diurnal_thinned, ArrivalProcess, LatencyHistogram, PiecewiseRate, PoissonArrivals,
-};
-use qosc_netsim::{SimDuration, SimTime};
+use qosc_load::{LatencyHistogram, PoissonArrivals};
+use qosc_netsim::SimTime;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -27,41 +24,9 @@ fn bench_samplers(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            PoissonArrivals::sample_until(
-                &poisson,
-                SimTime::ZERO,
-                WINDOW,
-                &mut ChaCha8Rng::seed_from_u64(seed),
-            )
-            .len()
-        })
-    });
-    let piecewise = PiecewiseRate::diurnal(5.0, 30.0, SimDuration::secs(60));
-    g.bench_function("piecewise_exact_1k", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            ArrivalProcess::sample_until(
-                &piecewise,
-                SimTime::ZERO,
-                WINDOW,
-                &mut ChaCha8Rng::seed_from_u64(seed),
-            )
-            .len()
-        })
-    });
-    let thinned = diurnal_thinned(5.0, 30.0, SimDuration::secs(60));
-    g.bench_function("thinned_diurnal_1k", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            ArrivalProcess::sample_until(
-                &thinned,
-                SimTime::ZERO,
-                WINDOW,
-                &mut ChaCha8Rng::seed_from_u64(seed),
-            )
-            .len()
+            poisson
+                .sample_until(SimTime::ZERO, WINDOW, &mut ChaCha8Rng::seed_from_u64(seed))
+                .len()
         })
     });
     g.finish();
@@ -88,13 +53,6 @@ fn bench_histogram(c: &mut Criterion) {
     }
     g.bench_function("quantile_p99", |b| {
         b.iter(|| filled.quantile(0.99).map(|d| d.as_micros()))
-    });
-    g.bench_function("merge", |b| {
-        b.iter(|| {
-            let mut h = filled.clone();
-            h.merge(&filled);
-            h.count()
-        })
     });
     g.finish();
 }

@@ -26,19 +26,9 @@ impl Table {
     }
 
     /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table to a string (markdown-ish, aligned).
@@ -88,7 +78,7 @@ impl Table {
 }
 
 /// Formats a float with 4 decimals (table cell helper).
-pub fn f(x: f64) -> String {
+pub(crate) fn f(x: f64) -> String {
     if x.is_infinite() {
         "inf".to_string()
     } else {
@@ -97,7 +87,7 @@ pub fn f(x: f64) -> String {
 }
 
 /// Mean of a slice (0 when empty).
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
@@ -108,7 +98,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 /// Runs `reps` seeded replications of `job` across threads (one batch per
 /// available core) and collects results in seed order, so tables do not
 /// depend on the core count.
-pub fn replicate<T: Send>(reps: u64, job: impl Fn(u64) -> T + Sync) -> Vec<T> {
+pub(crate) fn replicate<T: Send>(reps: u64, job: impl Fn(u64) -> T + Sync) -> Vec<T> {
     let mut out: Vec<Option<T>> = (0..reps).map(|_| None).collect();
     let chunk = out
         .len()
@@ -141,7 +131,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("## demo"));
         assert!(s.contains("|   n |"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

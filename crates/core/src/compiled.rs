@@ -159,11 +159,6 @@ impl CompiledRequest {
         Self { config, attrs }
     }
 
-    /// The evaluation knobs this request was compiled under.
-    pub fn config(&self) -> EvalConfig {
-        self.config
-    }
-
     /// Number of requested attributes (expected proposal width).
     pub fn attr_count(&self) -> usize {
         self.attrs.len()
@@ -218,7 +213,7 @@ impl CompiledRequest {
     /// otherwise. The organizer's per-proposal hot path and the batch
     /// evaluator both use this to avoid walking the attribute tables
     /// twice per proposal.
-    pub fn score(&self, offered: &[Value]) -> Option<f64> {
+    pub(crate) fn score(&self, offered: &[Value]) -> Option<f64> {
         if offered.len() != self.attrs.len() {
             return None;
         }

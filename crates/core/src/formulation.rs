@@ -859,7 +859,7 @@ impl BundlePlan {
     /// Whether this plan's bundle is `announced`, handle for handle. The
     /// demand models are not compared: that is for a caller whose models
     /// are the ones it obtained the plan under.
-    pub fn announces<'a>(
+    pub(crate) fn announces<'a>(
         &self,
         announced: impl ExactSizeIterator<Item = (&'a QosSpec, &'a ServiceRequest)>,
     ) -> bool {
@@ -877,7 +877,7 @@ impl BundlePlan {
     }
 
     /// Index in the announced bundle of `tasks()[i]`.
-    pub fn source(&self, i: usize) -> usize {
+    pub(crate) fn source(&self, i: usize) -> usize {
         self.source[i]
     }
 

@@ -99,7 +99,10 @@ pub mod strategy;
 // the alias resolves the oracle's `qosc_core::` imports to this crate.
 #[cfg(test)]
 extern crate self as qosc_core;
+// Its items are `pub` for `qosc-baselines`, which re-exports them; here
+// the module is private, so `unreachable_pub` would flag every one.
 #[cfg(test)]
+#[allow(unreachable_pub)]
 #[path = "../../baselines/src/oracle.rs"]
 mod oracle;
 
@@ -113,7 +116,7 @@ pub use formulation::{
 pub use metrics::{NegoEvent, NegotiationMetrics, TaskOutcome};
 pub use organizer::{NegoPhase, OrganizerConfig, OrganizerEngine, TaskLifecycle};
 pub use protocol::{
-    decode_timer, encode_timer, Action, Msg, NegoId, Pid, TaskAnnouncement, TaskProposal, TimerKind,
+    decode_timer, Action, Msg, NegoId, Pid, TaskAnnouncement, TaskProposal, TimerKind,
 };
 pub use provider::{ProposalStrategy, ProviderConfig, ProviderEngine};
 pub use runtime::{

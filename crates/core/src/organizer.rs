@@ -220,18 +220,13 @@ impl OrganizerEngine {
     }
 
     /// This organizer's node id.
-    pub fn id(&self) -> Pid {
+    pub(crate) fn id(&self) -> Pid {
         self.id
     }
 
     /// Metrics of a negotiation, if known.
     pub fn metrics(&self, nego: NegoId) -> Option<&NegotiationMetrics> {
         self.negotiations.get(&nego).map(|n| &n.metrics)
-    }
-
-    /// Current assignments of a negotiation.
-    pub fn assignments(&self, nego: NegoId) -> Option<&BTreeMap<TaskId, Pid>> {
-        self.negotiations.get(&nego).map(|n| &n.assignments)
     }
 
     /// Observable phase of a negotiation, if known.
@@ -260,7 +255,7 @@ impl OrganizerEngine {
     /// Starts the negotiation for `service` (step 1: broadcast the service
     /// description and the user's preferences). Fails fast if any task's
     /// request does not resolve against its spec.
-    pub fn start_service(
+    pub(crate) fn start_service(
         &mut self,
         now: SimTime,
         service: &ServiceDef,
@@ -384,7 +379,7 @@ impl OrganizerEngine {
     }
 
     /// Handles a timer previously armed by this organizer.
-    pub fn on_timer(&mut self, now: SimTime, nego: NegoId, kind: TimerKind) -> Vec<Action> {
+    pub(crate) fn on_timer(&mut self, now: SimTime, nego: NegoId, kind: TimerKind) -> Vec<Action> {
         match kind {
             TimerKind::ProposalDeadline => self.on_proposal_deadline(now, nego),
             TimerKind::AwardDeadline => self.on_award_deadline(now, nego),
@@ -764,7 +759,7 @@ impl OrganizerEngine {
     }
 
     /// Dissolves a coalition: members are told to release their resources.
-    pub fn dissolve(&mut self, nego: NegoId) -> Vec<Action> {
+    pub(crate) fn dissolve(&mut self, nego: NegoId) -> Vec<Action> {
         let Some(n) = self.negotiations.get_mut(&nego) else {
             return Vec::new();
         };

@@ -248,12 +248,12 @@ impl TimerKind {
 /// Encodes `(nego, kind)` into the transports' `u64` timer token:
 /// organizer pid in bits 40.., sequence in bits 8..40, kind in bits 0..8.
 /// Organizer pids must fit 24 bits (≤ 16M nodes — far beyond any run).
-pub fn encode_timer(nego: NegoId, kind: TimerKind) -> u64 {
+pub(crate) fn encode_timer(nego: NegoId, kind: TimerKind) -> u64 {
     debug_assert!(nego.organizer < (1 << 24));
     ((nego.organizer as u64) << 40) | ((nego.seq as u64) << 8) | kind.code()
 }
 
-/// Decodes a timer token produced by [`encode_timer`].
+/// Decodes an engine timer token; `None` when its low byte names no [`TimerKind`].
 pub fn decode_timer(token: u64) -> Option<(NegoId, TimerKind)> {
     let kind = TimerKind::from_code(token & 0xFF)?;
     let seq = ((token >> 8) & 0xFFFF_FFFF) as u32;

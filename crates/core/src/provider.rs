@@ -188,7 +188,7 @@ impl ProviderEngine {
     }
 
     /// This provider's node id.
-    pub fn id(&self) -> Pid {
+    pub(crate) fn id(&self) -> Pid {
         self.id
     }
 
@@ -294,7 +294,7 @@ impl ProviderEngine {
     }
 
     /// Handles a provider-side timer.
-    pub fn on_timer(&mut self, now: SimTime, nego: NegoId, kind: TimerKind) -> Vec<Action> {
+    pub(crate) fn on_timer(&mut self, now: SimTime, nego: NegoId, kind: TimerKind) -> Vec<Action> {
         match kind {
             TimerKind::HoldExpiry => {
                 self.expire_holds(now);

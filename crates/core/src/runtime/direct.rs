@@ -111,11 +111,6 @@ impl DirectRuntime {
         self.now
     }
 
-    /// Deliveries suppressed so far by the installed partition schedule.
-    pub fn partition_cuts(&self) -> u64 {
-        self.stats.partition_cuts
-    }
-
     /// Enables (or disables) coalescing of same-instant CFP deliveries to
     /// one node into a single queue event — the open-loop load path: when
     /// many negotiations kick off in the same instant, every provider

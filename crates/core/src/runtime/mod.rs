@@ -158,7 +158,7 @@ fn is_settled(e: &LoggedEvent) -> bool {
 }
 
 /// Counts settled formation rounds in an event log.
-pub fn settled_count(events: &[LoggedEvent]) -> usize {
+pub(crate) fn settled_count(events: &[LoggedEvent]) -> usize {
     events.iter().filter(|e| is_settled(e)).count()
 }
 

@@ -44,7 +44,7 @@ impl StableHasher {
     }
 
     /// Writes raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= b as u64;
             self.state = self.state.wrapping_mul(FNV_PRIME);
@@ -74,7 +74,7 @@ impl StableHasher {
     }
 
     /// Writes a `bool`.
-    pub fn write_bool(&mut self, v: bool) {
+    pub(crate) fn write_bool(&mut self, v: bool) {
         self.write_bytes(&[v as u8]);
     }
 

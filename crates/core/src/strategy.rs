@@ -125,7 +125,7 @@ pub struct TaskOffer {
 impl TaskOffer {
     /// Degrades every attribute by `steps` ladder positions, clamped to
     /// the bottom of each ladder.
-    pub fn degrade(&mut self, steps: usize) {
+    pub(crate) fn degrade(&mut self, steps: usize) {
         for (l, &len) in self.levels.iter_mut().zip(self.ladder.iter()) {
             *l = (*l + steps).min(len.saturating_sub(1));
         }
@@ -373,7 +373,7 @@ impl OrganizerStrategy {
     /// First-opinion fold of [`OrganizerComponent::backoff`]: the delay
     /// before the retry CFP, or `None`/zero for the legacy immediate
     /// re-announce.
-    pub fn backoff_delay(&self, ctx: &RetryContext) -> Option<SimDuration> {
+    pub(crate) fn backoff_delay(&self, ctx: &RetryContext) -> Option<SimDuration> {
         self.components.iter().find_map(|c| c.backoff(ctx))
     }
 }

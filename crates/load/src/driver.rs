@@ -1,9 +1,9 @@
 //! Open-loop load driving.
 //!
 //! A [`LoadPlan`] fixes everything about an offered load before the run
-//! starts: the arrival instants (pre-sampled from an
-//! [`ArrivalProcess`](crate::ArrivalProcess)), the organizer pool the
-//! requests rotate through, and the application template. The
+//! starts: the arrival instants (pre-sampled from a
+//! [`PoissonArrivals`] stream), the organizer pool the requests rotate
+//! through, and the application template. The
 //! [`LoadDriver`] then submits *all* arrivals up front and lets the
 //! runtime execute — arrivals fire at their sampled instants whether or
 //! not earlier negotiations have finished, which is what makes the load
@@ -18,7 +18,7 @@ use qosc_core::{NegoEvent, Pid, Runtime};
 use qosc_netsim::{SimDuration, SimTime};
 use qosc_workloads::AppTemplate;
 
-use crate::arrivals::ArrivalProcess;
+use crate::arrivals::PoissonArrivals;
 use crate::histogram::LatencyHistogram;
 
 /// A fully pre-sampled offered load: every arrival instant is fixed
@@ -46,9 +46,9 @@ pub struct LoadPlan {
 }
 
 impl LoadPlan {
-    /// Samples a plan from an arrival process over `[0, window)`.
+    /// Samples a plan from a Poisson stream over `[0, window)`.
     pub fn sampled(
-        process: &dyn ArrivalProcess,
+        process: &PoissonArrivals,
         window: SimDuration,
         organizers: Vec<Pid>,
         template: AppTemplate,
@@ -65,16 +65,6 @@ impl LoadPlan {
             seed,
             window,
             drain: SimDuration::secs(5),
-        }
-    }
-
-    /// Offered rate implied by the plan (arrivals per second of window).
-    pub fn offered_per_s(&self) -> f64 {
-        let secs = self.window.as_secs_f64();
-        if secs > 0.0 {
-            self.arrivals.len() as f64 / secs
-        } else {
-            0.0
         }
     }
 }

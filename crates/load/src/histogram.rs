@@ -6,8 +6,6 @@
 //! log-linear buckets: 8 sub-buckets per power of two, so every bucket's
 //! width is at most 12.5 % of its lower bound, and any reported quantile
 //! is guaranteed to land in the same bucket as the exact order statistic.
-//! Histograms merge by bucket-wise addition (associative and
-//! commutative), which is what lets sharded or repeated runs combine.
 
 use qosc_netsim::SimDuration;
 
@@ -107,27 +105,17 @@ impl LatencyHistogram {
     }
 
     /// Smallest recorded value, if any.
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min_us)
     }
 
     /// Largest recorded value, if any.
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max_us)
     }
 
-    /// Bucket-wise merge: `self` absorbs `other`. Associative and
-    /// commutative (u64 addition per bucket, min/max/sum combine).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// The `q`-quantile (`q` clamped to `[0, 1]`), or `None` when empty.
+    /// The `q`-quantile (`q` clamped to `[0, 1]`, a NaN `q` reads as 0),
+    /// or `None` when empty.
     ///
     /// Returns the lower bound of the bucket holding the exact order
     /// statistic of rank `ceil(q·count)` (clamped into `[min, max]`),
@@ -187,13 +175,11 @@ mod tests {
         let h = LatencyHistogram::new();
         assert!(h.is_empty());
         assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), None);
+        for q in [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(h.quantile(q), None, "q {q}");
+        }
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        // Merging empties stays empty.
-        let mut a = LatencyHistogram::new();
-        a.merge(&h);
-        assert!(a.is_empty());
     }
 
     #[test]
@@ -227,44 +213,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_associative_and_matches_bulk_recording() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let chunks: Vec<Vec<u64>> = (0..3)
-            .map(|_| (0..500).map(|_| rng.gen_range(0u64..1_000_000)).collect())
-            .collect();
-        let of = |vals: &[u64]| {
-            let mut h = LatencyHistogram::new();
-            for &v in vals {
-                h.record_us(v);
-            }
-            h
-        };
-        // (a ∪ b) ∪ c vs a ∪ (b ∪ c) vs one bulk histogram.
-        let mut left = of(&chunks[0]);
-        left.merge(&of(&chunks[1]));
-        left.merge(&of(&chunks[2]));
-        let mut bc = of(&chunks[1]);
-        bc.merge(&of(&chunks[2]));
-        let mut right = of(&chunks[0]);
-        right.merge(&bc);
-        let all: Vec<u64> = chunks.concat();
-        let bulk = of(&all);
-        for h in [&left, &right] {
-            assert_eq!(h.count(), bulk.count());
-            assert_eq!(h.min(), bulk.min());
-            assert_eq!(h.max(), bulk.max());
-            assert_eq!(&h.counts[..], &bulk.counts[..]);
-            for q in [0.25, 0.5, 0.75, 0.99] {
-                assert_eq!(h.quantile(q), bulk.quantile(q));
-            }
-        }
-    }
-
-    #[test]
     fn single_value_reports_itself_everywhere() {
         let mut h = LatencyHistogram::new();
         h.record(SimDuration::millis(250));
-        for q in [0.0, 0.5, 1.0] {
+        for q in [0.0, 0.5, 1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(h.quantile(q), Some(SimDuration::millis(250)), "q {q}");
             let v = h.quantile(q).unwrap().as_micros();
             assert_eq!(bucket_index(v), bucket_index(250_000));
             assert!(v >= h.min().unwrap() && v <= h.max().unwrap());

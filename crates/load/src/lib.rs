@@ -5,22 +5,18 @@
 //! §5 evaluation needs to locate saturation: a generator that slows
 //! down when the system falls behind measures the generator.
 //!
-//! * [`ArrivalProcess`] — arrival-instant sampling: homogeneous Poisson
-//!   ([`PoissonArrivals`]), piecewise-constant rate curves
-//!   ([`PiecewiseRate`], with a diurnal raised-cosine preset), and
-//!   Lewis–Shedler thinning for arbitrary rate functions
-//!   ([`ThinnedProcess`]).
+//! * [`PoissonArrivals`] — arrival-instant sampling from a homogeneous
+//!   Poisson stream.
 //! * [`LoadPlan`] / [`LoadDriver`] — pre-samples every arrival, submits
 //!   them all up front against an organizer pool, and harvests outcomes
 //!   and formation latencies from the runtime's event log.
 //! * [`LatencyHistogram`] — constant-memory log-bucketed percentile
-//!   sketch (p50/p90/p99 within one ≤12.5 %-wide bucket of exact),
-//!   mergeable across shards and replicates.
+//!   sketch (p50/p90/p99 within one ≤12.5 %-wide bucket of exact).
 //! * [`SaturationReport`] — offered-rate sweep with
 //!   [`knee`](SaturationReport::knee) detection.
 //!
 //! ```
-//! use qosc_load::{ArrivalProcess, LatencyHistogram, PoissonArrivals};
+//! use qosc_load::{LatencyHistogram, PoissonArrivals};
 //! use qosc_netsim::{SimDuration, SimTime};
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
@@ -47,9 +43,7 @@ mod driver;
 mod histogram;
 mod report;
 
-pub use arrivals::{
-    diurnal_thinned, ArrivalProcess, PiecewiseRate, PoissonArrivals, ThinnedProcess,
-};
+pub use arrivals::PoissonArrivals;
 pub use driver::{LoadDriver, LoadPlan, LoadReport};
 pub use histogram::LatencyHistogram;
 pub use report::{SaturationPoint, SaturationReport};

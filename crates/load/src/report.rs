@@ -30,7 +30,7 @@ pub struct SaturationPoint {
 
 impl SaturationPoint {
     /// Distils one load cell into a sweep point.
-    pub fn from_report(offered_per_s: f64, report: &LoadReport) -> SaturationPoint {
+    fn from_report(offered_per_s: f64, report: &LoadReport) -> SaturationPoint {
         SaturationPoint {
             offered_per_s,
             submitted: report.submitted,
@@ -65,7 +65,7 @@ impl SaturationReport {
     /// The saturation knee: the highest offered rate whose formed ratio
     /// is still at least `frac` (e.g. `0.95`). `None` when even the
     /// lightest cell misses the bar — the system saturates below the
-    /// swept range.
+    /// swept range — and when `frac` is NaN.
     pub fn knee(&self, frac: f64) -> Option<&SaturationPoint> {
         self.points
             .iter()
@@ -113,7 +113,12 @@ mod tests {
     #[test]
     fn knee_is_none_when_everything_saturates() {
         let sweep = SaturationReport::sweep(&[10.0, 20.0], |r| report((r * 10.0) as usize, 0));
-        assert!(sweep.knee(0.5).is_none());
+        for frac in [0.5, f64::NAN, f64::INFINITY] {
+            assert!(sweep.knee(frac).is_none(), "frac {frac}");
+        }
+        // Every ratio clears a bar of -inf: the knee is the top cell.
+        let knee = sweep.knee(f64::NEG_INFINITY).expect("cells submitted");
+        assert_eq!(knee.offered_per_s, 20.0);
         assert!(sweep.points[0].p50.is_none());
     }
 }

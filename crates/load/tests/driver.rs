@@ -73,17 +73,33 @@ fn batched_backend_matches_direct_outcomes() {
     }
 }
 
+/// An empty plan, and a zero window sampled at any rate (hostile ones
+/// included), submit nothing and report zeros.
 #[test]
 fn empty_plan_yields_an_empty_report() {
     let empty = LoadPlan {
         arrivals: Vec::new(),
         ..plan(0)
     };
-    let config = ScenarioConfig::dense(8, 99);
-    let mut rt = config.build_backend(Backend::Direct);
-    let report = LoadDriver::new(&empty).run(rt.as_mut());
-    assert_eq!(report.submitted, 0);
-    assert_eq!(report.settled(), 0);
-    assert_eq!(report.formed_ratio(), 0.0);
-    assert!(report.latency.is_empty());
+    let zero_windows = [1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300].map(|rate| {
+        LoadPlan::sampled(
+            &PoissonArrivals::new(rate),
+            SimDuration::ZERO,
+            (0..6).collect(),
+            AppTemplate::Surveillance,
+            2,
+            0,
+        )
+    });
+    for plan in std::iter::once(&empty).chain(&zero_windows) {
+        assert!(plan.arrivals.is_empty());
+        let config = ScenarioConfig::dense(8, 99);
+        let mut rt = config.build_backend(Backend::Direct);
+        let report = LoadDriver::new(plan).run(rt.as_mut());
+        assert_eq!(report.submitted, 0);
+        assert_eq!(report.settled(), 0);
+        assert_eq!(report.formed_ratio(), 0.0);
+        assert_eq!(report.sustained_per_s(), 0.0);
+        assert!(report.latency.is_empty());
+    }
 }

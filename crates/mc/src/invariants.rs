@@ -6,14 +6,14 @@
 //! evaluate the same closures at settle time through
 //! [`verify_runtime`]. Shipped properties:
 //!
-//! * [`capacity_conservation`] — no Resource Manager's outstanding holds
+//! * `capacity_conservation` — no Resource Manager's outstanding holds
 //!   exceed its capacity (the two-phase reservation never overbooks);
-//! * [`no_orphaned_winner`] — an organizer never records an assignment
+//! * `no_orphaned_winner` — an organizer never records an assignment
 //!   that the winning provider has not backed with a committed grant;
-//! * [`task_conservation`] — every announced task is in exactly one
+//! * `task_conservation` — every announced task is in exactly one
 //!   lifecycle bucket (open / awarded / assigned / given-up) at every
 //!   instant: tasks are neither lost nor duplicated across rounds;
-//! * [`liveness_at_quiescence`] — once no message or timer remains, every
+//! * `liveness_at_quiescence` — once no message or timer remains, every
 //!   negotiation has settled (Operating or Dissolved): no schedule strands
 //!   a negotiation mid-round.
 //!
@@ -21,10 +21,10 @@
 //! [`partition_invariants`], meant for fault plans that license
 //! partition branches):
 //!
-//! * [`no_split_brain_double_award`] — at most one provider executes any
+//! * `no_split_brain_double_award` — at most one provider executes any
 //!   (negotiation, task, round) at every instant, and at most one
 //!   executes any (negotiation, task) once the system settles;
-//! * [`liveness_after_heal`] — after the network heals and goes
+//! * `liveness_after_heal` — after the network heals and goes
 //!   quiescent, no task is stranded open or pending: everything ends
 //!   assigned or explicitly given up.
 
@@ -65,7 +65,7 @@ pub struct SystemView<'a> {
 impl<'a> SystemView<'a> {
     /// Builds a view over borrowed nodes. `quiescent` marks states with
     /// no deliverable event left (liveness properties key on it).
-    pub fn new(nodes: impl IntoIterator<Item = &'a CoalitionNode>, quiescent: bool) -> Self {
+    pub(crate) fn new(nodes: impl IntoIterator<Item = &'a CoalitionNode>, quiescent: bool) -> Self {
         Self {
             nodes: nodes
                 .into_iter()
@@ -79,7 +79,7 @@ impl<'a> SystemView<'a> {
     /// Marks the view as taken while a network partition is active.
     /// Partition-aware invariants weaken their end-state clauses on such
     /// views (a partitioned state is also never quiescent).
-    pub fn with_partitioned(mut self, partitioned: bool) -> Self {
+    pub(crate) fn with_partitioned(mut self, partitioned: bool) -> Self {
         self.partitioned = partitioned;
         self
     }
@@ -126,7 +126,7 @@ impl<'a> SystemView<'a> {
 pub type Invariant = Arc<dyn Fn(&SystemView<'_>) -> Result<(), Violation>>;
 
 /// Evaluates invariants in order; the first failure wins.
-pub fn check_all(view: &SystemView<'_>, invariants: &[Invariant]) -> Result<(), Violation> {
+pub(crate) fn check_all(view: &SystemView<'_>, invariants: &[Invariant]) -> Result<(), Violation> {
     for inv in invariants {
         inv(view)?;
     }
@@ -149,7 +149,7 @@ pub fn verify_runtime<R: qosc_core::Runtime + ?Sized>(
 }
 
 /// Σ holds ≤ capacity on every Resource Manager of every provider.
-pub fn capacity_conservation() -> Invariant {
+pub(crate) fn capacity_conservation() -> Invariant {
     Arc::new(|view| {
         for (pid, node) in view.nodes() {
             let Some(p) = node.provider() else { continue };
@@ -173,7 +173,7 @@ pub fn capacity_conservation() -> Invariant {
 
 /// Every assignment an organizer records (while the negotiation is live)
 /// is backed by a committed grant at the winning provider.
-pub fn no_orphaned_winner() -> Invariant {
+pub(crate) fn no_orphaned_winner() -> Invariant {
     Arc::new(|view| {
         for (pid, node) in view.nodes() {
             let Some(org) = node.organizer() else {
@@ -219,7 +219,7 @@ pub fn no_orphaned_winner() -> Invariant {
 
 /// Announced tasks partition exactly into open ∪ awarded ∪ assigned ∪
 /// given-up: no task is lost or double-tracked, in any phase.
-pub fn task_conservation() -> Invariant {
+pub(crate) fn task_conservation() -> Invariant {
     Arc::new(|view| {
         for (pid, node) in view.nodes() {
             let Some(org) = node.organizer() else {
@@ -269,7 +269,7 @@ pub fn task_conservation() -> Invariant {
 /// At quiescence every negotiation has settled: phase is Operating or
 /// Dissolved and no task is still awaiting solicitation or an award
 /// answer. Vacuously true while events remain deliverable.
-pub fn liveness_at_quiescence() -> Invariant {
+pub(crate) fn liveness_at_quiescence() -> Invariant {
     Arc::new(|view| {
         if !view.is_quiescent() {
             return Ok(());
@@ -303,7 +303,7 @@ pub fn liveness_at_quiescence() -> Invariant {
 /// later round — two grants for the same task may coexist *transiently*,
 /// but never for the same round, and the stale one must be released
 /// (via the fresh-round CFP) before the system can go quiescent.
-pub fn no_split_brain_double_award() -> Invariant {
+pub(crate) fn no_split_brain_double_award() -> Invariant {
     Arc::new(|view| {
         let settled = view.is_quiescent() && !view.is_partitioned();
         let mut by_round: BTreeMap<(NegoId, TaskId, u32), Pid> = BTreeMap::new();
@@ -342,7 +342,7 @@ pub fn no_split_brain_double_award() -> Invariant {
 /// recovered everything a partition stranded. Vacuously true while
 /// events remain deliverable or a cut is active (a partitioned state is
 /// never quiescent, so the partition guard is defensive).
-pub fn liveness_after_heal() -> Invariant {
+pub(crate) fn liveness_after_heal() -> Invariant {
     Arc::new(|view| {
         if !view.is_quiescent() || view.is_partitioned() {
             return Ok(());
@@ -393,7 +393,7 @@ pub fn default_invariants() -> Vec<Invariant> {
 }
 
 /// [`default_invariants`] plus the two partition-tolerance properties:
-/// [`no_split_brain_double_award`] and [`liveness_after_heal`]. Use with
+/// `no_split_brain_double_award` and `liveness_after_heal`. Use with
 /// a [`FaultPlan`](qosc_netsim::FaultPlan) that licenses partition
 /// branches (`with_partitions`).
 pub fn partition_invariants() -> Vec<Invariant> {

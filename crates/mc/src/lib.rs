@@ -12,13 +12,13 @@
 //!
 //! Shipped properties ([`default_invariants`]):
 //!
-//! * [`capacity_conservation`] — no provider's holds overbook its
+//! * `capacity_conservation` — no provider's holds overbook its
 //!   resources, across concurrent CFPs;
-//! * [`no_orphaned_winner`] — every assignment an organizer records is
+//! * `no_orphaned_winner` — every assignment an organizer records is
 //!   backed by a committed grant at the winning provider;
-//! * [`task_conservation`] — announced tasks partition exactly into
+//! * `task_conservation` — announced tasks partition exactly into
 //!   open / awarded / assigned / given-up, in every reachable state;
-//! * [`liveness_at_quiescence`] — when no message or timer remains,
+//! * `liveness_at_quiescence` — when no message or timer remains,
 //!   every negotiation has settled (Operating or Dissolved).
 //!
 //! Message *reorder* needs no fault budget here: the explorer already
@@ -32,8 +32,8 @@
 //! heal branch restores the links. Partitioned states are never
 //! quiescent (heal is always enabled), so liveness judgements still see
 //! every blocked delivery. [`partition_invariants`] bundles the shipped
-//! properties with [`no_split_brain_double_award`] and
-//! [`liveness_after_heal`] for exactly these runs — proving the
+//! properties with `no_split_brain_double_award` and
+//! `liveness_after_heal` for exactly these runs — proving the
 //! timeout/backoff re-announce layer neither double-awards a task
 //! across a cut nor strands one after the network heals.
 //!
@@ -130,7 +130,7 @@
 //! exposes is each node's state, which its digest stands for, plus the
 //! quiescent and partitioned flags. So every distinct state is checked,
 //! but each *verdict* is computed once per walk, under the node digests
-//! and the two flags; a hit skips [`check_all`], and debug builds
+//! and the two flags; a hit skips `check_all`, and debug builds
 //! recompute it and assert it still passes. The 73 229 distinct states
 //! of the one-drop proof share 3 515 views. This is why an
 //! [`Invariant`] must be a pure function of its view.
@@ -209,10 +209,8 @@ mod state;
 pub mod trace;
 
 pub use invariants::{
-    capacity_conservation, check_all, default_invariants, liveness_after_heal,
-    liveness_at_quiescence, no_orphaned_winner, no_split_brain_double_award, partition_invariants,
-    task_conservation, verify_runtime, Invariant, SystemView, Violation,
+    default_invariants, partition_invariants, verify_runtime, Invariant, SystemView, Violation,
 };
 pub use runtime::{CheckConfig, CheckReport, ModelCheckedRuntime, Replay};
 pub use state::ActionTap;
-pub use trace::{summarize, Counterexample, TraceStep};
+pub use trace::{Counterexample, TraceStep};

@@ -254,11 +254,6 @@ impl ModelCheckedRuntime {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &CheckConfig {
-        &self.config
-    }
-
     /// Replaces the invariant set (invalidates any previous check).
     pub fn set_invariants(&mut self, invariants: Vec<Invariant>) {
         self.config.invariants = invariants;
@@ -271,11 +266,6 @@ impl ModelCheckedRuntime {
     pub fn set_action_tap(&mut self, tap: ActionTap) {
         self.tap = Some(tap);
         self.invalidate();
-    }
-
-    /// The report of the last completed check, if one ran.
-    pub fn report(&self) -> Option<&CheckReport> {
-        self.report.as_ref()
     }
 
     fn invalidate(&mut self) {

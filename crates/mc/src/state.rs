@@ -155,7 +155,7 @@ pub(crate) struct InFlight {
 }
 
 impl InFlight {
-    pub fn key(&self) -> MsgKey {
+    pub(crate) fn key(&self) -> MsgKey {
         MsgKey {
             from: self.from,
             to: self.to,
@@ -229,7 +229,7 @@ impl Choice {
     /// parts of the state: different nodes (with their own clocks and
     /// timer queues), different in-flight messages, and additions to a
     /// multiset whose order the digest does not see.
-    pub fn independent(self, other: Choice) -> bool {
+    pub(crate) fn independent(self, other: Choice) -> bool {
         fn same<T: PartialEq>(a: Option<T>, b: Option<T>) -> bool {
             a.is_some() && a == b
         }
@@ -288,12 +288,12 @@ pub(crate) struct NodeTable {
 impl NodeTable {
     /// Distinct node states interned (successors only: the root's nodes
     /// are stepped before the walk starts).
-    pub fn node_states(&self) -> u64 {
+    pub(crate) fn node_states(&self) -> u64 {
         self.nodes.len() as u64
     }
 
     /// Engine callbacks actually executed, i.e. memo misses.
-    pub fn engine_calls(&self) -> u64 {
+    pub(crate) fn engine_calls(&self) -> u64 {
         self.memo.len() as u64
     }
 }
@@ -358,7 +358,7 @@ fn is_inert(node: &CoalitionNode, msg: &Msg) -> bool {
 
 impl McState {
     /// True while a partition choice is in effect (cleared by heal).
-    pub fn partitioned(&self) -> bool {
+    pub(crate) fn partitioned(&self) -> bool {
         self.partition.is_some()
     }
 
@@ -372,7 +372,7 @@ impl McState {
         self.partition.is_some_and(|m| side(m, a) != side(m, b))
     }
 
-    pub fn insert_node(&mut self, node: CoalitionNode) {
+    pub(crate) fn insert_node(&mut self, node: CoalitionNode) {
         let pid = NodeEngine::id(&node);
         let rank = self.slots.partition_point(|s| s.pid < pid);
         let slot = Slot {
@@ -384,26 +384,26 @@ impl McState {
         self.slots.insert(rank, slot);
     }
 
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.slots.len()
     }
 
-    pub fn node(&self, pid: Pid) -> Option<&CoalitionNode> {
+    pub(crate) fn node(&self, pid: Pid) -> Option<&CoalitionNode> {
         self.rank(pid).map(|rank| &*self.slots[rank].node)
     }
 
-    pub fn nodes(&self) -> impl Iterator<Item = &CoalitionNode> {
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = &CoalitionNode> {
         self.slots.iter().map(|s| &*s.node)
     }
 
-    pub fn node_ids(&self) -> Vec<Pid> {
+    pub(crate) fn node_ids(&self) -> Vec<Pid> {
         self.slots.iter().map(|s| s.pid).collect()
     }
 
     /// Mutates one node in place and refreshes its cached digest.
     /// Scenario set-up only: once exploration starts, engines change
     /// through [`McState::step_node`] alone.
-    pub fn with_node_mut<R>(
+    pub(crate) fn with_node_mut<R>(
         &mut self,
         pid: Pid,
         f: impl FnOnce(&mut CoalitionNode) -> R,
@@ -417,7 +417,7 @@ impl McState {
 
     /// Arms a timer on `node` at absolute deadline `fire_at` (used for
     /// kickoff and dissolve scheduling before exploration starts).
-    pub fn arm_timer_at(&mut self, node: Pid, fire_at: SimTime, token: u64) {
+    pub(crate) fn arm_timer_at(&mut self, node: Pid, fire_at: SimTime, token: u64) {
         let seq = self.next_timer_seq;
         self.next_timer_seq += 1;
         let idx = self
@@ -437,7 +437,7 @@ impl McState {
     /// quiescent — a heal transition is always enabled, and declaring
     /// quiescence mid-partition would let the liveness invariant judge
     /// negotiations whose messages are merely blocked, not lost.
-    pub fn quiescent(&self) -> bool {
+    pub(crate) fn quiescent(&self) -> bool {
         self.partition.is_none() && self.in_flight.is_empty() && self.timers.is_empty()
     }
 
@@ -447,7 +447,7 @@ impl McState {
     /// observable); each node's timer queue is hashed in firing order;
     /// history lives outside the state entirely (it does not constrain
     /// future behaviour).
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let mut h = WordHasher::default();
         h.write_usize(self.slots.len());
         for slot in &self.slots {
@@ -500,7 +500,7 @@ impl McState {
     /// as words: each node's pid and digest in id order, then the
     /// quiescent and partitioned flags. Equal keys mean equal verdicts
     /// from any invariant that is a function of its view.
-    pub fn view_key(&self, quiescent: bool, key: &mut Vec<u64>) {
+    pub(crate) fn view_key(&self, quiescent: bool, key: &mut Vec<u64>) {
         key.clear();
         for slot in &self.slots {
             key.extend([u64::from(slot.pid), slot.digest]);
@@ -511,7 +511,7 @@ impl McState {
     /// Enumerates every transition enabled in this state under `plan`'s
     /// remaining fault budgets. Deterministic: iteration follows the
     /// in-flight list and the node id order.
-    pub fn enabled(&self, plan: &FaultPlan) -> Vec<Choice> {
+    pub(crate) fn enabled(&self, plan: &FaultPlan) -> Vec<Choice> {
         let mut choices = Vec::with_capacity(3 * self.in_flight.len() + self.slots.len() + 1);
         for (i, m) in self.in_flight.iter().enumerate() {
             if self.cuts(m.from, m.to) {
@@ -562,7 +562,7 @@ impl McState {
     /// Applies one transition in place and returns the trace step that
     /// describes it. Choices must come from [`McState::enabled`] on this
     /// exact state.
-    pub fn apply(
+    pub(crate) fn apply(
         &mut self,
         choice: Choice,
         tap: Option<&ActionTap>,
@@ -658,7 +658,7 @@ impl McState {
     /// for a message) to node `pid` at its local clock and executes what
     /// the engines ask for — through the table in a walk, by running the
     /// callback otherwise.
-    pub fn step_node(
+    pub(crate) fn step_node(
         &mut self,
         pid: Pid,
         stimulus: Stimulus,

@@ -75,7 +75,7 @@ pub enum TraceStep {
 
 /// Compact single-line rendering of a message for trace output (the full
 /// `Debug` form of a CFP embeds whole QoS specs — far too loud).
-pub fn summarize(msg: &Msg) -> String {
+pub(crate) fn summarize(msg: &Msg) -> String {
     match msg {
         Msg::CallForProposals { nego, tasks, round } => {
             format!(

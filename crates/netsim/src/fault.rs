@@ -43,8 +43,9 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// Budgets (`max_*`) cap the *total* number of faults of each kind over
 /// the whole run; probabilities govern how eagerly the sampled backends
-/// spend those budgets. The model checker ignores the probabilities and
-/// branches over every way of spending the budgets.
+/// spend those budgets (a probability above 1 reads as 1; NaN, zero and
+/// negative ones as never). The model checker ignores the probabilities
+/// and branches over every way of spending the budgets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Maximum number of message drops.
@@ -189,7 +190,7 @@ impl Default for FaultPlan {
 
 /// Outcome of one sampled delivery decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryFault {
+pub(crate) enum DeliveryFault {
     /// Deliver the message normally.
     None,
     /// Drop the message.
@@ -228,10 +229,9 @@ impl FaultSampler {
     /// Creates the per-node sampler stream for `node`: seeded from
     /// `(plan.seed, node)` so each node draws an independent fault
     /// stream regardless of how deliveries interleave across nodes.
-    /// Budgets (`max_*`) apply per stream. This is what the sharded
-    /// simulator (and, since the per-node RNG split, the sequential one)
-    /// uses so fault sampling is deterministic per node.
-    pub fn for_node(plan: FaultPlan, node: u32) -> Self {
+    /// Budgets (`max_*`) apply per stream. The simulator keeps one per
+    /// node so fault sampling is deterministic per node.
+    pub(crate) fn for_node(plan: FaultPlan, node: u32) -> Self {
         Self {
             plan,
             rng: ChaCha8Rng::seed_from_u64(crate::sim::node_stream_seed(plan.seed, node)),
@@ -241,24 +241,19 @@ impl FaultSampler {
         }
     }
 
-    /// The plan this sampler draws from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Decides the fate of one delivery: drop, duplicate, or deliver.
     /// Budgets are enforced; exhausted kinds are never drawn again.
-    pub fn on_delivery(&mut self) -> DeliveryFault {
+    pub(crate) fn on_delivery(&mut self) -> DeliveryFault {
         if self.plan.drop_prob > 0.0
             && self.drops_done < self.plan.max_drops
-            && self.rng.gen_bool(self.plan.drop_prob)
+            && self.rng.gen_bool(self.plan.drop_prob.min(1.0))
         {
             self.drops_done += 1;
             return DeliveryFault::Drop;
         }
         if self.plan.duplicate_prob > 0.0
             && self.duplicates_done < self.plan.max_duplicates
-            && self.rng.gen_bool(self.plan.duplicate_prob)
+            && self.rng.gen_bool(self.plan.duplicate_prob.min(1.0))
         {
             self.duplicates_done += 1;
             return DeliveryFault::Duplicate;
@@ -270,7 +265,7 @@ impl FaultSampler {
     /// with probability `reorder_prob`, `None` otherwise. Enforces
     /// `max_reorders`; a zero jitter bound is a no-op that consumes no
     /// randomness (see [`FaultPlan::with_reorder`]).
-    pub fn reorder(&mut self) -> Option<SimDuration> {
+    pub(crate) fn reorder(&mut self) -> Option<SimDuration> {
         let span = self.plan.reorder_jitter.as_micros();
         if span == 0
             || self.plan.reorder_prob <= 0.0
@@ -278,7 +273,7 @@ impl FaultSampler {
         {
             return None;
         }
-        if self.rng.gen_bool(self.plan.reorder_prob) {
+        if self.rng.gen_bool(self.plan.reorder_prob.min(1.0)) {
             self.reorders_done += 1;
             return Some(SimDuration::micros(self.rng.gen_range(1..=span)));
         }
@@ -569,6 +564,21 @@ mod tests {
         assert!(a.iter().any(|(f, _)| *f == DeliveryFault::Drop));
         assert!(a.iter().any(|(f, _)| *f == DeliveryFault::Duplicate));
         assert!(a.iter().any(|(_, r)| r.is_some()));
+    }
+
+    /// A probability above 1 (finite or not) reads as 1: the fault
+    /// always fires instead of panicking in `gen_bool`.
+    #[test]
+    fn out_of_range_probabilities_always_fire() {
+        for p in [1.5, f64::INFINITY] {
+            let mut drop = FaultSampler::new(FaultPlan::sampled(1).with_drop(p));
+            assert!((0..50).all(|_| drop.on_delivery() == DeliveryFault::Drop));
+            let mut dup = FaultSampler::new(FaultPlan::sampled(1).with_duplicate(p));
+            assert!((0..50).all(|_| dup.on_delivery() == DeliveryFault::Duplicate));
+            let plan = FaultPlan::sampled(1).with_reorder(p, SimDuration::millis(1));
+            let mut reorder = FaultSampler::new(plan);
+            assert!((0..50).all(|_| reorder.reorder().is_some()));
+        }
     }
 
     #[test]

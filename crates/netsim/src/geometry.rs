@@ -23,7 +23,7 @@ impl Point {
     /// Moves `step` metres towards `target`, stopping exactly on it if the
     /// remaining distance is smaller. Returns the new position and whether
     /// the target was reached.
-    pub fn step_towards(&self, target: &Point, step: f64) -> (Point, bool) {
+    pub(crate) fn step_towards(&self, target: &Point, step: f64) -> (Point, bool) {
         let d = self.distance(target);
         if d <= step || d == 0.0 {
             return (*target, true);
@@ -42,7 +42,7 @@ impl Point {
 /// The rectangular simulation area `[0, width] × [0, height]` metres.
 ///
 /// A side that is not finite and ≥ 0 (negative, NaN or infinite) reads
-/// as 0: [`Area::clamp`], [`Area::contains`] and [`Area::sample`] treat
+/// as 0: clamping, [`Area::contains`] and [`Area::sample`] treat
 /// it as a degenerate side, so a hostile area never panics and never
 /// places a node at a non-finite coordinate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +67,7 @@ impl Area {
     }
 
     /// Clamps a point into the area; a NaN coordinate clamps to 0.
-    pub fn clamp(&self, p: Point) -> Point {
+    pub(crate) fn clamp(&self, p: Point) -> Point {
         let (w, h) = self.sides();
         let clamp = |v: f64, hi: f64| if v.is_nan() { 0.0 } else { v.clamp(0.0, hi) };
         Point::new(clamp(p.x, w), clamp(p.y, h))

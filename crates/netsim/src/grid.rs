@@ -81,7 +81,7 @@ impl NeighbourIndex {
 
     /// Adds one node at `pos` without rebuilding (new nodes only —
     /// a *moved* node requires [`NeighbourIndex::rebuild`]).
-    pub fn insert(&mut self, id: NodeId, pos: Point) {
+    pub(crate) fn insert(&mut self, id: NodeId, pos: Point) {
         let (cx, cy) = self.cell_of(pos);
         self.cells[cy * self.cols + cx].push(id);
     }

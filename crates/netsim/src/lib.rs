@@ -53,8 +53,7 @@ mod stats;
 mod time;
 
 pub use fault::{
-    DeliveryFault, FaultPlan, FaultSampler, PartitionEvent, PartitionPlan, PartitionTimeline,
-    SampledPartitions,
+    FaultPlan, FaultSampler, PartitionEvent, PartitionPlan, PartitionTimeline, SampledPartitions,
 };
 pub use geometry::{Area, Point};
 pub use grid::NeighbourIndex;

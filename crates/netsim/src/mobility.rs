@@ -52,17 +52,12 @@ impl MobilityState {
         }
     }
 
-    /// The model this state follows.
-    pub fn model(&self) -> &Mobility {
-        &self.model
-    }
-
     /// Advances the walk by `dt`, returning the node's new position.
     ///
     /// Waypoint selection consumes `rng`; a `Static` node never touches it,
     /// so adding fixed nodes does not perturb the random sequence of the
     /// mobile ones beyond their own draws.
-    pub fn advance(
+    pub(crate) fn advance(
         &mut self,
         pos: Point,
         dt: SimDuration,

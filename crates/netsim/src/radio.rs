@@ -58,20 +58,20 @@ impl RadioModel {
     }
 
     /// True if two nodes at distance `d` share a link.
-    pub fn in_range(&self, d: f64) -> bool {
+    pub(crate) fn in_range(&self, d: f64) -> bool {
         d <= self.range_m
     }
 
     /// Transmission latency of a `bytes`-long message: base latency plus
     /// serialisation time at the configured bitrate.
-    pub fn latency(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn latency(&self, bytes: u64) -> SimDuration {
         let ser_s = (bytes as f64 * 8.0) / (self.bitrate_kbps * 1000.0);
         self.base_latency + SimDuration::secs_f64(ser_s)
     }
 
     /// Loss probability of a message over a link of distance `d`
     /// (assumed already in range).
-    pub fn loss_probability(&self, d: f64) -> f64 {
+    pub(crate) fn loss_probability(&self, d: f64) -> f64 {
         let mut p = self.loss_floor;
         let grey_start = self.grey_zone_start * self.range_m;
         if self.loss_at_edge > 0.0 && d > grey_start && self.range_m > grey_start {
@@ -82,7 +82,7 @@ impl RadioModel {
     }
 
     /// Samples whether a message at distance `d` is lost.
-    pub fn drops(&self, d: f64, rng: &mut impl Rng) -> bool {
+    pub(crate) fn drops(&self, d: f64, rng: &mut impl Rng) -> bool {
         let p = self.loss_probability(d);
         p > 0.0 && rng.gen_bool(p)
     }

@@ -223,9 +223,8 @@ enum Command<M> {
     },
 }
 
-/// Handler-side view of the simulation: current time, RNG, connectivity
-/// queries, and the command sink. Borrows the live node table — nothing
-/// is copied per event.
+/// Handler-side view of the simulation: current time, RNG and the
+/// command sink.
 pub struct Ctx<'a, M> {
     /// Current simulated time.
     pub now: SimTime,
@@ -235,9 +234,6 @@ pub struct Ctx<'a, M> {
     /// Draws here depend only on this node's own event sequence.
     pub rng: &'a mut ChaCha8Rng,
     cmds: Vec<Command<M>>,
-    nodes: &'a [NodeSlot],
-    index: &'a NeighbourIndex,
-    radio: &'a RadioModel,
     /// Total-order key of the event being handled.
     key: (SimTime, u64),
 }
@@ -276,20 +272,6 @@ impl<'a, M> Ctx<'a, M> {
     /// Arms a one-shot timer at `node` after `delay`.
     pub fn timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
         self.cmds.push(Command::Timer { node, delay, token });
-    }
-
-    /// Live single-hop neighbours of `node` under the current topology,
-    /// in ascending id order (answered from the spatial index).
-    pub fn neighbours(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        Medium {
-            radio: self.radio,
-            nodes: self.nodes,
-            index: self.index,
-            cuts: None,
-        }
-        .live_neighbours_into(node, &mut out);
-        out
     }
 }
 
@@ -469,18 +451,13 @@ impl<M> Simulator<M> {
     }
 
     /// Liveness of a node.
-    pub fn is_up(&self, n: NodeId) -> bool {
+    pub(crate) fn is_up(&self, n: NodeId) -> bool {
         self.nodes.get(n.0 as usize).map(|s| s.up).unwrap_or(false)
     }
 
     /// Network counters accumulated so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// The radio model in force.
-    pub fn radio(&self) -> &RadioModel {
-        &self.config.radio
     }
 
     /// Schedules a timer for the application (e.g. to bootstrap it).
@@ -502,15 +479,15 @@ impl<M> Simulator<M> {
     }
 
     /// Live single-hop neighbours of `node`.
-    pub fn neighbours(&self, node: NodeId) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn neighbours(&self, node: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
         self.neighbours_into(node, &mut out);
         out
     }
 
-    /// Buffer-reusing variant of [`Simulator::neighbours`]: clears `out`
-    /// and appends the live single-hop neighbours of `node` in ascending
-    /// id order. Answered from the [`NeighbourIndex`] — only the 3×3 cell
+    /// Clears `out` and appends the live single-hop neighbours of `node`
+    /// in ascending id order. Answered from the [`NeighbourIndex`] — only the 3×3 cell
     /// block around the node is scanned; callers on hot paths keep one
     /// scratch `Vec` alive across queries instead of allocating per call.
     pub fn neighbours_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
@@ -704,9 +681,6 @@ impl<M> Simulator<M> {
             now: self.now,
             rng: &mut self.streams[anchor.0 as usize],
             cmds: std::mem::take(&mut self.cmd_scratch),
-            nodes: &self.nodes,
-            index: &self.index,
-            radio: &self.config.radio,
             key,
         };
         call(&mut ctx);

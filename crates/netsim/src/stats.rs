@@ -63,10 +63,9 @@ impl NetStats {
     }
 
     /// Adds `other`'s counters into `self`. Every field is a sum (the
-    /// mean latency is carried as sum + sample count), so merging the
-    /// per-shard counters of a sharded run yields exactly the stats an
-    /// equivalent sequential run would have accumulated.
-    pub fn merge(&mut self, other: &NetStats) {
+    /// mean latency is carried as sum + sample count).
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &NetStats) {
         self.unicasts_sent += other.unicasts_sent;
         self.unicasts_delivered += other.unicasts_delivered;
         self.unicasts_unreachable += other.unicasts_unreachable;

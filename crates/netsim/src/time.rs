@@ -27,7 +27,7 @@ impl SimTime {
     }
 
     /// Seconds since epoch, as a float (for reporting only).
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 

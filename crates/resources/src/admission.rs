@@ -30,7 +30,7 @@ pub enum SchedulingPolicy {
 
 impl SchedulingPolicy {
     /// Utilisation bound for `n` admitted tasks.
-    pub fn bound(&self, n: usize) -> f64 {
+    pub(crate) fn bound(&self, n: usize) -> f64 {
         match self {
             SchedulingPolicy::Edf => 1.0,
             SchedulingPolicy::RateMonotonic => {
@@ -106,7 +106,8 @@ impl AdmissionControl {
     }
 
     /// Slack left after admitting `admitted` (CPU slack honours the bound).
-    pub fn slack(&self, admitted: &ResourceVector, task_count: usize) -> ResourceVector {
+    #[cfg(test)]
+    pub(crate) fn slack(&self, admitted: &ResourceVector, task_count: usize) -> ResourceVector {
         let mut s = self.capacity - *admitted;
         let cpu_bound = self.policy.bound(task_count) * self.capacity.get(ResourceKind::Cpu);
         s[ResourceKind::Cpu] = (cpu_bound - admitted.get(ResourceKind::Cpu)).max(0.0);

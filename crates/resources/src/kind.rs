@@ -85,7 +85,8 @@ impl ResourceVector {
     }
 
     /// A vector with a single non-zero component.
-    pub fn single(kind: ResourceKind, amount: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn single(kind: ResourceKind, amount: f64) -> Self {
         let mut v = Self::ZERO;
         v[kind] = amount;
         v
@@ -117,12 +118,6 @@ impl ResourceVector {
     /// True when every component is ≥ 0 and finite.
     pub fn is_valid(&self) -> bool {
         self.0.iter().all(|x| x.is_finite() && *x >= 0.0)
-    }
-
-    /// Sum of all components — only meaningful as a crude magnitude for
-    /// diagnostics, never for admission decisions.
-    pub fn magnitude(&self) -> f64 {
-        self.0.iter().sum()
     }
 }
 

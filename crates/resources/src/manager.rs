@@ -69,7 +69,7 @@ impl ResourceManager {
     }
 
     /// The resource this manager controls.
-    pub fn kind(&self) -> ResourceKind {
+    pub(crate) fn kind(&self) -> ResourceKind {
         self.kind
     }
 
@@ -89,7 +89,8 @@ impl ResourceManager {
     }
 
     /// Sum of committed grants only.
-    pub fn committed(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn committed(&self) -> f64 {
         self.holds
             .iter()
             .filter(|(_, h)| h.state == HoldState::Committed)

@@ -75,7 +75,7 @@ impl Dependency {
 
     /// Checks that every referenced path exists in `spec` and that linear
     /// budgets only reference numeric attributes.
-    pub fn validate(&self, spec: &QosSpec) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, spec: &QosSpec) -> Result<(), SpecError> {
         let check = |p: &AttrPath| -> Result<(), SpecError> {
             spec.attribute_at(*p)
                 .map(|_| ())
@@ -100,7 +100,7 @@ impl Dependency {
     }
 
     /// Evaluates the constraint against a complete assignment.
-    pub fn holds(&self, spec: &QosSpec, qv: &QualityVector) -> bool {
+    pub(crate) fn holds(&self, spec: &QosSpec, qv: &QualityVector) -> bool {
         let val = |p: AttrPath| qv.get(spec, p);
         match &self.kind {
             DependencyKind::Implication {

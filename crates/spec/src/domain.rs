@@ -121,7 +121,8 @@ impl Domain {
     }
 
     /// The numeric bounds of a continuous domain.
-    pub fn bounds(&self) -> Option<(f64, f64)> {
+    #[cfg(test)]
+    pub(crate) fn bounds(&self) -> Option<(f64, f64)> {
         match self {
             Domain::ContinuousInt { min, max } => Some((*min as f64, *max as f64)),
             Domain::ContinuousFloat { min, max } => Some((*min, *max)),
@@ -181,7 +182,7 @@ impl Domain {
     /// The head of [`Domain::enumerate`] — the first declared value of a
     /// discrete domain, the lower bound of a continuous one — without
     /// building the enumeration.
-    pub fn first(&self) -> Option<Value> {
+    pub(crate) fn first(&self) -> Option<Value> {
         match self {
             Domain::DiscreteInt(v) => v.first().copied().map(Value::Int),
             Domain::DiscreteFloat(v) => v.first().copied().map(Value::Float),

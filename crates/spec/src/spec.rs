@@ -39,12 +39,12 @@ impl AttrPath {
     }
 
     /// Dimension index as `usize`.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim as usize
     }
 
     /// Attribute index as `usize`.
-    pub fn attr(&self) -> usize {
+    pub(crate) fn attr(&self) -> usize {
         self.attr as usize
     }
 }
@@ -165,7 +165,7 @@ impl QosSpec {
     }
 
     /// Declared inter-attribute dependencies (`Deps`).
-    pub fn dependencies(&self) -> &[Dependency] {
+    pub(crate) fn dependencies(&self) -> &[Dependency] {
         &self.0.dependencies
     }
 
@@ -187,7 +187,7 @@ impl QosSpec {
     }
 
     /// Looks a dimension up by name.
-    pub fn dimension(&self, name: &str) -> Option<(usize, &Dimension)> {
+    pub(crate) fn dimension(&self, name: &str) -> Option<(usize, &Dimension)> {
         self.dimensions()
             .iter()
             .enumerate()
@@ -315,7 +315,7 @@ impl QualityVector {
     /// Builds a vector without membership checks. Intended for hot paths
     /// that already guarantee validity (e.g. degradation over request
     /// levels, which are validated at resolution time).
-    pub fn from_values_unchecked(values: Vec<Value>) -> Self {
+    pub(crate) fn from_values_unchecked(values: Vec<Value>) -> Self {
         Self { values }
     }
 
@@ -326,7 +326,8 @@ impl QualityVector {
 
     /// Replaces the value at `path`. Returns false if out of bounds or the
     /// new value is outside the attribute's domain.
-    pub fn set(&mut self, spec: &QosSpec, path: AttrPath, v: Value) -> bool {
+    #[cfg(test)]
+    pub(crate) fn set(&mut self, spec: &QosSpec, path: AttrPath, v: Value) -> bool {
         let Some(idx) = spec.flat_index(path) else {
             return false;
         };
@@ -353,11 +354,6 @@ impl QualityVector {
             }
             None => false,
         }
-    }
-
-    /// All values in flattening order.
-    pub fn values(&self) -> &[Value] {
-        &self.values
     }
 
     /// Checks every declared dependency of `spec` against this assignment.

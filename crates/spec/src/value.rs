@@ -28,7 +28,7 @@ impl F64 {
     }
 
     /// Wraps a float, panicking on NaN. Intended for literals in specs.
-    pub fn of(v: f64) -> Self {
+    pub(crate) fn of(v: f64) -> Self {
         Self::new(v).expect("QoS attribute values must not be NaN")
     }
 
@@ -153,7 +153,8 @@ impl Value {
     }
 
     /// String view, if this is a string value.
-    pub fn as_str(&self) -> Option<&str> {
+    #[cfg(test)]
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,

@@ -11,10 +11,9 @@
 //! * [`Scenario`] / [`ScenarioConfig`] — assembled DES runs: population +
 //!   geometry + mobility + engines, ready for `submit` and `run_until`.
 //!
-//! Dynamic request arrivals (§5's Poisson processes, piecewise rate
-//! curves, thinning) moved to the open-loop load engine in `qosc-load`,
-//! which layers arrival sampling and saturation sweeps on top of the
-//! scenarios assembled here.
+//! Dynamic request arrivals (§5's Poisson process) live in the open-loop
+//! load engine, `qosc-load`, which layers arrival sampling and
+//! saturation sweeps on top of the scenarios assembled here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -51,7 +51,7 @@ impl PopulationConfig {
     }
 
     /// Draws one node profile.
-    pub fn sample(&self, rng: &mut impl Rng) -> NodeProfile {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> NodeProfile {
         let total: f64 = self.class_weights.iter().sum();
         let mut x = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
         let mut class = DeviceClass::FixedServer;
